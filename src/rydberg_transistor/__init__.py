@@ -6,7 +6,7 @@ seeded Monte Carlo engine (`montecarlo`), least-squares parameter recovery
 drivers plus a CLI (`experiments`, `cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .detection import (
     CountHistogram,
@@ -48,13 +48,11 @@ from .montecarlo import (
     DEFAULT_P_STORE,
     DEFAULT_RETENTION_TAU,
     EnsembleResult,
-    RunOutcome,
     SimConfig,
     calibrate_retention_tau,
+    child_seed,
     contrast_scan,
-    draw_stored,
     scan_configs,
     simulate_ensemble,
-    simulate_run,
     with_contrast_vs_reference,
 )

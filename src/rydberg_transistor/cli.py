@@ -3,9 +3,8 @@
 Subcommands: contrast-scan, gain-scan, transfer-scan, simulate, fit-od,
 fit-saturation, detect.  Behavior is driven by an INI config file (merged
 with flag overrides, flags win) and a master seed; result files are
-byte-identical for identical manifests at any --threads setting.  Every
-execution writes a provenance sidecar with the resolved config and content
-hashes of the outputs.
+byte-identical for identical manifests.  Every execution writes a provenance
+sidecar with the resolved config and content hashes of the outputs.
 
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
 failure, 5 I/O failure.
@@ -52,7 +51,6 @@ class RunManifest:
     output_dir: str
     format: str
     force: bool
-    threads: int
     options: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)
 
@@ -73,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.add_argument("--threads", type=int, default=1,
-                       help="simulation threads, 0 = auto (result-invariant)")
 
     p = sub.add_parser("contrast-scan", help="simulated contrast vs gate photons")
     add_common(p)
@@ -201,7 +197,7 @@ def load_config(name: str | None) -> tuple[str, dict]:
     return display, resolved
 
 
-def _validate(resolved: dict, seed: int, runs: int, threads: int) -> list[str]:
+def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     t = resolved["transistor"]
     s = resolved["saturation"]
     sim = resolved["simulation"]
@@ -229,7 +225,6 @@ def _validate(resolved: dict, seed: int, runs: int, threads: int) -> list[str]:
          all(v > 0 for v in resolved["scan"]["source_values"])),
         ("runs >= 1", runs >= 1),
         ("seed is an unsigned 64-bit integer", 0 <= seed < 2**64),
-        ("threads >= 0", threads >= 0),
     ]
     return [name for name, ok in checks if not ok]
 
@@ -254,7 +249,7 @@ def parse_and_validate(argv) -> RunManifest:
     if args.command == "detect" and args.mu0 is not None:
         options["mu0"] = args.mu0
 
-    violations = _validate(resolved, seed, runs, args.threads)
+    violations = _validate(resolved, seed, runs)
     if args.command == "fit-od" and options.get("cap", 1) < 1:
         violations.append("fit-od --cap >= 1")
     if args.command == "detect" and options.get("mu0", 1.0) <= 0:
@@ -270,19 +265,20 @@ def parse_and_validate(argv) -> RunManifest:
         output_dir=args.output,
         format=args.format,
         force=args.force,
-        threads=args.threads,
         options=options,
         resolved=resolved,
     )
 
 
 def _fmt_cell(v) -> str:
+    # numpy scalar to its Python type first: np.float64 is a float subclass
+    # whose repr is "np.float64(...)" under numpy 2
+    if hasattr(v, "item"):
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if hasattr(v, "item"):  # numpy scalar: canonical Python repr
-        return _fmt_cell(v.item())
     return str(v)
 
 
@@ -350,7 +346,6 @@ class OutputWriter:
             "tool_version": __version__,
             "seed": self.manifest.seed,
             "runs": self.manifest.runs,
-            "threads": self.manifest.threads,
             "format": self.manifest.format,
             "config_path": self.manifest.config_path,
             "options": self.manifest.options,
@@ -437,7 +432,7 @@ def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
     if manifest.options["mode"] == "incoming":
         base = experiments.incoming_scan_config(base)
     configs = montecarlo.scan_configs(base, manifest.resolved["scan"]["gate_values"])
-    ds = montecarlo.contrast_scan(configs, manifest.runs, threads=manifest.threads)
+    ds = montecarlo.contrast_scan(configs, manifest.runs)
     out.table(
         "contrast_scan",
         ["n_gate_in", "contrast", "sigma"],
@@ -459,8 +454,7 @@ def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
     if base.sat is None:
         base = replace(base, sat=sat)  # the scan measures the transfer curve itself
     points = experiments.transfer_scan(
-        base, manifest.resolved["scan"]["source_values"], manifest.runs,
-        threads=manifest.threads,
+        base, manifest.resolved["scan"]["source_values"], manifest.runs
     )
     out.table(
         "transfer_scan",
@@ -473,7 +467,7 @@ def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
 
 def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> None:
     _, _, config = _sim_objects(manifest.resolved)
-    result = montecarlo.simulate_ensemble(config, manifest.runs, threads=manifest.threads)
+    result = montecarlo.simulate_ensemble(config, manifest.runs)
     out.histogram("histogram", result.histogram)
     out.record(
         "simulate_summary",
@@ -527,7 +521,6 @@ def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
         mu0_values,
         n_runs=manifest.runs,
         seed=manifest.seed,
-        threads=manifest.threads,
         n_stored=det["n_stored"],
         cap=manifest.resolved["transistor"]["cap"],
         od_st_model=det["od_st_model"],

@@ -34,6 +34,8 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 THRESHOLD_TAIL_QUANTILE = 0.9999
+# Counts per chunk of poissonness_test's null draws (512 KB of int64).
+NULL_CHUNK_COUNTS = 2**16
 
 
 @dataclass(frozen=True, eq=True)
@@ -462,12 +464,19 @@ def poissonness_test(
     index = hist.variance() / mean
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed,))))
-    draws = rng.poisson(mean, size=(n_null, hist.total))
-    null_mean = draws.mean(axis=1)
-    # an all-zero null sample counts as maximally underdispersed (index 0)
-    null_index = np.where(
-        null_mean > 0, draws.var(axis=1, ddof=1) / np.where(null_mean > 0, null_mean, 1.0), 0.0
-    )
+    # null samples are drawn a few rows at a time, so memory stays bounded as
+    # hist.total grows; the draws equal those of one n_null x total matrix
+    rows = max(1, NULL_CHUNK_COUNTS // hist.total)
+    null_index = np.empty(n_null)
+    for start in range(0, n_null, rows):
+        draws = rng.poisson(mean, size=(min(rows, n_null - start), hist.total))
+        null_mean = draws.mean(axis=1)
+        # an all-zero null sample counts as maximally underdispersed (index 0)
+        null_index[start:start + len(draws)] = np.where(
+            null_mean > 0,
+            draws.var(axis=1, ddof=1) / np.where(null_mean > 0, null_mean, 1.0),
+            0.0,
+        )
     n_low = int(np.sum(null_index <= index))
     n_high = int(np.sum(null_index >= index))
     p_value = min(1.0, 2.0 * min(n_low + 1, n_high + 1) / (n_null + 1))

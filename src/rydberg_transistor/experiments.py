@@ -25,7 +25,16 @@ from .detection import (
 )
 from .errors import DomainError
 from .fitting import DataSet
-from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
+from .montecarlo import (
+    DETECTION_REF,
+    SWEEP_POINT,
+    TRANSFER_GATE,
+    TRANSFER_REF,
+    SimConfig,
+    calibrate_retention_tau,
+    child_seed,
+    simulate_ensemble,
+)
 
 __all__ = [
     "incoming_scan_config",
@@ -93,7 +102,6 @@ def transfer_scan(
     base: SimConfig,
     n_source_values,
     n_runs: int,
-    threads: int = 1,
 ) -> list[TransferPoint]:
     """Simulate the source transfer function with and without gate input.
 
@@ -107,10 +115,11 @@ def transfer_scan(
         if n_in <= 0:
             raise DomainError("transfer scan needs source inputs > 0")
         rate = float(n_in) / base.t_int
-        cfg_ref = replace(base, n_gate_in=0.0, source_rate=rate, seed=base.seed + 2 * i)
-        cfg_gate = replace(base, source_rate=rate, seed=base.seed + 2 * i + 1)
-        ref = simulate_ensemble(cfg_ref, n_runs, threads)
-        gate = simulate_ensemble(cfg_gate, n_runs, threads)
+        cfg_ref = replace(base, n_gate_in=0.0, source_rate=rate,
+                          seed=child_seed(base.seed, TRANSFER_REF, i))
+        cfg_gate = replace(base, source_rate=rate, seed=child_seed(base.seed, TRANSFER_GATE, i))
+        ref = simulate_ensemble(cfg_ref, n_runs)
+        gate = simulate_ensemble(cfg_gate, n_runs)
         points.append(
             TransferPoint(
                 n_source_in=float(n_in),
@@ -175,7 +184,6 @@ def detection_experiment(
     retention_tau: float | None = None,
     n_runs: int = 250,
     seed: int = 0,
-    threads: int = 1,
 ) -> DetectionReport:
     """Full single-shot detection pipeline at one no-gate mean ``mu0``.
 
@@ -204,10 +212,10 @@ def detection_experiment(
         retention_tau=retention_tau,
         seed=seed,
     )
-    ref_cfg = replace(gated_cfg, n_gate_in=0.0, seed=seed + 1)
+    ref_cfg = replace(gated_cfg, n_gate_in=0.0, seed=child_seed(seed, DETECTION_REF, 0))
 
-    gated = simulate_ensemble(gated_cfg, n_runs, threads)
-    ref = simulate_ensemble(ref_cfg, n_runs, threads)
+    gated = simulate_ensemble(gated_cfg, n_runs)
+    ref = simulate_ensemble(ref_cfg, n_runs)
 
     model = mixture_from_params(n_stored, cap, od_st_model, mu0)
     thr = optimal_threshold(model)
@@ -252,15 +260,15 @@ def fidelity_sweep(
     mu0_values,
     n_runs: int = 250,
     seed: int = 0,
-    threads: int = 1,
     **kwargs,
 ) -> list[DetectionReport]:
-    """Detection pipeline over a grid of no-gate means, one report per mu0."""
-    reports = []
-    for i, mu0 in enumerate(mu0_values):
-        reports.append(
-            detection_experiment(
-                float(mu0), n_runs=n_runs, seed=seed + 1000 * i, threads=threads, **kwargs
-            )
+    """Detection pipeline over a grid of no-gate means, one report per mu0.
+
+    Point ``i`` runs with the seed ``child_seed(seed, SWEEP_POINT, i)``.
+    """
+    return [
+        detection_experiment(
+            float(mu0), n_runs=n_runs, seed=child_seed(seed, SWEEP_POINT, i), **kwargs
         )
-    return reports
+        for i, mu0 in enumerate(mu0_values)
+    ]

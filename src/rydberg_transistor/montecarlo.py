@@ -2,21 +2,25 @@
 
 One run draws the gate storage chain (Poisson pulse, intermediate-state
 absorption, storage, blockade cap), assigns each stored excitation an
-exponential fly-away lifetime, propagates a Poisson stream of source photons
-through the time-dependent attenuation, and thins by the detector efficiency.
+exponential fly-away lifetime, and counts the source photons detected through
+the time-dependent attenuation.  Given the lifetimes, the surviving source
+photons form a thinned Poisson process (Lewis & Shedler 1979), so the detected
+count is a single Poisson draw with mean
+``rate * p_sat * eta_det * integral_0^T exp(-od_st * k_active(t)) dt``; the
+integral is a sum over the at most cap+1 segments between sorted lifetimes.
+No per-photon arrivals are drawn.
 
-Reproducibility contract: run ``i`` of an ensemble draws from a Philox
-counter-based generator keyed by ``SeedSequence((master_seed, i))``.  All
-aggregation is over integers (event counts), so ensemble results are
-bit-identical for a given (config, n_runs) under any thread count or
-execution order.
+Reproducibility contract: runs are drawn in blocks of ``BLOCK_RUNS`` (the last
+block may be shorter), and block ``b`` of an ensemble draws from a Philox
+counter-based generator keyed by ``SeedSequence((seed, b))``.  All aggregation
+is over integers (event counts), so ensemble results are bit-identical for a
+given (config, n_runs).  Seeds derived from a master seed come from
+`child_seed`, never from seed arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,19 +33,34 @@ from .models import SaturationParams, TransistorParams, transfer
 
 __all__ = [
     "SimConfig",
-    "RunOutcome",
     "EnsembleResult",
     "calibrate_retention_tau",
     "DEFAULT_RETENTION_TAU",
     "DEFAULT_P_STORE",
-    "run_rng",
-    "draw_stored",
-    "simulate_run",
+    "BLOCK_RUNS",
+    "child_seed",
     "simulate_ensemble",
     "contrast_scan",
     "scan_configs",
     "with_contrast_vs_reference",
 ]
+
+# Runs per random block.  Part of the reproducibility contract: changing it
+# changes the samples of every seed.
+BLOCK_RUNS = 8192
+
+# child_seed tags, one per kind of derived stream, so no two kinds share seeds.
+SCAN_POINT, BOOTSTRAP, TRANSFER_REF, TRANSFER_GATE, DETECTION_REF, SWEEP_POINT = range(6)
+
+
+def child_seed(seed: int, tag: int, i: int) -> int:
+    """Seed of stream ``i`` of kind ``tag`` derived from ``seed``.
+
+    The first 64-bit word of the state of ``SeedSequence((seed, tag, i))``.
+    Unlike ``seed + i``, it gives master seeds s and s + 1 disjoint streams.
+    """
+    state = np.random.SeedSequence((seed, tag, i)).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float) -> float:
@@ -126,20 +145,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """Counts from a single run of the pulse sequence."""
-
-    k_stored: int
-    gate_detected: int
-    source_detected: int
-    source_transmitted: int
-
-    def __post_init__(self):
-        if self.source_detected > self.source_transmitted:
-            raise DomainError("detected source photons exceed transmitted ones")
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
     """Aggregated statistics of n_runs independent runs."""
 
@@ -158,137 +163,65 @@ class EnsembleResult:
             )
 
 
-def run_rng(seed: int, run_index: int) -> np.random.Generator:
-    """Independent per-run stream: Philox keyed by SeedSequence((seed, run_index))."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, run_index)))
-    )
-
-
-def draw_stored(
-    n_gate_in: float,
-    a_ge: float,
-    p_store: float,
-    cap: int,
-    rng: np.random.Generator,
-) -> int:
-    """Sample the number of stored gate excitations for one pulse.
-
-    Poisson photon number, Bernoulli survival of intermediate-state
-    absorption, Bernoulli storage, then the blockade cap.  The pre-cap
-    expectation is (1 - a_ge) * p_store * n_gate_in.
-    """
-    _, _, stored = _gate_chain(n_gate_in, a_ge, p_store, cap, rng)
-    return stored
-
-
-def _gate_chain(n_gate_in, a_ge, p_store, cap, rng):
-    n_in = int(rng.poisson(n_gate_in))
-    survivors = int(rng.binomial(n_in, 1.0 - a_ge))
-    successes = int(rng.binomial(survivors, p_store))
-    return n_in, survivors, min(successes, int(cap))
-
-
-def simulate_run(config: SimConfig, rng: np.random.Generator) -> RunOutcome:
-    """Simulate one gate-storage + source-transmission + detection sequence.
-
-    Source photons arrive as a homogeneous Poisson process over the window; a
-    photon at time t survives with probability p_sat * exp(-k_active(t) * od_st)
-    where k_active counts excitations whose exponential lifetime exceeds t and
-    p_sat is the self-blockade thinning factor.  Surviving photons are detected
-    with probability eta_det.
-    """
+def _simulate_block(config: SimConfig, p_sat: float, n: int, rng: np.random.Generator):
+    """(k_stored, gate_detected, source_detected) arrays of ``n`` runs."""
     p = config.params
-    _, gate_survivors, k_stored = _gate_chain(
-        config.n_gate_in, p.a_ge, config.p_store, p.cap, rng
-    )
-    gate_detected = int(rng.binomial(gate_survivors - k_stored, p.eta_det))
+    cap = int(p.cap)
+    n_in = rng.poisson(config.n_gate_in, n)
+    survivors = rng.binomial(n_in, 1.0 - p.a_ge)
+    k = np.minimum(rng.binomial(survivors, config.p_store), cap)
+    gate_detected = rng.binomial(survivors - k, p.eta_det)
 
-    n_expected = config.n_source_in
-    if n_expected == 0:
-        return RunOutcome(k_stored, gate_detected, 0, 0)
-
-    p_sat = config.saturation_thinning()
-    n_source = int(rng.poisson(n_expected))
-    if k_stored == 0 or p.od_st == 0 or math.isinf(config.retention_tau):
-        # constant attenuation: thin the whole stream in one draw
-        transmitted = int(rng.binomial(n_source, p_sat * math.exp(-k_stored * p.od_st)))
+    t = config.t_int
+    if math.isinf(config.retention_tau) or p.od_st == 0:
+        window = t * np.exp(-p.od_st * k)
     else:
-        arrivals = rng.uniform(0.0, config.t_int, n_source)
-        lifetimes = rng.exponential(config.retention_tau, k_stored)
-        k_active = (arrivals[:, None] < lifetimes[None, :]).sum(axis=1)
-        survive = p_sat * np.exp(-p.od_st * k_active)
-        transmitted = int((rng.random(n_source) < survive).sum())
-    detected = int(rng.binomial(transmitted, p.eta_det))
-    return RunOutcome(k_stored, gate_detected, detected, transmitted)
+        lifetimes = rng.exponential(config.retention_tau, (n, cap))
+        lifetimes[np.arange(cap) >= k[:, None]] = 0.0  # excitations never stored
+        edges = np.sort(np.minimum(lifetimes, t), axis=1)
+        # between the j-th and (j+1)-th edge, cap - j excitations are still active
+        widths = np.diff(edges, axis=1, prepend=0.0, append=t)
+        window = (widths * np.exp(-p.od_st * np.arange(cap, -1, -1))).sum(axis=1)
+    detected = rng.poisson(config.source_rate * p_sat * p.eta_det * window)
+    return k, gate_detected, detected
 
 
-def _simulate_chunk(config, start, stop):
-    joint: dict[tuple[int, int], int] = {}
-    stored_sum = 0
-    gate_sum = 0
-    for i in range(start, stop):
-        out = simulate_run(config, run_rng(config.seed, i))
-        key = (out.k_stored, out.source_detected)
-        joint[key] = joint.get(key, 0) + 1
-        stored_sum += out.k_stored
-        gate_sum += out.gate_detected
-    return joint, stored_sum, gate_sum
+def _histogram(runs: np.ndarray) -> CountHistogram:
+    return CountHistogram.from_counts({int(n): int(runs[n]) for n in np.flatnonzero(runs)})
 
 
-def simulate_ensemble(
-    config: SimConfig, n_runs: int, threads: int = 1
-) -> EnsembleResult:
+def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
     """Run n_runs independent pulse sequences and aggregate their counts.
 
-    Per-run generators depend only on (config.seed, run_index) and every
-    aggregate is an integer sum, so the result is bit-identical regardless of
-    ``threads`` (0 means one thread per CPU).
+    Runs are drawn block by block (see the module's reproducibility contract)
+    and folded into a (stored, detected) count table, so memory stays bounded
+    as n_runs grows.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs must be >= 1, got {n_runs}")
-    if threads < 0:
-        raise DomainError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    threads = min(threads, n_runs)
-
-    if threads == 1:
-        parts = [_simulate_chunk(config, 0, n_runs)]
-    else:
-        bounds = [round(j * n_runs / threads) for j in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, config, bounds[j], bounds[j + 1])
-                for j in range(threads)
-            ]
-            parts = [f.result() for f in futures]
-
-    joint: dict[tuple[int, int], int] = {}
-    stored_sum = 0
+    rows = int(config.params.cap) + 1
+    p_sat = config.saturation_thinning()
+    joint = np.zeros((rows, 1), dtype=np.int64)  # [k_stored, detected] -> runs
     gate_sum = 0
-    for part_joint, part_stored, part_gate in parts:
-        for key, v in part_joint.items():
-            joint[key] = joint.get(key, 0) + v
-        stored_sum += part_stored
-        gate_sum += part_gate
+    for b, start in enumerate(range(0, n_runs, BLOCK_RUNS)):
+        block_rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((config.seed, b)))
+        )
+        n = min(BLOCK_RUNS, n_runs - start)
+        k, gate_detected, detected = _simulate_block(config, p_sat, n, block_rng)
+        width = max(joint.shape[1], int(detected.max()) + 1)
+        joint = np.pad(joint, ((0, 0), (0, width - joint.shape[1])))
+        joint += np.bincount(k * width + detected, minlength=rows * width).reshape(rows, width)
+        gate_sum += int(gate_detected.sum())
 
-    by_stored: dict[int, dict[int, int]] = {}
-    detected_counts: dict[int, int] = {}
-    detected_sum = 0
-    for (k, n), v in joint.items():
-        by_stored.setdefault(k, {})
-        by_stored[k][n] = by_stored[k].get(n, 0) + v
-        detected_counts[n] = detected_counts.get(n, 0) + v
-        detected_sum += n * v
-
+    runs_by_count = joint.sum(axis=0)
     return EnsembleResult(
         n_runs=n_runs,
-        histogram=CountHistogram.from_counts(detected_counts),
-        mean_source_detected=detected_sum / n_runs,
-        mean_stored=stored_sum / n_runs,
+        histogram=_histogram(runs_by_count),
+        mean_source_detected=int(runs_by_count @ np.arange(joint.shape[1])) / n_runs,
+        mean_stored=int(joint.sum(axis=1) @ np.arange(rows)) / n_runs,
         mean_gate_detected=gate_sum / n_runs,
-        by_stored={k: CountHistogram.from_counts(c) for k, c in sorted(by_stored.items())},
+        by_stored={k: _histogram(runs) for k, runs in enumerate(joint) if runs.any()},
     )
 
 
@@ -302,30 +235,30 @@ def with_contrast_vs_reference(
     return replace(result, contrast_vs_reference=contrast)
 
 
-def scan_configs(base: SimConfig, gate_values, seed_stride: int = 1) -> list[SimConfig]:
+def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
     """Configs for a gate-photon scan: the zero-gate reference, then each value.
 
-    Each config gets its own seed (base.seed + index * seed_stride) so points
-    are statistically independent.
+    Config ``i`` gets the seed ``child_seed(base.seed, SCAN_POINT, i)`` so
+    points are statistically independent.
     """
     values = [0.0] + [float(v) for v in gate_values]
     return [
-        replace(base, n_gate_in=v, seed=base.seed + i * seed_stride)
+        replace(base, n_gate_in=v, seed=child_seed(base.seed, SCAN_POINT, i))
         for i, v in enumerate(values)
     ]
 
 
-def _hist_mean_resample(hist: CountHistogram, rng: np.random.Generator) -> float:
-    values = np.array(hist.events(), dtype=float)
-    counts = np.array([hist.counts[int(v)] for v in values], dtype=float)
-    resampled = rng.multinomial(hist.total, counts / counts.sum())
-    return float(np.dot(values, resampled) / hist.total)
+def _resampled_means(hist: CountHistogram, rng: np.random.Generator, n_boot: int):
+    """Means of ``n_boot`` case resamples of a histogram, one multinomial draw."""
+    events = np.array(hist.events(), dtype=np.int64)
+    runs = np.array([hist.counts[n] for n in hist.events()], dtype=float)
+    resampled = rng.multinomial(hist.total, runs / runs.sum(), size=n_boot)
+    return (resampled @ events) / hist.total
 
 
 def contrast_scan(
     configs: list[SimConfig],
     n_runs: int,
-    threads: int = 1,
     n_boot: int = 200,
 ) -> DataSet:
     """Measure switch contrast against the zero-gate reference for each config.
@@ -333,14 +266,15 @@ def contrast_scan(
     The first config with n_gate_in == 0 serves as reference; every other
     config yields one (n_gate_in, contrast, sigma) point, with sigma from a
     case-resampling bootstrap of both histograms (streams derived from the
-    reference seed, so the scan is fully deterministic).
+    reference seed, so the scan is fully deterministic).  Resamples whose
+    reference mean is zero are skipped.
     """
     ref_idx = next(
         (i for i, c in enumerate(configs) if c.n_gate_in == 0), None
     )
     if ref_idx is None:
         raise DomainError("contrast scan needs a zero-gate reference config")
-    results = [simulate_ensemble(c, n_runs, threads) for c in configs]
+    results = [simulate_ensemble(c, n_runs) for c in configs]
     ref = results[ref_idx]
     if ref.mean_source_detected == 0:
         raise UndefinedContrastError("zero-gate reference transmitted nothing")
@@ -351,17 +285,12 @@ def contrast_scan(
             continue
         contrast = with_contrast_vs_reference(res, ref).contrast_vs_reference
         rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(entropy=(configs[ref_idx].seed, 0xB007, i))
-            )
+            np.random.Philox(child_seed(configs[ref_idx].seed, BOOTSTRAP, i))
         )
-        boot = []
-        for _ in range(n_boot):
-            m_ref = _hist_mean_resample(ref.histogram, rng)
-            m_gate = _hist_mean_resample(res.histogram, rng)
-            if m_ref > 0:
-                boot.append(1.0 - m_gate / m_ref)
-        boot = np.array(boot)
+        m_ref = _resampled_means(ref.histogram, rng, n_boot)
+        m_gate = _resampled_means(res.histogram, rng, n_boot)
+        kept = m_ref > 0
+        boot = 1.0 - m_gate[kept] / m_ref[kept]
         sigma = float(boot.std(ddof=1)) if len(boot) > 1 else 0.0
         xs.append(config.n_gate_in)
         ys.append(contrast)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from rydberg_transistor import cli, models
+from rydberg_transistor import cli, experiments, models, montecarlo
 from rydberg_transistor.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -142,12 +142,11 @@ def test_simulate_writes_outputs_and_sidecar(small_cfg, tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
-def test_simulate_byte_identical_across_runs_and_threads(small_cfg, tmp_path):
+def test_simulate_byte_identical_across_runs(small_cfg, tmp_path):
     outs = []
-    for label, threads in (("a", "1"), ("b", "4"), ("c", "0")):
+    for label in ("a", "b", "c"):
         out = tmp_path / label
-        code = main(["simulate", "--config", small_cfg, "--output", str(out),
-                     "--threads", threads])
+        code = main(["simulate", "--config", small_cfg, "--output", str(out)])
         assert code == EXIT_OK
         outs.append(read_bytes_map(out))
     assert outs[0] == outs[1] == outs[2]
@@ -279,6 +278,30 @@ def test_fit_saturation_cli_round_trip(tmp_path):
     assert float(record["b"]) == pytest.approx(70.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
+def test_fit_record_cells_parse_as_numbers(command, tmp_path):
+    # numpy scalars (the bootstrap interval ends) must be written as plain reprs
+    if command == "fit-od":
+        x = np.arange(0.25, 3.51, 0.25)
+        y = models.contrast_curve(x, 0.75, 3)
+    else:
+        x = np.linspace(25, 250, 10)
+        y = 46.0 * -np.expm1(-x / 70.0)
+    data_path = tmp_path / "data.csv"
+    DataSet(x=x, y=y, sigma=np.full_like(x, 0.04)).to_csv(data_path)
+    out = tmp_path / "fit"
+    assert main([command, "--input", str(data_path), "--output", str(out)]) == EXIT_OK
+    record = read_record(out / f"{command.replace('-', '_')}.csv")
+    assert any(key.endswith("_ci16") for key in record)
+    for key, value in record.items():
+        if key in ("flags", "mode"):
+            continue
+        if key == "converged":
+            assert value in ("true", "false")
+        else:
+            float(value)
+
+
 def test_fit_od_missing_input_is_config_error(tmp_path):
     assert main(["fit-od", "--input", str(tmp_path / "missing.csv"),
                  "--output", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -338,10 +361,36 @@ def test_detect_sweep_deterministic(small_cfg, tmp_path):
     argv_base = ["detect", "--config", small_cfg, "--runs", "200"]
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
     assert main(argv_base + ["--output", str(out1)]) == EXIT_OK
-    assert main(argv_base + ["--output", str(out2), "--threads", "3"]) == EXIT_OK
+    assert main(argv_base + ["--output", str(out2)]) == EXIT_OK
     assert read_bytes_map(out1) == read_bytes_map(out2)
     _, rows = read_table(out1 / "fidelity_sweep.csv")
     assert len(rows) == 7  # default mu0 sweep 10..40
+
+
+@pytest.mark.parametrize("command", ["contrast-scan", "transfer-scan", "detect"])
+def test_child_seeds_distinct_within_and_across_master_seeds(
+    command, small_cfg, tmp_path, monkeypatch
+):
+    derived, ensemble_seeds = [], []
+    real_child_seed, real_simulate = montecarlo.child_seed, montecarlo.simulate_ensemble
+
+    def recording_child_seed(seed, tag, i):
+        derived.append(real_child_seed(seed, tag, i))
+        return derived[-1]
+
+    def recording_simulate(config, n_runs):
+        ensemble_seeds.append(config.seed)
+        return real_simulate(config, n_runs)
+
+    for module in (montecarlo, experiments):
+        monkeypatch.setattr(module, "child_seed", recording_child_seed)
+        monkeypatch.setattr(module, "simulate_ensemble", recording_simulate)
+    for seed in ("5", "6"):
+        assert main([command, "--config", small_cfg, "--runs", "40", "--seed", seed,
+                     "--output", str(tmp_path / seed)]) == EXIT_OK
+    assert len(set(derived)) == len(derived)
+    # every ensemble draws from a derived seed, never from the master seed itself
+    assert set(ensemble_seeds) <= set(derived)
 
 
 # ---------------------------------------------------------------------------

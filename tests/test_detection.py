@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from rydberg_transistor import detection
 from rydberg_transistor.detection import (
     CountHistogram,
     MixtureModel,
@@ -319,6 +320,21 @@ def test_poissonness_rejects_gated_mixture():
         res = simulate_ensemble(mixture_matched_config(0.61, 0.94, 20.0, seed=500 + s), 250)
         fails += not poissonness_test(res.histogram, seed=s).passed
     assert fails / seeds > 0.5  # overdispersed/bimodal fails in the majority
+
+
+@pytest.mark.parametrize("chunk_counts", [1, 2**16])
+def test_poissonness_chunked_null_matches_one_shot_matrix(chunk_counts, monkeypatch):
+    # 1: one null row per chunk; 2**16: 32 rows per chunk, the last one partial
+    monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
+    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(12, 2000))
+    res = poissonness_test(hist, n_null=200, seed=4)
+    # reference: the whole n_null x total null matrix drawn at once
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(4,))))
+    draws = rng.poisson(hist.mean(), size=(200, hist.total))
+    null_index = draws.var(axis=1, ddof=1) / draws.mean(axis=1)
+    index = hist.variance() / hist.mean()
+    n_low, n_high = np.sum(null_index <= index), np.sum(null_index >= index)
+    assert res.p_value == min(1.0, 2.0 * min(n_low + 1, n_high + 1) / 201)
 
 
 def test_poissonness_deterministic():

@@ -6,21 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import chi2 as chi2_dist
+from scipy.stats import poisson
 
 from rydberg_transistor import models
+from rydberg_transistor.detection import mixture_from_params
 from rydberg_transistor.errors import DomainError, UndefinedContrastError
 from rydberg_transistor.montecarlo import (
+    BLOCK_RUNS,
     DEFAULT_P_STORE,
     DEFAULT_RETENTION_TAU,
     SimConfig,
-    RunOutcome,
     calibrate_retention_tau,
+    child_seed,
     contrast_scan,
-    draw_stored,
-    run_rng,
     scan_configs,
     simulate_ensemble,
-    simulate_run,
     with_contrast_vs_reference,
 )
 
@@ -47,6 +48,70 @@ def lossless_config(n_gate, od_st, cap=3, eta=1.0, rate=0.69, t_int=30.0, seed=0
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def simulate_run(config, rng):
+    """Reference engine: one run, photon by photon.
+
+    Returns (k_stored, gate_detected, source_detected).  Source photons arrive
+    as a homogeneous Poisson process over the window; a photon at time t
+    survives with probability p_sat * exp(-k_active(t) * od_st), where
+    k_active counts excitations whose exponential lifetime exceeds t.
+    Surviving photons are detected with probability eta_det.
+    """
+    p = config.params
+    n_in = int(rng.poisson(config.n_gate_in))
+    survivors = int(rng.binomial(n_in, 1.0 - p.a_ge))
+    k_stored = min(int(rng.binomial(survivors, config.p_store)), int(p.cap))
+    gate_detected = int(rng.binomial(survivors - k_stored, p.eta_det))
+
+    n_source = int(rng.poisson(config.n_source_in))
+    p_sat = config.saturation_thinning()
+    if k_stored == 0 or p.od_st == 0 or math.isinf(config.retention_tau):
+        transmitted = int(rng.binomial(n_source, p_sat * math.exp(-k_stored * p.od_st)))
+    else:
+        arrivals = rng.uniform(0.0, config.t_int, n_source)
+        lifetimes = rng.exponential(config.retention_tau, k_stored)
+        k_active = (arrivals[:, None] < lifetimes[None, :]).sum(axis=1)
+        survive = p_sat * np.exp(-p.od_st * k_active)
+        transmitted = int((rng.random(n_source) < survive).sum())
+    return k_stored, gate_detected, int(rng.binomial(transmitted, p.eta_det))
+
+
+def pool_bins(expected, minimum=5.0):
+    """Group boundaries of adjacent bins, each group with expected >= minimum.
+
+    Bins are pooled left to right; a leftover tail joins the last group.
+    """
+    cuts, acc = [0], 0.0
+    for i, e in enumerate(expected):
+        acc += e
+        if acc >= minimum:
+            cuts.append(i + 1)
+            acc = 0.0
+    if len(cuts) == 1:
+        cuts.append(len(expected))
+    cuts[-1] = len(expected)
+    return cuts
+
+
+def pooled_sums(values, cuts):
+    return np.add.reduceat(np.asarray(values, dtype=float), cuts[:-1])
+
+
+def homogeneity_chi2(a, b):
+    """(statistic, dof) of the two-sample chi-square test of count arrays a, b.
+
+    Columns are pooled until every expected count is >= 5.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n_a, n_b = a.sum(), b.sum()
+    cuts = pool_bins((a + b) * min(n_a, n_b) / (n_a + n_b))
+    a, b = pooled_sums(a, cuts), pooled_sums(b, cuts)
+    cols = a + b
+    e_a, e_b = cols * n_a / (n_a + n_b), cols * n_b / (n_a + n_b)
+    stat = float(np.sum((a - e_a) ** 2 / e_a + (b - e_b) ** 2 / e_b))
+    return stat, len(cols) - 1
 
 
 def capped_poisson_moments(lam, cap, k_max=200):
@@ -108,33 +173,43 @@ def test_default_p_store_anchors_stored_mean():
     assert 0.75 * 0.85 * DEFAULT_P_STORE == pytest.approx(0.61, abs=1e-12)
 
 
-def test_run_rng_streams():
-    a1 = run_rng(42, 0).integers(0, 2**63, 4)
-    a2 = run_rng(42, 0).integers(0, 2**63, 4)
-    b = run_rng(42, 1).integers(0, 2**63, 4)
-    c = run_rng(43, 0).integers(0, 2**63, 4)
-    assert np.array_equal(a1, a2)
-    assert not np.array_equal(a1, b)
-    assert not np.array_equal(a1, c)
+def test_block_streams():
+    cfg = lossless_config(0.61, od_st=0.94, seed=42)
+    one_block = simulate_ensemble(cfg, BLOCK_RUNS)
+    longer = simulate_ensemble(cfg, BLOCK_RUNS + 100)
+    # block 0 draws the same runs whatever blocks follow it
+    assert all(longer.histogram.counts.get(n, 0) >= runs
+               for n, runs in one_block.histogram.counts.items())
+    assert simulate_ensemble(replace(cfg, seed=43), BLOCK_RUNS) != one_block
 
 
-def test_run_outcome_invariant():
-    with pytest.raises(DomainError):
-        RunOutcome(k_stored=0, gate_detected=0, source_detected=5, source_transmitted=4)
+def test_child_seed():
+    assert child_seed(5, 0, 1) == child_seed(5, 0, 1)
+    seeds = {child_seed(s, tag, i) for s in (5, 6) for tag in range(3) for i in range(50)}
+    assert len(seeds) == 2 * 3 * 50
+    assert all(0 <= s < 2**64 for s in seeds)
 
 
 # ---------------------------------------------------------------------------
-# draw_stored
+# stored-excitation draws (the gate chain of simulate_ensemble)
+
+
+def stored_config(n_gate, a_ge, cap, seed):
+    params = models.TransistorParams(od_sp=0.94, od_st=0.94, cap=cap, a_ge=a_ge, eta_det=1.0)
+    return SimConfig(n_gate_in=n_gate, p_store=1.0, params=params, sat=None,
+                     source_rate=0.69, t_int=30.0, retention_tau=INF, seed=seed)
 
 
 def test_draw_stored_zero_gate():
-    rng = run_rng(1, 0)
-    assert all(draw_stored(0.0, 0.15, 1.0, 3, rng) == 0 for _ in range(200))
+    res = simulate_ensemble(stored_config(0.0, 0.15, 3, seed=1), 200)
+    assert res.mean_stored == 0.0
+    assert list(res.by_stored) == [0]
 
 
 def test_draw_stored_full_blockade():
-    rng = run_rng(2, 0)
-    assert all(draw_stored(50.0, 0.0, 1.0, 1, rng) == 1 for _ in range(200))
+    res = simulate_ensemble(stored_config(50.0, 0.0, 1, seed=2), 200)
+    assert res.mean_stored == 1.0
+    assert list(res.by_stored) == [1]
 
 
 def test_draw_stored_capped_expectation():
@@ -142,19 +217,18 @@ def test_draw_stored_capped_expectation():
     expect, variance = capped_poisson_moments(lam, 3)
     assert expect == pytest.approx(0.8687896932518069, abs=1e-12)  # frozen oracle
     n = 100_000
-    rng = run_rng(3, 0)
-    draws = [draw_stored(1.04, 0.15, 1.0, 3, rng) for _ in range(n)]
+    res = simulate_ensemble(stored_config(1.04, 0.15, 3, seed=3), n)
     se = math.sqrt(variance / n)
-    assert abs(np.mean(draws) - expect) <= 3 * se
+    assert abs(res.mean_stored - expect) <= 3 * se
 
 
 def test_draw_stored_respects_cap():
-    rng = run_rng(4, 0)
-    assert max(draw_stored(10.0, 0.0, 1.0, 3, rng) for _ in range(500)) == 3
+    res = simulate_ensemble(stored_config(10.0, 0.0, 3, seed=4), 500)
+    assert max(res.by_stored) == 3
 
 
 # ---------------------------------------------------------------------------
-# simulate_run
+# detected counts
 
 
 def test_simulate_run_poisson_process_oracle():
@@ -180,9 +254,9 @@ def test_simulate_run_single_excitation_thinning_oracle():
 
 def test_simulate_run_zero_window_returns_zero_counts():
     cfg = replace(lossless_config(0.5, od_st=1.0), source_rate=0.0)
-    out = simulate_run(cfg, run_rng(cfg.seed, 0))
-    assert out.source_detected == 0
-    assert out.source_transmitted == 0
+    res = simulate_ensemble(cfg, 50)
+    assert res.histogram.counts == {0: 50}
+    assert res.mean_stored > 0
 
 
 def test_simulate_run_od_zero_gate_has_no_effect():
@@ -231,14 +305,6 @@ def test_simulate_ensemble_deterministic():
     r1 = simulate_ensemble(cfg, 500)
     r2 = simulate_ensemble(cfg, 500)
     assert r1 == r2
-
-
-def test_simulate_ensemble_thread_invariant():
-    cfg = lossless_config(0.61, od_st=0.94, seed=6)
-    r1 = simulate_ensemble(cfg, 400, threads=1)
-    r4 = simulate_ensemble(cfg, 400, threads=4)
-    r0 = simulate_ensemble(cfg, 400, threads=0)
-    assert r1 == r4 == r0
 
 
 def test_simulate_ensemble_single_run_histogram():
@@ -338,6 +404,73 @@ def test_flyaway_halving_retention_increases_transmission():
     full = simulate_ensemble(base, 5000)
     half = simulate_ensemble(halved, 5000)
     assert half.mean_source_detected > full.mean_source_detected
+
+
+def test_flyaway_matches_per_photon_reference():
+    # detection settings: od_st 2.2 decaying to an effective 0.94 over 90 us
+    cfg = SimConfig(
+        n_gate_in=0.61,
+        p_store=1.0,
+        params=models.TransistorParams(od_st=2.2, cap=3, a_ge=0.0, eta_det=0.31),
+        sat=None,
+        source_rate=20.0 / (0.31 * 90.0),
+        t_int=90.0,
+        retention_tau=DEFAULT_RETENTION_TAU,
+        seed=51,
+    )
+    n_runs = 20_000
+    fast = simulate_ensemble(cfg, n_runs)
+    rng = np.random.Generator(np.random.Philox(52))
+    reference = np.array([simulate_run(cfg, rng) for _ in range(n_runs)])
+    ref_k, ref_detected = reference[:, 0], reference[:, 2]
+
+    n_max = max(fast.histogram.max_event, int(ref_detected.max()))
+    fast_k = [fast.by_stored[k].total if k in fast.by_stored else 0 for k in range(4)]
+    stat, dof = homogeneity_chi2(fast_k, np.bincount(ref_k, minlength=4))
+    for k, hist in fast.by_stored.items():
+        _, fast_runs = hist.to_arrays(n_max)
+        k_stat, k_dof = homogeneity_chi2(
+            fast_runs, np.bincount(ref_detected[ref_k == k], minlength=n_max + 1)
+        )
+        stat += k_stat
+        dof += k_dof
+    assert dof > 30
+    assert chi2_dist.sf(stat, dof) > 0.01
+
+
+def test_constant_attenuation_matches_exact_capped_mixture():
+    # tau = inf: counts follow sum_k w_k Poisson(mu0 e^{-k od_st}) exactly,
+    # w_k the capped Poisson weights of the stored number
+    sat = models.SaturationParams(46.0, 70.0)
+    cfg = SimConfig(
+        n_gate_in=0.75,
+        p_store=DEFAULT_P_STORE,
+        params=models.TransistorParams(od_st=2.2, cap=3, a_ge=0.15, eta_det=0.31),
+        sat=sat,
+        source_rate=0.69,
+        t_int=30.0,
+        retention_tau=INF,
+        seed=53,
+    )
+    n_runs = 50_000
+    res = simulate_ensemble(cfg, n_runs)
+    mu0 = models.transfer(0.69 * 30.0, sat) * 0.31
+    model = mixture_from_params(0.61, 3, 2.2, mu0)
+    n_max = max(res.histogram.max_event, int(poisson.ppf(1 - 1e-9, mu0)))
+    events = np.arange(n_max + 1)
+    observed, expected = [], []
+    for k, (weight, mean) in enumerate(model.components):
+        hist = res.by_stored.get(k)
+        runs = hist.to_arrays(n_max)[1] if hist is not None else np.zeros(n_max + 1)
+        pmf = poisson.pmf(events, mean)
+        pmf[-1] += poisson.sf(n_max, mean)
+        cuts = pool_bins(n_runs * weight * pmf)
+        observed.append(pooled_sums(runs, cuts))
+        expected.append(pooled_sums(n_runs * weight * pmf, cuts))
+    observed, expected = np.concatenate(observed), np.concatenate(expected)
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert len(expected) > 20
+    assert chi2_dist.sf(stat, len(expected) - 1) > 0.01
 
 
 # ---------------------------------------------------------------------------

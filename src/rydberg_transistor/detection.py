@@ -19,6 +19,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import poisson
 
 from .errors import DomainError, InsufficientDataError
+from .models import capped_poisson_weights
 
 __all__ = [
     "CountHistogram",
@@ -201,45 +202,23 @@ class MixtureModel:
             out += w * poisson.pmf(n, mu)
         return out
 
-    def gated_pmf(self, n) -> np.ndarray:
-        """Probability of n counts conditional on at least one excitation."""
-        n = np.asarray(n)
-        if self.w_gated <= 0:
-            return np.zeros(n.shape, dtype=float)
-        out = np.zeros(n.shape, dtype=float)
-        for w, mu in self.components[1:]:
-            out += w * poisson.pmf(n, mu)
-        return out / self.w_gated
-
-    def ungated_pmf(self, n) -> np.ndarray:
-        return poisson.pmf(np.asarray(n), self.components[0][1])
-
 
 def mixture_from_params(
     n_stored: float, cap: int, od_st: float, mu0: float
 ) -> MixtureModel:
     """Build the count mixture for Poissonian gate statistics.
 
-    Component weights follow the Poisson distribution of stored excitations
-    with the k >= cap tail collected into the cap component; component means
-    attenuate the no-gate mean ``mu0`` by exp(-k * od_st).
+    Component weights are ``models.capped_poisson_weights``: the Poisson
+    distribution of stored excitations with the k >= cap tail collected into
+    the cap component; component means attenuate the no-gate mean ``mu0`` by
+    exp(-k * od_st).
     """
-    if n_stored < 0:
-        raise DomainError(f"n_stored must be >= 0, got {n_stored}")
-    if int(cap) != cap or cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {cap}")
     if od_st < 0:
         raise DomainError(f"od_st must be >= 0, got {od_st}")
     if mu0 <= 0:
         raise DomainError(f"mu0 must be > 0, got {mu0}")
-    cap = int(cap)
-    weights = []
-    pmf = math.exp(-n_stored)
-    for k in range(cap):
-        weights.append(pmf)
-        pmf *= n_stored / (k + 1)
-    weights.append(max(1.0 - math.fsum(weights), 0.0))
-    means = [mu0 * math.exp(-k * od_st) for k in range(cap + 1)]
+    weights = capped_poisson_weights(n_stored, cap).tolist()
+    means = [mu0 * math.exp(-k * od_st) for k in range(len(weights))]
     return MixtureModel(components=tuple(zip(weights, means)))
 
 

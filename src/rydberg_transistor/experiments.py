@@ -27,6 +27,7 @@ from .errors import DomainError
 from .fitting import DataSet
 from .montecarlo import (
     DETECTION_REF,
+    POISSONNESS_NULL,
     SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
@@ -192,7 +193,8 @@ def detection_experiment(
     value that averages it down to ``od_st_model`` over the window), builds
     the Poisson mixture at the effective ``od_st_model``, decomposes the
     gated histogram against it, picks the optimal threshold, and scores the
-    threshold against the simulator's per-run ground truth.
+    threshold against the simulator's per-run ground truth.  The reference
+    ensemble and the Poissonness null draw from child seeds of ``seed``.
     """
     if mu0 <= 0:
         raise DomainError(f"mu0 must be > 0, got {mu0}")
@@ -249,7 +251,9 @@ def detection_experiment(
         gated_hist=gated.histogram,
         reference_hist=ref.histogram,
         decomposition=deco,
-        reference_poissonness_p=poissonness_test(ref.histogram).p_value
+        reference_poissonness_p=poissonness_test(
+            ref.histogram, seed=child_seed(seed, POISSONNESS_NULL, 0)
+        ).p_value
         if ref.n_runs >= 30
         else float("nan"),
         mean_stored=gated.mean_stored,

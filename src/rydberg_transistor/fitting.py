@@ -2,8 +2,12 @@
 
 fit_od inverts the blockade-capped contrast model for the optical depth per
 gate photon/excitation; fit_saturation recovers the (a, b) of the
-self-blockade transfer curve.  Uncertainties come from a case-resampling
-bootstrap with percentile 68% intervals, deterministic under a seed.
+self-blockade transfer curve.  Both are one-dimensional bounded Brent
+searches: fit_od computes the capped-Poisson weights of its x values once per
+dataset, so each step is one weighted sum over them, and fit_saturation
+solves the linear amplitude a in closed form and searches log b only
+(variable projection).  Uncertainties come from a case-resampling bootstrap
+with percentile 68% intervals, deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .models import contrast_curve
+from .models import capped_poisson_weights, contrast_curve, contrast_from_weights
 
 __all__ = [
     "DataSet",
@@ -29,8 +33,10 @@ __all__ = [
 ]
 
 OD_SEARCH_MAX = 50.0  # covers all physical optical depths with margin
-OD_XATOL = 1e-9
-SIMPLEX_RELATIVE_TOL = 1e-8
+XATOL = 1e-9  # absolute in od, relative in b (the search runs over log b)
+# fit_saturation searches b over these multiples of max(x); data that never
+# saturate push b to the upper edge, where the linear-regime flags fire.
+B_SEARCH_RANGE = (1e-3, 1e3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +57,13 @@ class DataSet:
             raise DomainError("x, y, sigma must have equal length")
         if n < 2:
             raise DomainError(f"need at least 2 points, got {n}")
+        finite = np.isfinite(self.x) & np.isfinite(self.y) & np.isfinite(self.sigma)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DomainError(
+                f"non-finite value in data row {row + 1}: x={self.x[row]!r}, "
+                f"y={self.y[row]!r}, sigma={self.sigma[row]!r}"
+            )
         if np.any(self.x < 0):
             raise DomainError("x values must be >= 0")
         if np.any(self.sigma <= 0):
@@ -96,7 +109,11 @@ class DataSet:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Point estimates with weighted SSE and bootstrap 68% intervals."""
+    """Point estimates with weighted SSE and bootstrap 68% intervals.
+
+    ``converged`` is always True: a fit that fails raises
+    FitConvergenceError instead of returning.
+    """
 
     params: dict[str, float]
     sse: float
@@ -115,22 +132,26 @@ def _weighted_sse(residuals: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum((residuals / sigma) ** 2))
 
 
-def _fit_od_point(data: DataSet, cap: int) -> float:
-    def objective(od):
-        return _weighted_sse(data.y - contrast_curve(data.x, od, cap), data.sigma)
-
+def _minimize_1d(objective, lo: float, hi: float) -> float:
+    """Argmin of a scalar objective on [lo, hi] by bounded Brent to XATOL."""
     res = minimize_scalar(
-        objective,
-        bounds=(0.0, OD_SEARCH_MAX),
-        method="bounded",
-        options={"xatol": OD_XATOL},
+        objective, bounds=(lo, hi), method="bounded", options={"xatol": XATOL}
     )
-    if not res.success:
+    if not res.success or not math.isfinite(res.fun):
         raise FitConvergenceError(
             "bounded scalar minimization failed",
-            diagnostics={"message": res.message, "od": float(res.x), "sse": float(res.fun)},
+            diagnostics={"message": res.message, "x": float(res.x), "sse": float(res.fun)},
         )
     return float(res.x)
+
+
+def _fit_od_point(data: DataSet, cap: int) -> float:
+    weights = capped_poisson_weights(data.x, cap)  # od-independent: once per dataset
+    return _minimize_1d(
+        lambda od: _weighted_sse(data.y - contrast_from_weights(weights, od), data.sigma),
+        0.0,
+        OD_SEARCH_MAX,
+    )
 
 
 def fit_od(
@@ -188,53 +209,27 @@ def fit_od(
     )
 
 
-def _fit_saturation_point(data: DataSet) -> tuple[float, float, bool]:
-    """Nelder-Mead in units of the initial guess, with restarts.
+def _fit_saturation_point(data: DataSet) -> tuple[float, float]:
+    """Variable projection: a in closed form, bounded Brent over log b.
 
-    Initialization a0 = 1.05 * max(y), b0 = median(x); converged when the
-    relative simplex diameter drops below 1e-8.  Restarts re-seed a fresh
-    simplex at the current best point; the lowest SSE wins, exact ties go to
-    the smaller a.
+    For fixed b the model is linear in a, so the weighted least-squares
+    a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b) and w = 1 / sigma^2;
+    the profiled SSE is then minimized over log b in
+    [1e-3, 1e3] * max(x).  Needs some x > 0.
     """
-    a0 = 1.05 * float(np.max(data.y))
-    b0 = float(np.median(data.x))
-    if a0 <= 0:
-        a0 = 1.0
-    if b0 <= 0:
-        b0 = float(np.max(data.x)) or 1.0
-    scale = np.array([a0, b0])
+    w = data.sigma ** -2.0
 
-    def objective(u):
-        a, b = u * scale
-        if b <= 0:
-            return math.inf
-        return _weighted_sse(data.y - saturation_curve(data.x, a, b), data.sigma)
+    def profile(log_b: float) -> tuple[float, np.ndarray]:
+        g = -np.expm1(-data.x / math.exp(log_b))
+        return float(np.sum(w * data.y * g) / np.sum(w * g * g)), g
 
-    best_f, best_ab = math.inf, None
-    u = np.array([1.0, 1.0])
-    converged = False
-    for _ in range(5):
-        res = minimize(
-            objective,
-            u,
-            method="Nelder-Mead",
-            options={
-                "xatol": SIMPLEX_RELATIVE_TOL,
-                "fatol": math.inf,  # stop on simplex diameter alone
-                "maxiter": 2000,
-                "maxfev": 4000,
-            },
-        )
-        f = float(res.fun)
-        ab = res.x * scale
-        prev_best = best_f
-        if f < best_f or (f == best_f and best_ab is not None and ab[0] < best_ab[0]):
-            best_f, best_ab = f, ab
-        if res.success and prev_best - f <= 1e-12 * (1.0 + abs(f)):
-            converged = True
-            break
-        u = best_ab / scale
-    return float(best_ab[0]), float(best_ab[1]), converged
+    def objective(log_b: float) -> float:
+        a, g = profile(log_b)
+        return _weighted_sse(data.y - a * g, data.sigma)
+
+    x_max = float(np.max(data.x))
+    log_b = _minimize_1d(objective, *(math.log(f * x_max) for f in B_SEARCH_RANGE))
+    return profile(log_b)[0], math.exp(log_b)
 
 
 def fit_saturation(
@@ -242,15 +237,20 @@ def fit_saturation(
 ) -> FitResult:
     """Recover (a, b) of the transfer curve a * (1 - exp(-x / b)).
 
-    Needs at least 3 points; data confined to the linear small-x regime make
-    only the ratio a/b identifiable, which is reported as an ill-conditioning
+    Needs at least 3 distinct x values.  b is searched over
+    [1e-3, 1e3] * max(x) with a profiled out in closed form.  Data confined
+    to the linear small-x regime make only the ratio a/b identifiable; their
+    b lands at or above max(x) (at the search's upper edge when the data
+    show no curvature at all), which is reported as an ill-conditioning
     warning plus 'linear_regime'/'b_ci_unbounded' flags instead of an error.
+    A failed search raises FitConvergenceError.
     """
-    if len(data) < 3:
+    n_distinct = len(np.unique(data.x))
+    if n_distinct < 3:
         raise InsufficientDataError(
-            f"need at least 3 points for a 2-parameter fit, got {len(data)}"
+            f"need at least 3 distinct x values for a 2-parameter fit, got {n_distinct}"
         )
-    a_hat, b_hat, converged = _fit_saturation_point(data)
+    a_hat, b_hat = _fit_saturation_point(data)
     sse = _weighted_sse(data.y - saturation_curve(data.x, a_hat, b_hat), data.sigma)
 
     flags = []
@@ -263,7 +263,7 @@ def fit_saturation(
         )
 
     ci, n_used = bootstrap_ci(
-        lambda d: dict(zip(("a", "b"), _fit_saturation_point(d)[:2])),
+        lambda d: dict(zip(("a", "b"), _fit_saturation_point(d))),
         data,
         n_boot=n_boot,
         seed=seed,
@@ -275,7 +275,7 @@ def fit_saturation(
         sse=sse,
         ci_68=ci,
         n_boot=n_used,
-        converged=converged,
+        converged=True,
         flags=tuple(flags),
     )
 

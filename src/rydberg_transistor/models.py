@@ -5,6 +5,10 @@ contrast, storage bookkeeping, the blockade-capped Poisson contrast models,
 the optical gain, the self-blockade saturation transfer function and the
 hard-rod capacity heuristic.  All contrasts are dimensionless reals in
 (-inf, 1]; percent formatting is left to callers.
+
+The capped Poisson law P(min(k, cap) = j) is computed in one place,
+capped_poisson_weights; the contrast models here and the detection mixture
+are sums over it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ __all__ = [
     "coherent_limit",
     "expected_contrast_incoming",
     "expected_contrast_stored",
+    "capped_poisson_weights",
+    "contrast_from_weights",
     "contrast_curve",
     "fock_contrast",
     "transfer",
@@ -62,8 +68,7 @@ class TransistorParams:
             raise DomainError(f"od_sp must be >= 0, got {self.od_sp}")
         if self.od_st < 0:
             raise DomainError(f"od_st must be >= 0, got {self.od_st}")
-        if int(self.cap) != self.cap or self.cap < 1:
-            raise DomainError(f"cap must be an integer >= 1, got {self.cap}")
+        _checked_cap(self.cap)
         if not 0 <= self.a_ge < 1:
             raise DomainError(f"a_ge must be in [0, 1), got {self.a_ge}")
         if not 0 < self.eta_det <= 1:
@@ -174,43 +179,76 @@ def coherent_limit(n_gate: float) -> float:
     return -math.expm1(-n_gate)
 
 
-def _poisson_capped_attenuation(mean: float, od: float, cap: int) -> float:
-    """E[exp(-min(k, cap) * od)] for k ~ Poisson(mean), evaluated exactly.
-
-    The infinite sum splits at the blockade cap: photon-number states k >= cap
-    all attenuate by exp(-cap * od), so only the cap leading Poisson terms are
-    needed plus the closed-form tail mass.
-    """
-    head = 0.0
-    cum = 0.0
-    pmf = math.exp(-mean)  # k = 0 term; underflows harmlessly for huge means
-    for k in range(cap):
-        head += pmf * math.exp(-k * od)
-        cum += pmf
-        pmf *= mean / (k + 1)
-    tail = max(1.0 - cum, 0.0)
-    return head + tail * math.exp(-cap * od)
-
-
-def _check_contrast_args(mean: float, od: float, cap: int) -> None:
-    if mean < 0:
-        raise DomainError(f"mean photon number must be >= 0, got {mean}")
-    if od < 0:
-        raise DomainError(f"optical depth must be >= 0, got {od}")
+def _checked_cap(cap: int) -> int:
     if int(cap) != cap or cap < 1:
         raise DomainError(f"cap must be an integer >= 1, got {cap}")
+    return int(cap)
+
+
+def _check_od(od: float) -> None:
+    if od < 0:
+        raise DomainError(f"optical depth must be >= 0, got {od}")
+
+
+def capped_poisson_weights(means, cap: int) -> np.ndarray:
+    """P(min(k, cap) = j) for k ~ Poisson(means), j = 0..cap, exactly.
+
+    The result has the shape of ``means`` plus a last axis of length cap+1.
+    Photon-number states k >= cap are all blockaded alike, so the cap leading
+    Poisson terms come from the pmf recurrence and the last entry is the
+    closed-form tail mass 1 - sum of the others.
+    """
+    means = np.asarray(means, dtype=float)
+    if np.any(means < 0):
+        raise DomainError("mean photon numbers must be >= 0")
+    cap = _checked_cap(cap)
+    weights = np.empty(means.shape + (cap + 1,))
+    # k = 0 term, underflowing harmlessly for huge means.  math.exp, not
+    # np.exp: numpy's SIMD exp differs from the C library's in the last bit
+    # for a few percent of inputs, which would move the closed-form outputs.
+    pmf = np.array([math.exp(-m) for m in means.ravel()]).reshape(means.shape)
+    cum = np.zeros_like(means)
+    for k in range(cap):
+        weights[..., k] = pmf
+        cum = cum + pmf
+        pmf = pmf * (means / (k + 1))
+    weights[..., cap] = np.clip(1.0 - cum, 0.0, None)
+    return weights
+
+
+def contrast_from_weights(weights, od: float) -> np.ndarray:
+    """Contrast 1 - E[exp(-j * od)] over capped-Poisson ``weights`` on the last axis.
+
+    Lets a caller that evaluates many optical depths at fixed means compute
+    :func:`capped_poisson_weights` once.
+    """
+    _check_od(od)
+    weights = np.asarray(weights, dtype=float)
+    # summed left to right rather than by a BLAS dot, whose order depends on
+    # the build, so the closed-form outputs keep their last digits
+    attenuation = 0.0
+    for j in range(weights.shape[-1]):
+        attenuation = attenuation + weights[..., j] * math.exp(-j * od)
+    return 1.0 - attenuation
+
+
+def contrast_curve(means, od: float, cap: int = 3) -> np.ndarray:
+    """Expected contrast over an array of Poissonian mean photon numbers.
+
+    Averages the Fock-state attenuation exp(-min(k, cap) * od) over the
+    photon-number distribution; monotone increasing in both the mean and
+    ``od`` and bounded by ``coherent_limit``.
+    """
+    return contrast_from_weights(capped_poisson_weights(means, cap), od)
 
 
 def expected_contrast_incoming(n_gate: float, od: float, cap: int = 3) -> float:
     """Expected contrast for a coherent gate pulse of mean ``n_gate`` photons.
 
-    Averages the Fock-state attenuation exp(-min(k, cap) * od) over the
-    Poissonian photon-number distribution of the pulse, with ``od`` the
-    optical depth caused by one incoming gate photon.  Monotone increasing
-    in both ``n_gate`` and ``od`` and bounded by ``coherent_limit(n_gate)``.
+    ``od`` is the optical depth caused by one incoming gate photon; see
+    :func:`contrast_curve`.
     """
-    _check_contrast_args(n_gate, od, cap)
-    return 1.0 - _poisson_capped_attenuation(n_gate, od, int(cap))
+    return float(contrast_curve(n_gate, od, cap))
 
 
 def expected_contrast_stored(n_stored: float, od: float, cap: int = 3) -> float:
@@ -219,40 +257,15 @@ def expected_contrast_stored(n_stored: float, od: float, cap: int = 3) -> float:
     Identical structure to :func:`expected_contrast_incoming` with ``od`` the
     optical depth per stored excitation.
     """
-    _check_contrast_args(n_stored, od, cap)
-    return 1.0 - _poisson_capped_attenuation(n_stored, od, int(cap))
-
-
-def contrast_curve(means, od: float, cap: int = 3) -> np.ndarray:
-    """Vectorized expected contrast over an array of mean photon numbers."""
-    means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
-        raise DomainError("mean photon numbers must be >= 0")
-    if od < 0:
-        raise DomainError(f"optical depth must be >= 0, got {od}")
-    if int(cap) != cap or cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {cap}")
-    cap = int(cap)
-    pmf = np.exp(-means)
-    head = pmf.copy()  # k = 0 term
-    cum = pmf.copy()
-    for k in range(1, cap):
-        pmf = pmf * means / k
-        head += pmf * math.exp(-k * od)
-        cum += pmf
-    tail = np.clip(1.0 - cum, 0.0, None)
-    return 1.0 - (head + tail * math.exp(-cap * od))
+    return expected_contrast_incoming(n_stored, od, cap)
 
 
 def fock_contrast(k: int, od: float, cap: int = 3) -> float:
     """Contrast caused by exactly ``k`` gate photons: 1 - exp(-min(k, cap) * od)."""
     if int(k) != k or k < 0:
         raise DomainError(f"photon number must be an integer >= 0, got {k}")
-    if od < 0:
-        raise DomainError(f"optical depth must be >= 0, got {od}")
-    if int(cap) != cap or cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {cap}")
-    return -math.expm1(-min(int(k), int(cap)) * od)
+    _check_od(od)
+    return -math.expm1(-min(int(k), _checked_cap(cap)) * od)
 
 
 def transfer(n_source_in: float, sat: SaturationParams) -> float:
@@ -362,7 +375,6 @@ def blockade_capacity(
             "lengths must be > 0, got "
             f"sigma={cloud_length_sigma} radius={blockade_radius}"
         )
-    if int(configured_cap) != configured_cap or configured_cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {configured_cap}")
+    configured = _checked_cap(configured_cap)
     raw = hard_rod_capacity(4.0 * cloud_length_sigma, blockade_radius)
-    return CapacityEstimate(hard_rod=raw, configured=int(configured_cap))
+    return CapacityEstimate(hard_rod=raw, configured=configured)

@@ -313,6 +313,15 @@ def test_fit_od_malformed_input_is_config_error(tmp_path):
     assert main(["fit-od", "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
+def test_non_finite_input_is_config_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y,sigma\n1.0,0.2,0.1\n2.0,nan,0.1\n3.0,0.5,0.1\n4.0,0.6,0.1\n",
+                   encoding="utf-8")
+    assert main([command, "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "row 2" in capsys.readouterr().err
+
+
 def test_fit_od_two_column_input_defaults_sigma(tmp_path):
     x = np.arange(0.25, 3.51, 0.25)
     y = models.contrast_curve(x, 0.94, 3)
@@ -371,8 +380,9 @@ def test_detect_sweep_deterministic(small_cfg, tmp_path):
 def test_child_seeds_distinct_within_and_across_master_seeds(
     command, small_cfg, tmp_path, monkeypatch
 ):
-    derived, ensemble_seeds = [], []
+    derived, ensemble_seeds, null_seeds = [], [], []
     real_child_seed, real_simulate = montecarlo.child_seed, montecarlo.simulate_ensemble
+    real_poissonness = experiments.poissonness_test
 
     def recording_child_seed(seed, tag, i):
         derived.append(real_child_seed(seed, tag, i))
@@ -382,15 +392,24 @@ def test_child_seeds_distinct_within_and_across_master_seeds(
         ensemble_seeds.append(config.seed)
         return real_simulate(config, n_runs)
 
+    def recording_poissonness(hist, **kwargs):
+        null_seeds.append(kwargs.get("seed"))
+        return real_poissonness(hist, **kwargs)
+
     for module in (montecarlo, experiments):
         monkeypatch.setattr(module, "child_seed", recording_child_seed)
         monkeypatch.setattr(module, "simulate_ensemble", recording_simulate)
+    monkeypatch.setattr(experiments, "poissonness_test", recording_poissonness)
     for seed in ("5", "6"):
         assert main([command, "--config", small_cfg, "--runs", "40", "--seed", seed,
                      "--output", str(tmp_path / seed)]) == EXIT_OK
     assert len(set(derived)) == len(derived)
     # every ensemble draws from a derived seed, never from the master seed itself
     assert set(ensemble_seeds) <= set(derived)
+    # so does every Poissonness null, one stream per detection point
+    assert (len(null_seeds) > 0) == (command == "detect")
+    assert len(set(null_seeds)) == len(null_seeds)
+    assert set(null_seeds) <= set(derived)
 
 
 # ---------------------------------------------------------------------------

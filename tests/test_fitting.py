@@ -43,6 +43,9 @@ def test_dataset_validation():
         DataSet(x=[-1.0, 2.0], y=[1.0, 2.0], sigma=[1.0, 1.0])
     with pytest.raises(DomainError):
         DataSet(x=[1.0, 2.0], y=[1.0], sigma=[1.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="row 2"):
+            DataSet(x=[1.0, 2.0, 3.0], y=[1.0, bad, 3.0], sigma=[1.0, 1.0, 1.0])
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -154,8 +157,12 @@ def test_fit_saturation_round_trip_zero_noise():
 
 
 def test_fit_saturation_requires_three_points():
-    with pytest.raises(InsufficientDataError):
-        fit_saturation(DataSet(x=[1.0, 2.0], y=[1.0, 2.0], sigma=[1.0, 1.0]))
+    # three distinct x values: the closed-form a divides by sum(w g^2), which
+    # is 0 when every x is 0
+    for x in ([1.0, 2.0], [0.0, 0.0, 0.0, 0.0], [0.0, 5.0, 5.0, 0.0]):
+        n = len(x)
+        with pytest.raises(InsufficientDataError):
+            fit_saturation(DataSet(x=x, y=np.arange(1.0, n + 1), sigma=np.ones(n)))
 
 
 def test_fit_saturation_linear_data_warns():
@@ -177,7 +184,7 @@ def test_fit_saturation_noisy_repeated_study():
         rng = np.random.default_rng(s)
         y = clean.y * (1.0 + 0.05 * rng.standard_normal(len(clean.x)))
         noisy = DataSet(x=clean.x, y=y, sigma=0.05 * clean.y)
-        a, b, _ = _fit_saturation_point(noisy)
+        a, b = _fit_saturation_point(noisy)
         estimates.append((a, b))
     a_arr = np.array([e[0] for e in estimates])
     b_arr = np.array([e[1] for e in estimates])
@@ -195,9 +202,37 @@ def test_fit_saturation_noisy_repeated_study():
 def test_fit_saturation_round_trip_property(a, b):
     x = np.linspace(0.5 * b, 5.0 * b, 12)
     data = DataSet(x=x, y=saturation_curve(x, a, b), sigma=np.ones_like(x))
-    a_hat, b_hat, _ = _fit_saturation_point(data)
+    a_hat, b_hat = _fit_saturation_point(data)
     assert abs(a_hat - a) / a < 1e-4
     assert abs(b_hat - b) / b < 1e-4
+
+
+def test_fit_saturation_optimality_against_probes_and_grid():
+    rng = np.random.default_rng(11)
+    clean = exact_saturation_data()
+    sigma = np.full(len(clean.x), 0.5)
+    noisy = DataSet(x=clean.x, y=clean.y + 0.5 * rng.standard_normal(len(clean.x)),
+                    sigma=sigma)
+
+    def sse(a, b):
+        return np.sum(((noisy.y - saturation_curve(noisy.x, a, b)) / sigma) ** 2)
+
+    a_hat, b_hat = _fit_saturation_point(noisy)
+    best = sse(a_hat, b_hat)
+    far = zip(rng.uniform(0.0, 100.0, 100), np.exp(rng.uniform(0.0, 7.0, 100)))
+    near = zip(a_hat * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, 100)),
+               b_hat * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, 100)))
+    for a, b in [*far, *near]:
+        assert best <= sse(a, b) + 1e-9
+    # profile over a log-b grid, with a from an independent linear least squares
+    log_grid = np.linspace(np.log(1.0), np.log(1000.0), 2000)
+    profile = []
+    for log_b in log_grid:
+        g = -np.expm1(-noisy.x / np.exp(log_b))
+        (a,), *_ = np.linalg.lstsq((g / sigma)[:, None], noisy.y / sigma, rcond=None)
+        profile.append(sse(a, np.exp(log_b)))
+    argmin = log_grid[int(np.argmin(profile))]
+    assert abs(np.log(b_hat) - argmin) <= log_grid[1] - log_grid[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from rydberg_transistor import models
 from rydberg_transistor.errors import (
@@ -197,6 +198,25 @@ def test_contrast_curve_matches_scalar():
         assert c == pytest.approx(
             models.expected_contrast_incoming(float(n), 0.75, 3), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_capped_poisson_weights_against_scipy(cap):
+    means = np.array([0.0, 1e-12, 0.61, 50.0, 1e3])
+    stacked = models.capped_poisson_weights(means, cap)
+    assert stacked.shape == (len(means), cap + 1)
+    for mean, row in zip(means, stacked):
+        weights = models.capped_poisson_weights(float(mean), cap)
+        assert weights.shape == (cap + 1,)
+        assert np.array_equal(weights, row)
+        oracle = np.append(poisson.pmf(np.arange(cap), mean), poisson.sf(cap - 1, mean))
+        np.testing.assert_allclose(weights, oracle, rtol=1e-12, atol=1e-15)
+        assert weights[-1] >= 0
+        assert abs(weights.sum() - 1.0) <= 1e-12
+    with pytest.raises(DomainError):
+        models.capped_poisson_weights([0.5, -1e-9], cap)
+    with pytest.raises(DomainError):
+        models.capped_poisson_weights(0.5, cap + 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,13 @@ def _parse_value(kind: str, raw: str):
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _finite_or_allowed(section: str, key: str, value) -> bool:
+    """Every config float is finite, except the documented retention_tau = inf."""
+    if (section, key) == ("simulation", "retention_tau") and value == math.inf:
+        return True
+    return all(map(math.isfinite, value if isinstance(value, list) else [value]))
+
+
 def _resolve_config_source(name: str | None):
     """Return (display_name, text) of the selected config file."""
     if name is None:
@@ -180,9 +187,13 @@ def load_config(name: str | None) -> tuple[str, dict]:
         for key, (kind, default) in keys.items():
             if cp.has_option(section, key):
                 try:
-                    resolved[section][key] = _parse_value(kind, cp.get(section, key))
+                    value = _parse_value(kind, cp.get(section, key))
                 except ValueError as exc:
                     violations.append(f"{section}.{key}: {exc}")
+                    continue
+                resolved[section][key] = value
+                if kind in (_F, _LIST) and not _finite_or_allowed(section, key, value):
+                    violations.append(f"{section}.{key}: must be finite, got {value!r}")
             else:
                 resolved[section][key] = default
     for section in cp.sections():

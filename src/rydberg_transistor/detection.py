@@ -5,6 +5,8 @@ Poissonian with the mean attenuated by exp(-k * od).  The tools here build
 that mixture, decompose an observed histogram into gated/ungated parts, pick
 the count threshold that discriminates "excitation present" with the highest
 fidelity, and test a histogram for Poissonness via its index of dispersion.
+scipy.stats is imported inside the functions that use it, so importing this
+module (and the package) does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import poisson
 
 from .errors import DomainError, InsufficientDataError
 from .models import capped_poisson_weights
@@ -194,14 +194,6 @@ class MixtureModel:
     def w_gated(self) -> float:
         return 1.0 - self.components[0][0]
 
-    def pmf(self, n) -> np.ndarray:
-        """Mixture probability of detecting n counts."""
-        n = np.asarray(n)
-        out = np.zeros(n.shape, dtype=float)
-        for w, mu in self.components:
-            out += w * poisson.pmf(n, mu)
-        return out
-
 
 def mixture_from_params(
     n_stored: float, cap: int, od_st: float, mu0: float
@@ -257,6 +249,7 @@ class DecompositionResult:
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-square with adjacent bins pooled to expected >= 5."""
+    from scipy.stats import chi2 as chi2_dist
     pooled_obs, pooled_exp = [], []
     acc_o, acc_e = 0.0, 0.0
     for o, e in zip(observed, expected):
@@ -290,6 +283,7 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     folded into the last bin so the expected counts sum to the run total.
     Also reports per-bin residuals and a pooled chi-square goodness of fit.
     """
+    from scipy.stats import poisson
     if observed.total == 0:
         raise InsufficientDataError("cannot decompose an empty histogram")
     mu_max = float(model.means.max())
@@ -346,6 +340,7 @@ def _threshold_fidelity(
     model: MixtureModel, tau: int
 ) -> tuple[float, float, float]:
     """(fidelity, p_detect|gated, p_reject|ungated) for a given threshold."""
+    from scipy.stats import poisson
     w = model.weights
     mus = model.means
     w_gated = model.w_gated
@@ -370,6 +365,7 @@ def optimal_threshold(model: MixtureModel) -> ThresholdResult:
     smaller tau.  Models whose components all share one mean cannot
     discriminate; they return the better trivial classifier, flagged.
     """
+    from scipy.stats import poisson
     if model.w_gated <= 0:
         raise DomainError("model has no gated component with positive weight")
     mus = model.means

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
 from .models import capped_poisson_weights, contrast_curve, contrast_from_weights
@@ -34,6 +33,7 @@ __all__ = [
 
 OD_SEARCH_MAX = 50.0  # covers all physical optical depths with margin
 XATOL = 1e-9  # absolute in od, relative in b (the search runs over log b)
+MAXFUN = 500  # objective evaluations per bounded Brent search, as in scipy
 # fit_saturation searches b over these multiples of max(x); data that never
 # saturate push b to the upper edge, where the linear-regime flags fire.
 B_SEARCH_RANGE = (1e-3, 1e3)
@@ -133,16 +133,93 @@ def _weighted_sse(residuals: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _minimize_1d(objective, lo: float, hi: float) -> float:
-    """Argmin of a scalar objective on [lo, hi] by bounded Brent to XATOL."""
-    res = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": XATOL}
-    )
-    if not res.success or not math.isfinite(res.fun):
+    """Argmin of a scalar objective on [lo, hi] by bounded Brent to XATOL.
+
+    Golden-section search with parabolic steps (Brent 1973, ``fminbound``),
+    ported operation for operation from scipy's bounded ``minimize_scalar``
+    with plain floats, so its iterates and result equal scipy's bit for bit.
+    Raises FitConvergenceError after MAXFUN evaluations or on a NaN or
+    non-finite minimum.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = objective(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + XATOL / 3.0
+    tol2 = 2.0 * tol1
+    message = "Solution found."
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm < xf else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        # a NaN rat propagates through max() into x, as np.sign would
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = objective(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= MAXFUN:
+            message = "Maximum number of function calls reached."
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        message = "NaN result encountered."
+    if message != "Solution found." or not math.isfinite(fx):
         raise FitConvergenceError(
             "bounded scalar minimization failed",
-            diagnostics={"message": res.message, "x": float(res.x), "sse": float(res.fun)},
+            diagnostics={"message": message, "x": float(xf), "sse": float(fx)},
         )
-    return float(res.x)
+    return float(xf)
 
 
 def _fit_od_point(data: DataSet, cap: int) -> float:

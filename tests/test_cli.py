@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,24 @@ def test_parse_lists_every_violation(tmp_path):
         parse_and_validate(["simulate", "--config", str(cfg)])
     joined = " ".join(err.value.violations)
     assert "od_sp" in joined and "eta_det" in joined and "t_int" in joined
+
+
+@pytest.mark.parametrize("section, line", [
+    ("simulation", "t_int = inf"),
+    ("transistor", "od_st = inf"),
+    ("simulation", "n_gate_in = nan"),
+    ("saturation", "b = inf"),
+    ("scan", "gate_values = 0.5 inf"),
+    ("simulation", "retention_tau = nan"),
+    ("simulation", "retention_tau = -inf"),
+])
+def test_non_finite_config_value_is_config_error(section, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    key = line.split(" = ")[0]
+    assert f"{section}.{key}: must be finite" in capsys.readouterr().err
 
 
 def test_unknown_flag_usage_error():
@@ -428,3 +449,43 @@ def test_all_emitted_csvs_round_trip(small_cfg, tmp_path):
         for row in rows:
             fh.write(",".join(repr(v) for v in row) + "\n")
     assert path2.read_bytes() == (out / "contrast_scan.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# scipy stays off the import path of every command but detect
+
+LOADED_SCIPY = """
+import json, sys
+from rydberg_transistor import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(argvs):
+    """scipy modules loaded by running ``argvs`` through cli.main in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_detect_loads_scipy(small_cfg, tmp_path):
+    contrast = tmp_path / "contrast.csv"
+    gate = np.arange(0.25, 3.51, 0.25)
+    DataSet(x=gate, y=models.contrast_curve(gate, 0.75, 3), sigma=np.full(14, 0.02)).to_csv(contrast)
+    transfer = tmp_path / "transfer.csv"
+    x = np.linspace(25.0, 250.0, 10)
+    DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0), sigma=np.full(10, 0.1)).to_csv(transfer)
+    common = ["--config", small_cfg, "--runs", "40"]
+    argvs = [[command, *common, "--output", str(tmp_path / command)]
+             for command in ("gain-scan", "simulate", "contrast-scan", "transfer-scan")]
+    argvs += [["fit-od", "--input", str(contrast), "--output", str(tmp_path / "fo")],
+              ["fit-saturation", "--input", str(transfer), "--output", str(tmp_path / "fs")]]
+    assert scipy_modules_after(argvs) == []
+    detect = ["detect", *common, "--mu0", "15", "--output", str(tmp_path / "detect")]
+    assert "scipy.stats" in scipy_modules_after([detect])

@@ -1,12 +1,14 @@
 """Fitting tests: zero-noise round trips, boundary flags, bootstrap behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_transistor import models
-from rydberg_transistor.errors import DomainError, InsufficientDataError
+from rydberg_transistor import fitting, models
+from rydberg_transistor.errors import DomainError, FitConvergenceError, InsufficientDataError
 from rydberg_transistor.fitting import (
     DataSet,
     bootstrap_ci,
@@ -15,6 +17,7 @@ from rydberg_transistor.fitting import (
     saturation_curve,
     _fit_od_point,
     _fit_saturation_point,
+    _minimize_1d,
 )
 
 GATE_GRID = np.arange(0.25, 3.51, 0.25)
@@ -233,6 +236,125 @@ def test_fit_saturation_optimality_against_probes_and_grid():
         profile.append(sse(a, np.exp(log_b)))
     argmin = log_grid[int(np.argmin(profile))]
     assert abs(np.log(b_hat) - argmin) <= log_grid[1] - log_grid[0]
+
+
+# ---------------------------------------------------------------------------
+# bounded Brent against scipy's minimize_scalar(method="bounded")
+
+
+def _scipy_bounded(objective, lo, hi, maxiter=500):
+    """(evaluated points, result) of scipy's bounded Brent at fitting.XATOL."""
+    from scipy.optimize import minimize_scalar
+
+    points = []
+
+    def recorded(x):
+        points.append(float(x))
+        return objective(float(x))
+
+    res = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
+                          options={"xatol": fitting.XATOL, "maxiter": maxiter})
+    return points, res
+
+
+def _port_bounded(objective, lo, hi):
+    """(evaluated points, argmin or FitConvergenceError) of fitting._minimize_1d."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return objective(x)
+
+    try:
+        return points, _minimize_1d(recorded, lo, hi)
+    except FitConvergenceError as exc:
+        return points, exc
+
+
+def _assert_same_search(objective, lo, hi):
+    ref_points, res = _scipy_bounded(objective, lo, hi)
+    points, out = _port_bounded(objective, lo, hi)
+    assert points == ref_points  # every iterate, bit for bit
+    if res.success and np.isfinite(res.fun):
+        assert out == float(res.x)
+    else:
+        assert isinstance(out, FitConvergenceError)
+        assert out.diagnostics["message"] == res.message
+
+
+def _random_objective(rng):
+    """A seeded smooth, kinked, piecewise-flat or partly NaN scalar objective."""
+    c, s, amp, w, phi = rng.uniform(-5, 5), rng.uniform(0.1, 10), rng.uniform(0, 3), \
+        rng.uniform(0.1, 20), rng.uniform(0, 2 * np.pi)
+    p = rng.uniform(0.3, 1.5)
+    kind = rng.integers(6)
+    if kind == 0:
+        return lambda x: s * (x - c) ** 2 + amp * math.sin(w * x + phi)
+    if kind == 1:
+        return lambda x: abs(x - c) ** p
+    if kind == 2:
+        return lambda x: max(s * (x - c), -(x - c) / s) + amp * abs(x - phi)
+    if kind == 3:  # plateaus: ties in every comparison of function values
+        return lambda x: math.floor(w * abs(x - c)) / w
+    if kind == 4:  # few wide plateaus
+        return lambda x: float(round(s * math.tanh((x - c) / (w * s))))
+    return lambda x: (x - c) ** 2 if x < c - phi else math.nan  # min at the NaN edge
+
+
+def test_minimize_1d_matches_scipy_on_random_objectives():
+    rng = np.random.default_rng(20140721)
+    for _ in range(400):
+        objective = _random_objective(rng)
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + 10.0 ** rng.uniform(-6.0, 3.0)
+        _assert_same_search(objective, lo, hi)
+
+
+def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
+    # benchmark-shaped data: a contrast scan with 1-2% scatter, and saturated
+    # (x 25-250) and linear-regime (x 2-20) transfer curves with sd 0.1
+    rng = np.random.default_rng(5)
+    datasets = []
+    for _ in range(5):
+        y = models.contrast_curve(GATE_GRID, 0.75, 3) + 0.015 * rng.standard_normal(14)
+        datasets.append(("od", DataSet(x=GATE_GRID, y=y, sigma=np.full(14, 0.015))))
+        for x in (np.linspace(25.0, 250.0, 10), np.linspace(2.0, 20.0, 10)):
+            y = saturation_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10)
+            datasets.append(("sat", DataSet(x=x, y=y, sigma=np.full(10, 0.1))))
+    searches = []
+    monkeypatch.setattr(
+        fitting, "_minimize_1d", lambda f, lo, hi: searches.append((f, lo, hi)) or 1.0
+    )
+    for kind, data in datasets:
+        for idx in [np.arange(len(data))] + [rng.integers(0, len(data), len(data))
+                                             for _ in range(3)]:
+            if kind == "od":
+                _fit_od_point(data.subset(idx), 3)
+            elif len(np.unique(data.x[idx])) >= 3:
+                _fit_saturation_point(data.subset(idx))
+    monkeypatch.undo()
+    assert len(searches) >= 40
+    for objective, lo, hi in searches:
+        _assert_same_search(objective, lo, hi)
+
+
+def test_minimize_1d_failures_match_scipy(monkeypatch):
+    # NaN everywhere; +inf everywhere; finite minimum but a NaN last evaluation
+    for objective in (lambda x: math.nan, lambda x: math.inf,
+                      lambda x: -x if x < 0.5 else math.nan):
+        _, out = _port_bounded(objective, 0.0, 1.0)
+        assert isinstance(out, FitConvergenceError)
+        assert set(out.diagnostics) == {"message", "x", "sse"}
+        _assert_same_search(objective, 0.0, 1.0)
+    # the evaluation cap: scipy's maxiter is the port's MAXFUN
+    monkeypatch.setattr(fitting, "MAXFUN", 4)
+    quadratic = lambda x: (x - 0.3) ** 2
+    ref_points, res = _scipy_bounded(quadratic, 0.0, 1.0, maxiter=4)
+    points, out = _port_bounded(quadratic, 0.0, 1.0)
+    assert points == ref_points and res.status == 1
+    assert isinstance(out, FitConvergenceError)
+    assert out.diagnostics["message"] == res.message
+    assert set(out.diagnostics) == {"message", "x", "sse"}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from importlib import resources
 
 from . import __version__, experiments, models, montecarlo
-from .detection import CountHistogram
+from .detection import MU0_MAX, CountHistogram
 from .errors import ConfigError, FitConvergenceError, TransistorError
 from .fitting import DataSet, fit_od, fit_saturation
 
@@ -208,11 +208,27 @@ def load_config(name: str | None) -> tuple[str, dict]:
     return display, resolved
 
 
+def _mu0_checks(name: str, values: list[float], eta_det: float) -> list[tuple[str, bool]]:
+    """Detection no-gate means: within the analysis' MU0_MAX, and the source
+    photon number mu0 / eta_det they need within numpy's Poisson limit."""
+    lam_max = montecarlo.POISSON_LAM_MAX
+    return [
+        (f"{name} in (0, {MU0_MAX:g}]", all(0 < v <= MU0_MAX for v in values)),
+        (f"{name} / transistor.eta_det <= {lam_max:g}",
+         all(v <= lam_max * eta_det for v in values)),
+    ]
+
+
 def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
+    """Names of the violated invariants.  Each check is written so that NaN
+    fails it; Poisson means stay within numpy's limit, POISSON_LAM_MAX."""
     t = resolved["transistor"]
     s = resolved["saturation"]
     sim = resolved["simulation"]
     det = resolved["detection"]
+    scan = resolved["scan"]
+    lam_max = montecarlo.POISSON_LAM_MAX
+    lam = f"{lam_max:g}"
     checks = [
         ("transistor.od_sp >= 0", t["od_sp"] >= 0),
         ("transistor.od_st >= 0", t["od_st"] >= 0),
@@ -221,19 +237,22 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
         ("transistor.eta_det in (0, 1]", 0 < t["eta_det"] <= 1),
         ("saturation.a >= 0", s["a"] >= 0),
         ("saturation.b > 0", s["b"] > 0),
-        ("simulation.n_gate_in >= 0", sim["n_gate_in"] >= 0),
+        (f"simulation.n_gate_in in [0, {lam}]", 0 <= sim["n_gate_in"] <= lam_max),
         ("simulation.p_store in [0, 1]", 0 <= sim["p_store"] <= 1),
         ("simulation.source_rate >= 0", sim["source_rate"] >= 0),
         ("simulation.t_int > 0", sim["t_int"] > 0),
+        (f"simulation.source_rate * t_int <= {lam}",
+         sim["source_rate"] * sim["t_int"] <= lam_max),
         ("simulation.retention_tau > 0", sim["retention_tau"] > 0),
-        ("detection.n_stored >= 0", det["n_stored"] >= 0),
+        (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
         ("detection.od_st_model > 0", det["od_st_model"] > 0),
         ("detection.od_st_instant >= od_st_model",
          det["od_st_instant"] >= det["od_st_model"]),
-        ("detection.mu0_values all > 0", all(v > 0 for v in det["mu0_values"])),
-        ("scan.gate_values all > 0", all(v > 0 for v in resolved["scan"]["gate_values"])),
-        ("scan.source_values all > 0",
-         all(v > 0 for v in resolved["scan"]["source_values"])),
+        *_mu0_checks("detection.mu0_values all", det["mu0_values"], t["eta_det"]),
+        (f"scan.gate_values all in (0, {lam}]",
+         all(0 < v <= lam_max for v in scan["gate_values"])),
+        (f"scan.source_values all in (0, {lam}]",
+         all(0 < v <= lam_max for v in scan["source_values"])),
         ("runs >= 1", runs >= 1),
         ("seed is an unsigned 64-bit integer", 0 <= seed < 2**64),
     ]
@@ -263,8 +282,13 @@ def parse_and_validate(argv) -> RunManifest:
     violations = _validate(resolved, seed, runs)
     if args.command == "fit-od" and options.get("cap", 1) < 1:
         violations.append("fit-od --cap >= 1")
-    if args.command == "detect" and options.get("mu0", 1.0) <= 0:
-        violations.append("detect --mu0 > 0")
+    if "mu0" in options:
+        mu0 = options["mu0"]
+        if not math.isfinite(mu0):
+            violations.append(f"detect --mu0: must be finite, got {mu0!r}")
+        else:
+            checks = _mu0_checks("detect --mu0", [mu0], resolved["transistor"]["eta_det"])
+            violations += [name for name, ok in checks if not ok]
     if violations:
         raise ConfigError(violations)
 

@@ -5,8 +5,9 @@ Poissonian with the mean attenuated by exp(-k * od).  The tools here build
 that mixture, decompose an observed histogram into gated/ungated parts, pick
 the count threshold that discriminates "excitation present" with the highest
 fidelity, and test a histogram for Poissonness via its index of dispersion.
-scipy.stats is imported inside the functions that use it, so importing this
-module (and the package) does not load scipy.
+Every Poisson pmf, cdf, tail and quantile, and the chi-square tail, comes
+from one log-space term, ``exp(a log x - lgamma(a + 1) - x)``, evaluated
+with the standard library's ``math``; the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -35,8 +36,79 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 THRESHOLD_TAIL_QUANTILE = 0.9999
+# Largest no-gate mean the analysis accepts.  Its dense threshold and
+# decomposition tables span about mu0 + 40 sqrt(mu0) counts.
+MU0_MAX = 1e6
 # Counts per chunk of poissonness_test's null draws (512 KB of int64).
 NULL_CHUNK_COUNTS = 2**16
+
+
+# ---------------------------------------------------------------------------
+# Poisson / chi-square kernel
+
+
+def _log_space_terms(a: np.ndarray, x: float) -> np.ndarray:
+    """``exp(a log x - lgamma(a + 1) - x)`` for each entry of ``a``; 0 log 0 = 0.
+
+    For integer a this is the Poisson pmf P(N = a) at mean x; for
+    half-integer a it is a term of the odd-dof chi-square tail.  Summing in
+    the exponent keeps x^a, 1/Gamma(a + 1) and e^-x from overflowing or
+    underflowing on their own.
+    """
+    if x == 0:
+        return (a == 0).astype(float)
+    lgamma = np.fromiter(map(math.lgamma, (a + 1.0).tolist()), float, len(a))
+    return np.exp(a * math.log(x) - lgamma - x)
+
+
+def _poisson_pmf(n: int, mu: float) -> np.ndarray:
+    """P(N = j), j = 0..n, for N ~ Poisson(mu)."""
+    return _log_space_terms(np.arange(n + 1.0), mu)
+
+
+def _poisson_cdf(n: int, mu: float) -> np.ndarray:
+    """P(N <= j), j = 0..n: the running sum of the pmf."""
+    return np.cumsum(_poisson_pmf(n, mu))
+
+
+def _poisson_sf(n: int, mu: float) -> np.ndarray:
+    """P(N > j), j = 0..n, each a direct sum of the pmf above j (never 1 - cdf).
+
+    Each sum runs from the top down and starts at ``_tail_end(n, mu)``.
+    """
+    pmf = _poisson_pmf(_tail_end(n, mu), mu)
+    return np.cumsum(pmf[:0:-1])[::-1][: n + 1]
+
+
+def _tail_end(n: int, mu: float) -> int:
+    """Last pmf term of a tail sum: 64 counts past both n and mu + 40 sqrt(mu).
+
+    There each further term is smaller by mu/(j + 1) < 1 and far out in the
+    tail, so every tail above 1e-300 comes out to full double precision.  The
+    end does not depend on n up to mu + 40 sqrt(mu): a shorter tail table then
+    equals the start of a longer one.
+    """
+    return max(n, math.ceil(mu + 40.0 * math.sqrt(mu))) + 64
+
+
+def _poisson_ppf(q: float, mu: float) -> int:
+    """The first k with P(N <= k) >= q."""
+    cdf = _poisson_cdf(_tail_end(0, mu), mu)
+    return int(np.searchsorted(cdf, q))  # cdf is non-decreasing
+
+
+def _chi2_sf(s: float, dof: int) -> float:
+    """P(X > s) for X ~ chi-square with integer ``dof`` >= 1.
+
+    With x = s/2, an even dof 2m gives the Poisson cdf P(N <= m - 1 | x);
+    an odd dof 2m + 1 gives erfc(sqrt(x)) plus the half-integer terms
+    a = 1/2, 3/2, ..., m - 1/2.
+    """
+    x = 0.5 * s
+    m = dof // 2
+    if dof % 2 == 0:
+        return float(_poisson_cdf(m - 1, x)[-1])
+    return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
 
 
 @dataclass(frozen=True, eq=True)
@@ -207,8 +279,8 @@ def mixture_from_params(
     """
     if od_st < 0:
         raise DomainError(f"od_st must be >= 0, got {od_st}")
-    if mu0 <= 0:
-        raise DomainError(f"mu0 must be > 0, got {mu0}")
+    if not 0 < mu0 <= MU0_MAX:
+        raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
     weights = capped_poisson_weights(n_stored, cap).tolist()
     means = [mu0 * math.exp(-k * od_st) for k in range(len(weights))]
     return MixtureModel(components=tuple(zip(weights, means)))
@@ -249,7 +321,6 @@ class DecompositionResult:
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-square with adjacent bins pooled to expected >= 5."""
-    from scipy.stats import chi2 as chi2_dist
     pooled_obs, pooled_exp = [], []
     acc_o, acc_e = 0.0, 0.0
     for o, e in zip(observed, expected):
@@ -271,7 +342,7 @@ def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int
     exp = np.array(pooled_exp)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(exp) - 1
-    return stat, dof, float(chi2_dist.sf(stat, dof))
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionResult:
@@ -283,24 +354,25 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     folded into the last bin so the expected counts sum to the run total.
     Also reports per-bin residuals and a pooled chi-square goodness of fit.
     """
-    from scipy.stats import poisson
     if observed.total == 0:
         raise InsufficientDataError("cannot decompose an empty histogram")
     mu_max = float(model.means.max())
-    n_max = max(observed.max_event, int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, mu_max)))
+    n_max = max(observed.max_event, _poisson_ppf(THRESHOLD_TAIL_QUANTILE, mu_max))
     events, obs = observed.to_arrays(n_max)
     total = observed.total
 
     w = model.weights
-    mus = model.means
-    ungated = total * w[0] * poisson.pmf(events, mus[0])
+    # per component: its pmf over 0..n_max, with the tail mass past n_max
+    # folded into the last bin, so column sums match `total`
+    parts = []
+    for w_k, mu_k in zip(w, model.means):
+        part = total * w_k * _poisson_pmf(n_max, mu_k)
+        part[-1] += total * w_k * float(_poisson_sf(n_max, mu_k)[-1])
+        parts.append(part)
+    ungated = parts[0]
     gated = np.zeros(len(events), dtype=float)
-    for k in range(1, len(w)):
-        gated += total * w[k] * poisson.pmf(events, mus[k])
-    # fold the model's tail mass into the last bin: column sums match `total`
-    ungated[-1] += total * w[0] * float(poisson.sf(n_max, mus[0]))
-    for k in range(1, len(w)):
-        gated[-1] += total * w[k] * float(poisson.sf(n_max, mus[k]))
+    for part in parts[1:]:
+        gated += part
     model_total = ungated + gated
 
     chi2, dof, p_value = _pooled_chi2(obs.astype(float), model_total)
@@ -336,25 +408,33 @@ class ThresholdResult:
     non_discriminating: bool = False
 
 
+def _threshold_scores(
+    model: MixtureModel, tau_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fidelity, p_detect|gated, p_reject|ungated) for tau = -1..tau_max.
+
+    Reads one cdf table over the gated components and one tail row of the
+    ungated one; index ``tau + 1`` holds threshold tau.  Each entry does not
+    depend on ``tau_max``.
+    """
+    w = model.weights
+    mus = model.means
+    w_gated = model.w_gated
+    gated_cdf = np.zeros(tau_max + 2)
+    for w_k, mu_k in zip(w[1:], mus[1:]):
+        gated_cdf[1:] += w_k * _poisson_cdf(tau_max, mu_k)
+    p_detect = gated_cdf / w_gated
+    p_reject = np.concatenate(([1.0], _poisson_sf(tau_max, mus[0])))
+    fidelity = w_gated * p_detect + w[0] * p_reject
+    return fidelity, p_detect, p_reject
+
+
 def _threshold_fidelity(
     model: MixtureModel, tau: int
 ) -> tuple[float, float, float]:
     """(fidelity, p_detect|gated, p_reject|ungated) for a given threshold."""
-    from scipy.stats import poisson
-    w = model.weights
-    mus = model.means
-    w_gated = model.w_gated
-    if tau < 0:
-        p_detect = 0.0
-        p_reject = 1.0
-    else:
-        p_detect = (
-            float(sum(w[k] * poisson.cdf(tau, mus[k]) for k in range(1, len(w))))
-            / w_gated
-        )
-        p_reject = float(poisson.sf(tau, mus[0]))
-    fidelity = float(w_gated * p_detect + w[0] * p_reject)
-    return fidelity, p_detect, p_reject
+    tau_max = max(tau, _poisson_ppf(THRESHOLD_TAIL_QUANTILE, float(model.means.max())))
+    return tuple(float(score[tau + 1]) for score in _threshold_scores(model, tau_max))
 
 
 def optimal_threshold(model: MixtureModel) -> ThresholdResult:
@@ -362,16 +442,16 @@ def optimal_threshold(model: MixtureModel) -> ThresholdResult:
 
     fidelity(tau) = w_gated * P(n <= tau | gated) + w_0 * P(n > tau | ungated),
     maximized over tau in [-1, q0.9999(mu_max)] with ties broken toward the
-    smaller tau.  Models whose components all share one mean cannot
+    smaller tau.  Every tau is scored at once from one cumulative sum per
+    component.  Models whose components all share one mean cannot
     discriminate; they return the better trivial classifier, flagged.
     """
-    from scipy.stats import poisson
     if model.w_gated <= 0:
         raise DomainError("model has no gated component with positive weight")
     mus = model.means
     w0 = model.w_ungated
     w_gated = model.w_gated
-    tau_max = int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, float(mus.max())))
+    tau_max = _poisson_ppf(THRESHOLD_TAIL_QUANTILE, float(mus.max()))
 
     if float(mus.max() - mus.min()) <= 1e-12 * max(float(mus.max()), 1.0):
         # all components identical: no threshold beats trivial guessing
@@ -393,14 +473,13 @@ def optimal_threshold(model: MixtureModel) -> ThresholdResult:
             non_discriminating=True,
         )
 
-    best = None
-    for tau in range(-1, tau_max + 1):
-        fidelity, p_detect, p_reject = _threshold_fidelity(model, tau)
-        if best is None or fidelity > best[0]:
-            best = (fidelity, tau, p_detect, p_reject)
-    fidelity, tau, p_detect, p_reject = best
+    fidelities, p_detects, p_rejects = _threshold_scores(model, tau_max)
+    best = int(np.argmax(fidelities))  # the first maximum: ties go to the smaller tau
+    fidelity = float(fidelities[best])
+    p_detect = float(p_detects[best])
+    p_reject = float(p_rejects[best])
     return ThresholdResult(
-        tau=tau,
+        tau=best - 1,
         fidelity=fidelity,
         p_detect_given_gated=p_detect,
         p_reject_given_ungated=p_reject,

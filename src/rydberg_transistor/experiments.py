@@ -15,6 +15,7 @@ import numpy as np
 
 from . import models
 from .detection import (
+    MU0_MAX,
     CountHistogram,
     DecompositionResult,
     ThresholdResult,
@@ -196,8 +197,8 @@ def detection_experiment(
     threshold against the simulator's per-run ground truth.  The reference
     ensemble and the Poissonness null draw from child seeds of ``seed``.
     """
-    if mu0 <= 0:
-        raise DomainError(f"mu0 must be > 0, got {mu0}")
+    if not 0 < mu0 <= MU0_MAX:
+        raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
     if retention_tau is None:
         retention_tau = calibrate_retention_tau(od_st_instant, od_st_model, t_int)
     params = models.TransistorParams(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .detection import CountHistogram
-from .errors import DomainError, UndefinedContrastError
+from .errors import DomainError, FitConvergenceError, UndefinedContrastError
 from .fitting import DataSet
 from .models import SaturationParams, TransistorParams, transfer
 
@@ -37,12 +37,17 @@ __all__ = [
     "DEFAULT_RETENTION_TAU",
     "DEFAULT_P_STORE",
     "BLOCK_RUNS",
+    "POISSON_LAM_MAX",
     "child_seed",
     "simulate_ensemble",
     "contrast_scan",
     "scan_configs",
     "with_contrast_vs_reference",
 ]
+
+# numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
+# above it.  Every mean the engine draws with must stay at or below it.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 # Runs per random block.  Part of the reproducibility contract: changing it
 # changes the samples of every seed.
@@ -64,12 +69,91 @@ def child_seed(seed: int, tag: int, i: int) -> int:
     return int(state[0])
 
 
+# Settings of the retention-time root solve, those of scipy's brentq:
+# absolute and relative tolerance and the iteration cap.
+BRENTQ_XTOL = 1e-12
+BRENTQ_RTOL = 4 * math.ulp(1.0)
+BRENTQ_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4).
+
+    Bisection, secant and inverse quadratic steps on a sign-changing bracket,
+    ported operation for operation from scipy's ``brentq.c`` with plain floats
+    and the BRENTQ_* settings, so its result equals scipy's bit for bit.
+    Raises DomainError when f(xa) and f(xb) have the same sign and
+    FitConvergenceError after BRENTQ_MAXITER iterations.
+    """
+    def negative(v):  # C's signbit
+        return math.copysign(1.0, v) < 0
+
+    def div(p, q):  # C's p / q: inf or NaN where Python raises ZeroDivisionError
+        if q:
+            return p / q
+        if p == 0 or p != p:
+            return math.nan
+        return math.copysign(math.inf, p) * math.copysign(1.0, q)
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise DomainError(f"f({xa!r}) and f({xb!r}) must have different signs")
+    for _ in range(BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = div(fpre - fcur, xpre - xcur)
+                dblk = div(fblk - fcur, xblk - xcur)
+                stry = div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitConvergenceError(
+        f"root search failed to converge after {BRENTQ_MAXITER} iterations",
+        diagnostics={"x": xcur, "f": fcur},
+    )
+
+
 def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float) -> float:
     """Fly-away time that averages an instantaneous od down to an effective one.
 
     With exponential lifetimes the window-averaged attenuation exponent per
     excitation is od_instant * (tau / t) * (1 - exp(-t / tau)); this solves
-    that expression for tau.  Returns inf when no decay is needed.
+    that expression for tau on [1e-9, 1e9] * t_int.  Returns inf when no
+    decay is needed, which includes od_effective / od_instant above about
+    1 - 5e-10: a fly-away time over 1e9 windows is no decay at this
+    resolution.  Raises DomainError for a ratio below about 1e-9, whose
+    root lies under the bracket.
     """
     if od_instant <= 0 or t_int <= 0:
         raise DomainError(
@@ -80,20 +164,23 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
             f"od_effective must lie in (0, od_instant], got {od_effective}"
         )
     ratio = od_effective / od_instant
-    if ratio == 1.0:
-        return math.inf
-    from scipy.optimize import brentq  # imported here: scipy is slow to import
 
     def averaged_fraction(tau):
         return (tau / t_int) * -math.expm1(-t_int / tau) - ratio
 
-    return brentq(averaged_fraction, 1e-9 * t_int, 1e9 * t_int, xtol=1e-12)
+    lo, hi = 1e-9 * t_int, 1e9 * t_int
+    if averaged_fraction(hi) <= 0:
+        return math.inf
+    if averaged_fraction(lo) > 0:
+        raise DomainError(
+            f"od_effective / od_instant = {ratio!r} needs a fly-away time below "
+            f"1e-9 * t_int"
+        )
+    return _brentq(averaged_fraction, lo, hi)
 
 
-# calibrate_retention_tau(2.2, 0.94, 90.0), pinned so that importing the
-# package does not load scipy (a test asserts the equality): makes od_st = 2.2
-# average down to the 0.94 seen over a 90 us window.
-DEFAULT_RETENTION_TAU = 44.2392747531388
+# Makes od_st = 2.2 average down to the 0.94 seen over a 90 us window.
+DEFAULT_RETENTION_TAU = calibrate_retention_tau(2.2, 0.94, 90.0)
 
 # Storage probability that puts the mean stored number at 0.61 for a gate
 # pulse of 0.75 photons after 15% intermediate-state absorption.

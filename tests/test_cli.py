@@ -116,6 +116,60 @@ def test_non_finite_config_value_is_config_error(section, line, tmp_path, capsys
     assert f"{section}.{key}: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, line, violation", [
+    ("simulation", "n_gate_in = 1e300", "simulation.n_gate_in in [0, 9.22337e+18]"),
+    ("simulation", "source_rate = 1e300", "simulation.source_rate * t_int <= 9.22337e+18"),
+    ("detection", "n_stored = 1e19", "detection.n_stored in [0, 9.22337e+18]"),
+    ("detection", "mu0_values = 10 2e6", "detection.mu0_values all in (0, 1e+06]"),
+    ("transistor", "eta_det = 1e-18",
+     "detection.mu0_values all / transistor.eta_det <= 9.22337e+18"),
+    ("scan", "gate_values = 0.5 1e19", "scan.gate_values all in (0, 9.22337e+18]"),
+    ("scan", "source_values = 40 1e300", "scan.source_values all in (0, 9.22337e+18]"),
+])
+def test_poisson_mean_out_of_range_is_config_error(section, line, violation, tmp_path,
+                                                   capsys):
+    # finite, but over numpy's Poisson limit or the detection analysis' MU0_MAX
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"  - {violation}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu0, violation", [
+    ("inf", "detect --mu0: must be finite, got inf"),
+    ("nan", "detect --mu0: must be finite, got nan"),
+    ("-inf", "detect --mu0: must be finite, got -inf"),
+    ("1e300", "detect --mu0 in (0, 1e+06]"),
+    ("1e12", "detect --mu0 in (0, 1e+06]"),
+    ("0", "detect --mu0 in (0, 1e+06]"),
+])
+def test_detect_mu0_out_of_range_is_config_error(mu0, violation, tmp_path, capsys):
+    assert main(["detect", "--config", "paper90us", "--runs", "50", f"--mu0={mu0}",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"  - {violation}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_mu0_over_poisson_limit_after_eta_det(tmp_path, capsys):
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text("[transistor]\neta_det = 1e-15\n[detection]\nmu0_values = 1e-6\n",
+                   encoding="utf-8")
+    assert main(["detect", "--config", str(cfg), "--mu0", "1e5",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "  - detect --mu0 / transistor.eta_det <= 9.22337e+18\n" in capsys.readouterr().err
+
+
+def test_detect_od_ratio_within_5e10_of_one_runs(tmp_path):
+    # od_st_model / od_st_instant > 1 - 5e-10: no fly-away decay at this resolution
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("[detection]\nod_st_instant = 0.9400000001\nod_st_model = 0.94\n",
+                   encoding="utf-8")
+    assert main(["detect", "--config", str(cfg), "--runs", "100", "--mu0", "15",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert CountHistogram.from_csv(tmp_path / "o" / "gated_histogram.csv").total == 100
+
+
 def test_unknown_flag_usage_error():
     assert main(["simulate", "--bogus"]) == EXIT_USAGE
     assert main(["not-a-command"]) == EXIT_USAGE
@@ -452,7 +506,7 @@ def test_all_emitted_csvs_round_trip(small_cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# scipy stays off the import path of every command but detect
+# no command loads scipy
 
 LOADED_SCIPY = """
 import json, sys
@@ -474,7 +528,7 @@ def scipy_modules_after(argvs):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_only_detect_loads_scipy(small_cfg, tmp_path):
+def test_no_command_loads_scipy(small_cfg, tmp_path):
     contrast = tmp_path / "contrast.csv"
     gate = np.arange(0.25, 3.51, 0.25)
     DataSet(x=gate, y=models.contrast_curve(gate, 0.75, 3), sigma=np.full(14, 0.02)).to_csv(contrast)
@@ -485,7 +539,6 @@ def test_only_detect_loads_scipy(small_cfg, tmp_path):
     argvs = [[command, *common, "--output", str(tmp_path / command)]
              for command in ("gain-scan", "simulate", "contrast-scan", "transfer-scan")]
     argvs += [["fit-od", "--input", str(contrast), "--output", str(tmp_path / "fo")],
-              ["fit-saturation", "--input", str(transfer), "--output", str(tmp_path / "fs")]]
+              ["fit-saturation", "--input", str(transfer), "--output", str(tmp_path / "fs")],
+              ["detect", *common, "--mu0", "15", "--output", str(tmp_path / "detect")]]
     assert scipy_modules_after(argvs) == []
-    detect = ["detect", *common, "--mu0", "15", "--output", str(tmp_path / "detect")]
-    assert "scipy.stats" in scipy_modules_after([detect])

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2 as chi2_dist
 from scipy.stats import poisson
 
 from rydberg_transistor import detection
 from rydberg_transistor.detection import (
+    THRESHOLD_TAIL_QUANTILE,
     CountHistogram,
     MixtureModel,
     decompose,
@@ -38,6 +40,51 @@ def mixture_matched_config(n_stored, od_st, mu0, cap=3, seed=0):
         retention_tau=INF,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# the Poisson / chi-square kernel against scipy.stats
+
+
+def _assert_rel(mine, ref, rtol):
+    """Relative agreement wherever scipy is above 1e-300; ~0 where it is not."""
+    mine, ref = np.asarray(mine), np.asarray(ref)
+    big = ref > 1e-300
+    assert np.all(np.abs(mine[big] - ref[big]) <= rtol * ref[big])
+    assert np.all(mine[~big] <= 1e-290)
+
+
+@pytest.mark.parametrize("mu, rtol", [
+    (0.0, 1e-12), (1e-12, 1e-12), (0.5, 1e-12), (10.0, 1e-12), (40.0, 1e-12),
+    (100.0, 1e-12), (300.0, 1e-9), (1e3, 1e-9), (3e3, 1e-9), (1e4, 1e-9),
+])
+def test_poisson_kernel_against_scipy(mu, rtol):
+    # out to where the sf falls below 1e-300 (k ~ 290 at mu = 10, ~660 at 100)
+    n = max(800, math.ceil(mu + 60 * math.sqrt(mu)))
+    k = np.arange(n + 1)
+    _assert_rel(detection._poisson_pmf(n, mu), poisson.pmf(k, mu), rtol)
+    _assert_rel(detection._poisson_cdf(n, mu), poisson.cdf(k, mu), rtol)
+    sf = detection._poisson_sf(n, mu)
+    _assert_rel(sf, poisson.sf(k, mu), rtol)
+    if mu > 0:  # a direct tail sum, so it reaches down to 1e-300
+        assert 0 < sf[poisson.sf(k, mu) > 1e-300].min() < 1e-250
+
+
+def test_poisson_ppf_against_scipy():
+    mus = np.logspace(-6.0, 4.0, 10_000)
+    mine = [detection._poisson_ppf(THRESHOLD_TAIL_QUANTILE, mu) for mu in mus]
+    assert np.array_equal(mine, poisson.ppf(THRESHOLD_TAIL_QUANTILE, mus))
+
+
+def test_chi2_sf_against_scipy():
+    for dof in range(1, 501):
+        s = np.concatenate([np.linspace(0.0, 3.0 * dof + 100.0, 40),
+                            [1490.0, 2000.0, 3000.0, 5000.0, 6.0 * dof]])
+        mine = [detection._chi2_sf(float(v), dof) for v in s]
+        _assert_rel(mine, chi2_dist.sf(s, dof), 1e-12)
+    # e^{-s/2} alone underflows here, the tail does not
+    assert detection._chi2_sf(2000.0, 499) == pytest.approx(chi2_dist.sf(2000.0, 499), rel=1e-12)
+    assert chi2_dist.sf(2000.0, 499) > 1e-300 and math.exp(-1000.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +274,70 @@ def test_threshold_exhaustive_optimality():
         + model.w_ungated * thr.p_reject_given_ungated,
         abs=1e-12,
     )
+
+
+def _scipy_threshold_scan(model):
+    """The per-tau scipy.stats threshold scan the table replaced."""
+    w, mus = model.weights, model.means
+    best = None
+    for tau in range(-1, int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, mus.max())) + 1):
+        p_detect = (sum(w[k] * poisson.cdf(tau, mus[k]) for k in range(1, len(w)))
+                    / model.w_gated if tau >= 0 else 0.0)
+        p_reject = poisson.sf(tau, mus[0]) if tau >= 0 else 1.0
+        fidelity = model.w_gated * p_detect + w[0] * p_reject
+        if best is None or fidelity > best[0]:
+            best = (fidelity, tau, p_detect, p_reject)
+    return best
+
+
+def test_threshold_and_decomposition_match_scipy():
+    rng = np.random.default_rng(72)
+    for n_stored, od, mu0 in [(0.61, 0.94, 10.0), (0.61, 0.94, 40.0), (0.61, 2.2, 25.0),
+                              (2.5, 0.3, 1e3), (0.05, 5.0, 0.7), (0.61, 0.94, 1e4)]:
+        model = mixture_from_params(n_stored, 3, od, mu0)
+        thr = optimal_threshold(model)
+        fidelity, tau, p_detect, p_reject = _scipy_threshold_scan(model)
+        rtol = 1e-12 if mu0 <= 100 else 1e-9
+        assert thr.fidelity == pytest.approx(fidelity, rel=rtol)
+        if mu0 <= 100:  # larger means separate fully: fidelity 1 on a plateau of tau
+            assert thr.tau == tau
+            assert thr.p_detect_given_gated == pytest.approx(p_detect, rel=rtol)
+            assert thr.p_reject_given_ungated == pytest.approx(p_reject, rel=rtol)
+
+        observed = CountHistogram.from_samples(rng.poisson(mu0 * np.exp(
+            -od * np.minimum(rng.poisson(n_stored, 400), 3))))
+        deco = decompose(observed, model)
+        n_max = max(observed.max_event, int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, mu0)))
+        assert deco.events[-1] == n_max
+        for column, ks in ((deco.model_ungated, [0]), (deco.model_gated, [1, 2, 3])):
+            ref = sum(observed.total * model.weights[k] * poisson.pmf(deco.events,
+                                                                     model.means[k])
+                      for k in ks)
+            ref[-1] += sum(observed.total * model.weights[k] * poisson.sf(n_max, model.means[k])
+                           for k in ks)
+            np.testing.assert_allclose(column, ref, rtol=rtol, atol=1e-290)
+        assert deco.p_value == pytest.approx(chi2_dist.sf(deco.chi2, deco.dof), rel=1e-12)
+
+
+def test_threshold_scores_do_not_depend_on_table_length():
+    # _threshold_fidelity reads the same entries optimal_threshold does
+    model = mixture_from_params(0.61, 3, 0.94, 20.0)
+    short = detection._threshold_scores(model, 40)
+    long = detection._threshold_scores(model, 90)
+    for a, b in zip(short, long):
+        assert np.array_equal(a, b[:len(a)])
+    assert _threshold_fidelity(model, 95) == tuple(
+        float(score[96]) for score in detection._threshold_scores(model, 95))
+
+
+def test_threshold_ties_break_toward_smaller_tau(monkeypatch):
+    # exact ties are rare in real models, so feed the scorer's output directly
+    scores = (np.array([0.5, 0.8, 0.9, 0.9, 0.9, 0.2]), np.linspace(0.0, 1.0, 6),
+              np.linspace(1.0, 0.0, 6))
+    monkeypatch.setattr(detection, "_threshold_scores", lambda model, tau_max: scores)
+    thr = optimal_threshold(mixture_from_params(0.61, 3, 0.94, 20.0))
+    assert thr.tau == 1 and thr.fidelity == 0.9
+    assert (thr.p_detect_given_gated, thr.p_reject_given_ungated) == (0.4, 0.6)
 
 
 def test_threshold_perfect_separation_limit():

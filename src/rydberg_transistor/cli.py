@@ -229,6 +229,7 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     scan = resolved["scan"]
     lam_max = montecarlo.POISSON_LAM_MAX
     lam = f"{lam_max:g}"
+    tau_lo = montecarlo.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
     checks = [
         ("transistor.od_sp >= 0", t["od_sp"] >= 0),
         ("transistor.od_st >= 0", t["od_st"] >= 0),
@@ -248,6 +249,8 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
         ("detection.od_st_model > 0", det["od_st_model"] > 0),
         ("detection.od_st_instant >= od_st_model",
          det["od_st_instant"] >= det["od_st_model"]),
+        (f"detection.od_st_model >= {tau_lo:g} * od_st_instant",
+         det["od_st_model"] >= tau_lo * det["od_st_instant"]),
         *_mu0_checks("detection.mu0_values all", det["mu0_values"], t["eta_det"]),
         (f"scan.gate_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["gate_values"])),

@@ -39,7 +39,10 @@ THRESHOLD_TAIL_QUANTILE = 0.9999
 # Largest no-gate mean the analysis accepts.  Its dense threshold and
 # decomposition tables span about mu0 + 40 sqrt(mu0) counts.
 MU0_MAX = 1e6
-# Counts per chunk of poissonness_test's null draws (512 KB of int64).
+# Integers per chunk of poissonness_test's null draws (512 KB of int64).  A
+# null sample is a row of value counts over the Poisson pmf window when that
+# window is narrower than the run count, else a row of one draw per run; a
+# chunk holds NULL_CHUNK_COUNTS // min(window, runs) rows, at least one.
 NULL_CHUNK_COUNTS = 2**16
 
 
@@ -302,21 +305,19 @@ class DecompositionResult:
     gated_runs: float  # model-expected number of gated runs
 
     def to_csv(self, path) -> None:
+        """One row per bin: events and observed as integers, model cells as
+        ``repr(float)``; no cell needs CSV quoting, so rows are joined directly."""
+        rows = zip(
+            map(int, self.events.tolist()),
+            map(int, self.observed.tolist()),
+            self.model_total.tolist(),
+            self.model_gated.tolist(),
+            self.model_ungated.tolist(),
+        )
+        lines = ["events,observed,model_total,model_gated,model_ungated"]
+        lines += [f"{n},{o},{t!r},{g!r},{u!r}" for n, o, t, g, u in rows]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["events", "observed", "model_total", "model_gated", "model_ungated"]
-            )
-            for i, n in enumerate(self.events):
-                writer.writerow(
-                    [
-                        int(n),
-                        int(self.observed[i]),
-                        repr(float(self.model_total[i])),
-                        repr(float(self.model_gated[i])),
-                        repr(float(self.model_ungated[i])),
-                    ]
-                )
+            fh.write("\n".join(lines) + "\n")
 
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
@@ -503,10 +504,23 @@ def poissonness_test(
 ) -> DispersionResult:
     """Test whether a count histogram is consistent with a Poisson law.
 
-    The statistic is the index of dispersion (sample variance over mean); its
-    null distribution is calibrated by simulating ``n_null`` Poisson samples
-    of the same size and mean.  Two-sided Monte Carlo p-value; fails at 5%.
-    An all-zero histogram is vacuously consistent with Poisson(0).
+    The statistic is the index of dispersion (sample variance over mean,
+    Fisher 1950); its null distribution is calibrated by ``n_null`` Poisson
+    samples of the same size N and mean m, drawn from
+    ``Philox(SeedSequence((seed,)))``.  The index depends on a sample only
+    through its value counts, and the value counts of N i.i.d. Poisson(m)
+    draws are multinomial over the pmf.  So when the pmf window -- the
+    counts from a lower edge with under 1e-300 of mass below it up to
+    ``_tail_end(0, m)`` -- is narrower than N, each null sample is one
+    multinomial row of N over the window's pmf, renormalized to sum to 1;
+    otherwise it is N Poisson draws.  The choice depends only on (m, N), so
+    results are deterministic.  Either way the rows are drawn in chunks of
+    at most ``NULL_CHUNK_COUNTS`` integers, so memory stays bounded as N
+    grows, and the draws equal those of one ``n_null``-row matrix.
+
+    Two-sided Monte Carlo p-value; fails at 5%.  An all-zero histogram is
+    vacuously consistent with Poisson(0); an all-zero null sample counts as
+    maximally underdispersed (index 0).
     """
     if hist.total < 30:
         raise InsufficientDataError(
@@ -518,19 +532,7 @@ def poissonness_test(
     index = hist.variance() / mean
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed,))))
-    # null samples are drawn a few rows at a time, so memory stays bounded as
-    # hist.total grows; the draws equal those of one n_null x total matrix
-    rows = max(1, NULL_CHUNK_COUNTS // hist.total)
-    null_index = np.empty(n_null)
-    for start in range(0, n_null, rows):
-        draws = rng.poisson(mean, size=(min(rows, n_null - start), hist.total))
-        null_mean = draws.mean(axis=1)
-        # an all-zero null sample counts as maximally underdispersed (index 0)
-        null_index[start:start + len(draws)] = np.where(
-            null_mean > 0,
-            draws.var(axis=1, ddof=1) / np.where(null_mean > 0, null_mean, 1.0),
-            0.0,
-        )
+    null_index = _null_indices(mean, hist.total, n_null, rng)
     n_low = int(np.sum(null_index <= index))
     n_high = int(np.sum(null_index >= index))
     p_value = min(1.0, 2.0 * min(n_low + 1, n_high + 1) / (n_null + 1))
@@ -540,3 +542,32 @@ def poissonness_test(
         passed=p_value >= 0.05,
         n_null=n_null,
     )
+
+
+def _null_indices(
+    mean: float, total: int, n_null: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of dispersion of ``n_null`` samples of ``total`` Poisson(mean)
+    draws: the null of ``poissonness_test``, drawn as its docstring says."""
+    lo = max(0, math.floor(mean - 40.0 * math.sqrt(mean)) - 64)
+    values = np.arange(lo, _tail_end(0, mean) + 1.0)
+    by_counts = len(values) < total
+    if by_counts:
+        pmf = _log_space_terms(values, mean)
+        pmf /= pmf.sum()
+    rows = max(1, NULL_CHUNK_COUNTS // min(len(values), total))
+    null_index = np.empty(n_null)
+    for start in range(0, n_null, rows):
+        size = min(rows, n_null - start)
+        if by_counts:
+            counts = rng.multinomial(total, pmf, size=size)
+            null_mean = counts @ values / total
+            null_var = np.sum(counts * (values - null_mean[:, None]) ** 2, axis=1) / (total - 1)
+        else:
+            draws = rng.poisson(mean, size=(size, total))
+            null_mean = draws.mean(axis=1)
+            null_var = draws.var(axis=1, ddof=1)
+        null_index[start:start + size] = np.where(
+            null_mean > 0, null_var / np.where(null_mean > 0, null_mean, 1.0), 0.0
+        )
+    return null_index

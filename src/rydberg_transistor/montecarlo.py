@@ -75,6 +75,10 @@ BRENTQ_XTOL = 1e-12
 BRENTQ_RTOL = 4 * math.ulp(1.0)
 BRENTQ_MAXITER = 100
 
+# Fly-away times calibrate_retention_tau searches, in units of t_int.  A ratio
+# od_effective / od_instant under the lower edge has its root below it.
+RETENTION_TAU_BRACKET = (1e-9, 1e9)
+
 
 def _brentq(f, xa: float, xb: float) -> float:
     """Root of ``f`` in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4).
@@ -149,11 +153,11 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
 
     With exponential lifetimes the window-averaged attenuation exponent per
     excitation is od_instant * (tau / t) * (1 - exp(-t / tau)); this solves
-    that expression for tau on [1e-9, 1e9] * t_int.  Returns inf when no
-    decay is needed, which includes od_effective / od_instant above about
-    1 - 5e-10: a fly-away time over 1e9 windows is no decay at this
-    resolution.  Raises DomainError for a ratio below about 1e-9, whose
-    root lies under the bracket.
+    that expression for tau on RETENTION_TAU_BRACKET = [1e-9, 1e9] * t_int.
+    Returns inf when no decay is needed, which includes od_effective /
+    od_instant above about 1 - 5e-10: a fly-away time over 1e9 windows is
+    no decay at this resolution.  Raises DomainError for a ratio below about
+    1e-9, whose root lies under the bracket.
     """
     if od_instant <= 0 or t_int <= 0:
         raise DomainError(
@@ -168,7 +172,7 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
     def averaged_fraction(tau):
         return (tau / t_int) * -math.expm1(-t_int / tau) - ratio
 
-    lo, hi = 1e-9 * t_int, 1e9 * t_int
+    lo, hi = (edge * t_int for edge in RETENTION_TAU_BRACKET)
     if averaged_fraction(hi) <= 0:
         return math.inf
     if averaged_fraction(lo) > 0:

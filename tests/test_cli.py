@@ -160,6 +160,27 @@ def test_detect_mu0_over_poisson_limit_after_eta_det(tmp_path, capsys):
     assert "  - detect --mu0 / transistor.eta_det <= 9.22337e+18\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("od_st_model", ["1e-12", "0.9e-9"])
+def test_detect_od_ratio_under_retention_bracket_is_config_error(od_st_model, tmp_path, capsys):
+    # od_st_model / od_st_instant under 1e-9 needs a fly-away time below the
+    # calibration bracket: a config error, not a numerical failure
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"[detection]\nod_st_instant = 1.0\nod_st_model = {od_st_model}\n",
+                   encoding="utf-8")
+    assert main(["detect", "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert ("  - detection.od_st_model >= 1e-09 * od_st_instant\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_od_ratio_at_retention_bracket_runs(tmp_path):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("[detection]\nod_st_instant = 1.0\nod_st_model = 1e-9\n", encoding="utf-8")
+    assert main(["detect", "--config", str(cfg), "--runs", "50", "--mu0", "15",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_detect_od_ratio_within_5e10_of_one_runs(tmp_path):
     # od_st_model / od_st_instant > 1 - 5e-10: no fly-away decay at this resolution
     cfg = tmp_path / "edge.cfg"

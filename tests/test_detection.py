@@ -1,5 +1,6 @@
 """Detection analysis tests: mixtures, decomposition, thresholds, dispersion."""
 
+import csv
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
+from scipy.stats import ks_2samp
 from scipy.stats import poisson
 
 from rydberg_transistor import detection
@@ -241,6 +243,24 @@ def test_decompose_csv_columns(tmp_path):
     assert header == "events,observed,model_total,model_gated,model_ungated"
 
 
+@pytest.mark.parametrize("mu0", [15.0, 1e5])
+def test_decompose_csv_bytes_match_csv_writer(mu0, tmp_path):
+    # 15: 32 bins; 1e5: about 1e5 bins, nearly all of them empty
+    model = mixture_from_params(0.61, 3, 0.94, mu0)
+    observed = CountHistogram.from_samples(np.random.default_rng(6).poisson(mu0, 300))
+    deco = decompose(observed, model)
+    path = tmp_path / "decomposition.csv"
+    deco.to_csv(path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["events", "observed", "model_total", "model_gated", "model_ungated"])
+        for i, n in enumerate(deco.events):
+            writer.writerow([int(n), int(deco.observed[i]), repr(float(deco.model_total[i])),
+                             repr(float(deco.model_gated[i])), repr(float(deco.model_ungated[i]))])
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_decompose_calibration_on_exact_model():
     # goodness of fit is honest: simulated-from-model histograms pass p > 0.01
     ok = 0
@@ -433,19 +453,76 @@ def test_poissonness_rejects_gated_mixture():
     assert fails / seeds > 0.5  # overdispersed/bimodal fails in the majority
 
 
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed,))))
+
+
+def _two_sided_p(null_index, index):
+    n_low, n_high = np.sum(null_index <= index), np.sum(null_index >= index)
+    return min(1.0, 2.0 * min(n_low + 1, n_high + 1) / (len(null_index) + 1))
+
+
 @pytest.mark.parametrize("chunk_counts", [1, 2**16])
 def test_poissonness_chunked_null_matches_one_shot_matrix(chunk_counts, monkeypatch):
-    # 1: one null row per chunk; 2**16: 32 rows per chunk, the last one partial
+    # the per-sample path: at mean 1e4 the pmf window (8129 bins) is wider
+    # than the 2000 runs; 1: one null row per chunk; 2**16: 32 rows per chunk,
+    # the last one partial
     monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
-    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(12, 2000))
+    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(1e4, 2000))
     res = poissonness_test(hist, n_null=200, seed=4)
     # reference: the whole n_null x total null matrix drawn at once
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(4,))))
-    draws = rng.poisson(hist.mean(), size=(200, hist.total))
+    draws = _philox(4).poisson(hist.mean(), size=(200, hist.total))
     null_index = draws.var(axis=1, ddof=1) / draws.mean(axis=1)
-    index = hist.variance() / hist.mean()
-    n_low, n_high = np.sum(null_index <= index), np.sum(null_index >= index)
-    assert res.p_value == min(1.0, 2.0 * min(n_low + 1, n_high + 1) / 201)
+    assert res.p_value == _two_sided_p(null_index, hist.variance() / hist.mean())
+
+
+@pytest.mark.parametrize("chunk_counts", [1, 2**16])
+def test_poissonness_chunked_histogram_null_matches_one_shot_matrix(chunk_counts, monkeypatch):
+    # the value-count path: at mean 12 the pmf window (0..215) is narrower
+    # than the 2000 runs; 1: one null row per chunk; 2**16: 303 rows per
+    # chunk, the last one partial
+    monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
+    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(12, 2000))
+    mean = hist.mean()
+    res = poissonness_test(hist, n_null=500, seed=4)
+    # reference: the whole n_null x window value-count matrix drawn at once
+    values = np.arange(0.0, detection._tail_end(0, mean) + 1)
+    assert len(values) == 216
+    pmf = detection._log_space_terms(values, mean)
+    counts = _philox(4).multinomial(hist.total, pmf / pmf.sum(), size=500)
+    samples = [np.repeat(values, row) for row in counts]
+    null_index = np.array([x.var(ddof=1) / x.mean() for x in samples])
+    assert res.p_value == _two_sided_p(null_index, hist.variance() / mean)
+
+
+def test_poissonness_histogram_null_matches_per_sample_null():
+    # 8 x 500 null indices at mean 10, 3000 runs (window 0..201): value-count
+    # rows against per-sample Poisson draws, by a two-sample KS test
+    by_counts = np.concatenate(
+        [detection._null_indices(10.0, 3000, 500, _philox(s)) for s in range(8)]
+    )
+    per_sample = []
+    for s in range(8):
+        draws = _philox(100 + s).poisson(10.0, size=(500, 3000))
+        per_sample.append(draws.var(axis=1, ddof=1) / draws.mean(axis=1))
+    assert ks_2samp(by_counts, np.concatenate(per_sample)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("mu", [2.0, 20.0])
+def test_poissonness_p_value_matches_fisher_chi2_at_large_n(mu):
+    # Fisher's dispersion statistic (N - 1) * index is close to chi-square with
+    # N - 1 dof at large N, so the Monte Carlo p-value must agree with the
+    # two-sided chi-square one within its binomial standard error
+    n_null = 2000
+    for s in range(6):
+        x = np.random.default_rng(s).poisson(mu, 30_000)
+        events, runs = np.unique(x, return_counts=True)
+        hist = CountHistogram.from_counts(dict(zip(events.tolist(), runs.tolist())))
+        res = poissonness_test(hist, n_null=n_null, seed=s)
+        sf = detection._chi2_sf((hist.total - 1) * res.index, hist.total - 1)
+        q = min(sf, 1.0 - sf)
+        se = 2.0 * math.sqrt(q * (1.0 - q) / n_null)
+        assert abs(res.p_value - min(1.0, 2.0 * q)) <= 4.0 * se + 2.0 / (n_null + 1)
 
 
 def test_poissonness_deterministic():

@@ -6,7 +6,7 @@ seeded Monte Carlo engine (`montecarlo`), least-squares parameter recovery
 drivers plus a CLI (`experiments`, `cli`).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .detection import (
     CountHistogram,

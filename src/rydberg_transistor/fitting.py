@@ -2,12 +2,11 @@
 
 fit_od inverts the blockade-capped contrast model for the optical depth per
 gate photon/excitation; fit_saturation recovers the (a, b) of the
-self-blockade transfer curve.  Both are one-dimensional bounded Brent
-searches: fit_od computes the capped-Poisson weights of its x values once per
-dataset, so each step is one weighted sum over them, and fit_saturation
-solves the linear amplitude a in closed form and searches log b only
-(variable projection).  Uncertainties come from a case-resampling bootstrap
-with percentile 68% intervals, deterministic under a seed.
+self-blockade transfer curve, solving a in closed form (variable projection).
+Both are bounded Brent searches in one variable, written as row fitters: one
+lockstep search fits every row of an index matrix into the data.  The point
+fit is the single row arange(n), and a case-resampling bootstrap (percentile
+68% intervals, deterministic under a seed) fits all its resamples at once.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .models import capped_poisson_weights, contrast_curve, contrast_from_weights
+from .models import _math_exp, capped_poisson_weights, contrast_curve, contrast_from_weights
 
 __all__ = [
     "DataSet",
@@ -81,12 +80,6 @@ class DataSet:
         arr = np.asarray(list(points), dtype=float)
         return cls(x=arr[:, 0], y=arr[:, 1], sigma=arr[:, 2], label=label)
 
-    def subset(self, indices) -> "DataSet":
-        return DataSet(
-            x=self.x[indices], y=self.y[indices], sigma=self.sigma[indices],
-            label=self.label,
-        )
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -128,107 +121,152 @@ def saturation_curve(x, a: float, b: float) -> np.ndarray:
     return a * -np.expm1(-np.asarray(x, dtype=float) / b)
 
 
-def _weighted_sse(residuals: np.ndarray, sigma: np.ndarray) -> float:
-    return float(np.sum((residuals / sigma) ** 2))
+def _weighted_sse(residuals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Sum of squared normalized residuals along the last axis."""
+    return np.sum((residuals / sigma) ** 2, axis=-1)
 
 
-def _minimize_1d(objective, lo: float, hi: float) -> float:
-    """Argmin of a scalar objective on [lo, hi] by bounded Brent to XATOL.
+def _minimize_1d(objective, lo: np.ndarray, hi: np.ndarray):
+    """Argmin of each row's objective on [lo, hi] by bounded Brent to XATOL.
 
     Golden-section search with parabolic steps (Brent 1973, ``fminbound``),
-    ported operation for operation from scipy's bounded ``minimize_scalar``
-    with plain floats, so its iterates and result equal scipy's bit for bit.
-    Raises FitConvergenceError after MAXFUN evaluations or on a NaN or
-    non-finite minimum.
+    ported operation for operation from scipy's bounded ``minimize_scalar``.
+    ``objective`` maps an (m,) array of trial points, one per row, to the
+    rows' (m,) objective values.  The rows run in lockstep: each keeps its
+    own bracket and stops on its own convergence test, after which it is
+    re-evaluated at its frozen point, so every row's iterates and result
+    equal scipy's on that row alone, bit for bit.  All running rows have
+    made as many evaluations as the loop, which stops them at MAXFUN.
+    Returns (argmin, errors): errors[i] is None, or the FitConvergenceError
+    of row i after MAXFUN evaluations or on a NaN or non-finite minimum.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = objective(x)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    xf = fulc = nfc = a + golden_mean * (b - a)
+    rat = e = np.zeros_like(xf)
+    fx = ffulc = fnfc = objective(xf)
+    fu = np.full_like(xf, math.inf)
     num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + XATOL / 3.0
-    tol2 = 2.0 * tol1
-    message = "Solution found."
+    maxed = np.zeros(xf.shape, dtype=bool)
 
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step through the three best points
-            golden = False
+    def running():
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + XATOL / 3.0
+        return np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a), xm, tol1
+
+    run, xm, tol1 = running()
+    while run.any():
+        with np.errstate(all="ignore"):  # float semantics: inf and NaN pass silently
+            tol2 = 2.0 * tol1
+            # a parabolic step through the three best points, where acceptable
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
             q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm < xf else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        # a NaN rat propagates through max() into x, as np.sign would
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = objective(x)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            step = p / q
+            x = xf + step
+            near_edge = ((x - a) < tol2) | ((b - x) < tol2)
+            step = np.where(near_edge, np.where(xm < xf, -tol1, tol1), step)
+            # otherwise a golden-section step into the larger part
+            golden = np.where(xf >= xm, a - xf, b - xf)
+            e = np.where(parabolic, rat, golden)
+            rat = np.where(parabolic, step, golden_mean * golden)
+            # a NaN rat propagates through maximum() into x, as np.sign would
+            x = xf + np.where(rat < 0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
+            x = np.where(run, x, xf)
+        fu = np.where(run, objective(x), fu)
         num += 1
 
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
+        better = run & (fu <= fx)
+        to_a = np.where(better, x >= xf, x < xf)
+        a = np.where(run & to_a, np.where(better, xf, x), a)
+        b = np.where(run & ~to_a, np.where(better, xf, x), b)
+        second = run & ~better & ((fu <= fnfc) | (nfc == xf))
+        third = (run & ~better & ~second
+                 & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc)))
+        fulc = np.where(better | second, nfc, np.where(third, x, fulc))
+        ffulc = np.where(better | second, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
 
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + XATOL / 3.0
-        tol2 = 2.0 * tol1
         if num >= MAXFUN:
-            message = "Maximum number of function calls reached."
+            maxed = run
             break
+        run, xm, tol1 = running()
 
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        message = "NaN result encountered."
-    if message != "Solution found." or not math.isfinite(fx):
-        raise FitConvergenceError(
+    nan = np.isnan(xf) | np.isnan(fx) | np.isnan(fu)
+    errors = [None] * len(xf)
+    for i in np.flatnonzero(maxed | nan | ~np.isfinite(fx)).tolist():
+        message = ("NaN result encountered." if nan[i] else
+                   "Maximum number of function calls reached." if maxed[i] else
+                   "Solution found.")
+        errors[i] = FitConvergenceError(
             "bounded scalar minimization failed",
-            diagnostics={"message": message, "x": float(xf), "sse": float(fx)},
+            diagnostics={"message": message, "x": float(xf[i]), "sse": float(fx[i])},
         )
-    return float(xf)
+    return xf, errors
 
 
-def _fit_od_point(data: DataSet, cap: int) -> float:
-    weights = capped_poisson_weights(data.x, cap)  # od-independent: once per dataset
-    return _minimize_1d(
-        lambda od: _weighted_sse(data.y - contrast_from_weights(weights, od), data.sigma),
-        0.0,
-        OD_SEARCH_MAX,
+def _od_rows(data: DataSet, idx: np.ndarray, cap: int):
+    """fit_od's search on every row of the (m, n) index matrix ``idx`` at once."""
+    weights = capped_poisson_weights(data.x, cap)[idx]  # od-independent: once per call
+    y, sigma = data.y[idx], data.sigma[idx]
+    od, errors = _minimize_1d(
+        lambda od: _weighted_sse(y - contrast_from_weights(weights, od[:, None]), sigma),
+        np.zeros(len(idx)),
+        np.full(len(idx), OD_SEARCH_MAX),
     )
+    return {"od": od}, errors
+
+
+def _saturation_rows(data: DataSet, idx: np.ndarray):
+    """fit_saturation's search on every row of the index matrix ``idx`` at once.
+
+    Variable projection: for fixed b the model is linear in a, so the
+    weighted least-squares a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b)
+    and w = 1 / sigma^2; the profiled SSE is then minimized over log b in
+    [1e-3, 1e3] * max(x) of the row.  Needs some x > 0 in every row.
+    """
+    x, y, sigma = data.x[idx], data.y[idx], data.sigma[idx]
+    w = sigma ** -2.0
+
+    def profile(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = -np.expm1(-x / _math_exp(log_b)[:, None])
+        return np.sum(w * y * g, axis=-1) / np.sum(w * g * g, axis=-1), g
+
+    def objective(log_b: np.ndarray) -> np.ndarray:
+        a, g = profile(log_b)
+        return _weighted_sse(y - a[:, None] * g, sigma)
+
+    x_max = np.max(x, axis=-1).tolist()
+    lo, hi = (np.array([math.log(f * v) for v in x_max]) for f in B_SEARCH_RANGE)
+    log_b, errors = _minimize_1d(objective, lo, hi)
+    return {"a": profile(log_b)[0], "b": _math_exp(log_b)}, errors
+
+
+def _fit_point(rows, data: DataSet) -> dict[str, float]:
+    """The row fitter ``rows`` on the data as they are: the single row arange(n)."""
+    params, (error,) = rows(data, np.arange(len(data))[None, :])
+    if error is not None:
+        raise error
+    return {name: float(values[0]) for name, values in params.items()}
+
+
+def _fit_result(rows, data, params, sse, flags, n_boot, seed, min_distinct) -> FitResult:
+    """``params`` with the bootstrap intervals of ``rows``, taken in order, each
+    widened minimally so that it brackets its point estimate."""
+    ci, n_used = bootstrap_ci(rows, data, n_boot=n_boot, seed=seed, min_distinct=min_distinct)
+    ci_68 = {name: (min(lo, value), max(hi, value))
+             for (name, value), (lo, hi) in zip(params.items(), ci.values())}
+    return FitResult(params=params, sse=sse, ci_68=ci_68, n_boot=n_used, converged=True,
+                     flags=tuple(flags))
 
 
 def fit_od(
@@ -249,8 +287,10 @@ def fit_od(
     n_boot, seed : bootstrap resamples (>= 100) and RNG seed.
 
     Minimizes the weighted SSE over od in [0, 50] by bounded scalar
-    minimization to 1e-9 absolute; an estimate at the od = 0 boundary is
-    flagged rather than treated as an error.
+    minimization to 1e-9 absolute.  An estimate at the od = 0 boundary, or
+    one whose SSE is no smaller than at od = 50 (where the contrast has
+    saturated and the SSE is flat to float resolution), is flagged and
+    warned about rather than treated as an error.
     """
     if mode not in ("incoming", "stored"):
         raise DomainError(f"mode must be 'incoming' or 'stored', got {mode!r}")
@@ -258,55 +298,25 @@ def fit_od(
         raise DomainError("contrast values must lie in (-1, 1]")
     name = "od_sp" if mode == "incoming" else "od_st"
 
-    od_hat = _fit_od_point(data, cap)
-    sse = _weighted_sse(data.y - contrast_curve(data.x, od_hat, cap), data.sigma)
+    def rows(d: DataSet, idx: np.ndarray):
+        return _od_rows(d, idx, cap)
 
+    def sse_at(od: float) -> float:
+        return float(_weighted_sse(data.y - contrast_curve(data.x, od, cap), data.sigma))
+
+    od_hat = _fit_point(rows, data)["od"]
+    sse = sse_at(od_hat)
     flags = []
     if od_hat <= 1e-6:
         flags.append("boundary_od_zero")
         warnings.warn("fitted od sits at the zero boundary", stacklevel=2)
-    elif od_hat >= OD_SEARCH_MAX - 1e-6:
+    elif sse_at(OD_SEARCH_MAX) <= sse:
         flags.append("boundary_od_max")
-
-    ci, n_used = bootstrap_ci(
-        lambda d: {name: _fit_od_point(d, cap)},
-        data,
-        n_boot=n_boot,
-        seed=seed,
-        min_distinct=2,
-    )
-    ci = _bracket_point(ci, {name: od_hat})
-    return FitResult(
-        params={name: od_hat},
-        sse=sse,
-        ci_68=ci,
-        n_boot=n_used,
-        converged=True,
-        flags=tuple(flags),
-    )
-
-
-def _fit_saturation_point(data: DataSet) -> tuple[float, float]:
-    """Variable projection: a in closed form, bounded Brent over log b.
-
-    For fixed b the model is linear in a, so the weighted least-squares
-    a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b) and w = 1 / sigma^2;
-    the profiled SSE is then minimized over log b in
-    [1e-3, 1e3] * max(x).  Needs some x > 0.
-    """
-    w = data.sigma ** -2.0
-
-    def profile(log_b: float) -> tuple[float, np.ndarray]:
-        g = -np.expm1(-data.x / math.exp(log_b))
-        return float(np.sum(w * data.y * g) / np.sum(w * g * g)), g
-
-    def objective(log_b: float) -> float:
-        a, g = profile(log_b)
-        return _weighted_sse(data.y - a * g, data.sigma)
-
-    x_max = float(np.max(data.x))
-    log_b = _minimize_1d(objective, *(math.log(f * x_max) for f in B_SEARCH_RANGE))
-    return profile(log_b)[0], math.exp(log_b)
+        warnings.warn(
+            f"fitted od is no better than the boundary od = {OD_SEARCH_MAX:g}: "
+            "the data do not bound od from above", stacklevel=2,
+        )
+    return _fit_result(rows, data, {name: od_hat}, sse, flags, n_boot, seed, min_distinct=2)
 
 
 def fit_saturation(
@@ -327,42 +337,18 @@ def fit_saturation(
         raise InsufficientDataError(
             f"need at least 3 distinct x values for a 2-parameter fit, got {n_distinct}"
         )
-    a_hat, b_hat = _fit_saturation_point(data)
-    sse = _weighted_sse(data.y - saturation_curve(data.x, a_hat, b_hat), data.sigma)
-
+    params = _fit_point(_saturation_rows, data)
+    sse = float(_weighted_sse(data.y - saturation_curve(data.x, params["a"], params["b"]),
+                              data.sigma))
     flags = []
-    if b_hat >= float(np.max(data.x)):
+    if params["b"] >= float(np.max(data.x)):
         flags += ["linear_regime", "b_ci_unbounded"]
         warnings.warn(
             "saturation scale b is not reached by the data; "
             "only the initial slope a/b is identified",
             stacklevel=2,
         )
-
-    ci, n_used = bootstrap_ci(
-        lambda d: dict(zip(("a", "b"), _fit_saturation_point(d))),
-        data,
-        n_boot=n_boot,
-        seed=seed,
-        min_distinct=3,
-    )
-    ci = _bracket_point(ci, {"a": a_hat, "b": b_hat})
-    return FitResult(
-        params={"a": a_hat, "b": b_hat},
-        sse=sse,
-        ci_68=ci,
-        n_boot=n_used,
-        converged=True,
-        flags=tuple(flags),
-    )
-
-
-def _bracket_point(ci: dict, params: dict) -> dict:
-    """Widen percentile intervals minimally so they bracket the point estimate."""
-    return {
-        name: (min(lo, params[name]), max(hi, params[name]))
-        for name, (lo, hi) in ci.items()
-    }
+    return _fit_result(_saturation_rows, data, params, sse, flags, n_boot, seed, min_distinct=3)
 
 
 def bootstrap_ci(
@@ -374,38 +360,42 @@ def bootstrap_ci(
 ) -> tuple[dict[str, tuple[float, float]], int]:
     """Case-resampling bootstrap, percentile 16/84 intervals per parameter.
 
-    ``fit`` maps a DataSet to a {name: value} dict.  Resample b draws from the
-    stream SeedSequence((seed, b)), so resamples are order-independent and the
-    result is deterministic.  Resamples with fewer than ``min_distinct``
-    distinct x values (or failing fits) are skipped; more than 10% skips is an
-    error.  Returns (intervals, number of resamples actually used).
+    ``fit`` is a row fitter: ``fit(data, idx)``, with ``idx`` an (m, n) matrix
+    of indices into ``data``, returns ({name: (m,) array}, errors), where
+    errors[i] is None when row i converged.  The (n_boot, n) index matrix is
+    drawn at once from the stream ``child_seed(seed, FIT_BOOTSTRAP, 0)``.  A
+    resample with fewer than ``min_distinct`` distinct x values cannot be
+    fitted: it is skipped and replaced by the next draw.  Data with no other
+    fittable resample than a reordering of themselves raise, as do failed
+    fits of more than 10% of the resamples.  Returns (intervals, resamples used).
     """
+    from .montecarlo import FIT_BOOTSTRAP, child_seed  # montecarlo imports this module
+
     if n_boot < 100:
         raise DomainError(f"n_boot must be >= 100, got {n_boot}")
-    n = len(data)
-    samples: dict[str, list[float]] = {}
-    skipped = 0
-    for b in range(n_boot):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=(seed, b)))
-        )
-        idx = rng.integers(0, n, n)
-        if len(np.unique(data.x[idx])) < min_distinct:
-            skipped += 1
-            continue
-        try:
-            params = fit(data.subset(idx))
-        except (DomainError, FitConvergenceError):
-            skipped += 1
-            continue
-        for name, value in params.items():
-            samples.setdefault(name, []).append(value)
-    if skipped > 0.1 * n_boot:
+    n, n_distinct = len(data), len(np.unique(data.x))
+    if n_distinct < min_distinct or n <= min_distinct:
         raise InsufficientDataError(
-            f"bootstrap skipped {skipped}/{n_boot} resamples (>10%)"
+            f"bootstrap needs more than {min_distinct} points and {min_distinct} distinct "
+            f"x values, got {n} with {n_distinct}: every resample would be skipped for "
+            "too few distinct x values or would only reorder the data"
+        )
+    stream = np.random.SeedSequence((child_seed(seed, FIT_BOOTSTRAP, 0),))
+    rng = np.random.Generator(np.random.Philox(stream))
+    idx = np.empty((0, n), dtype=np.int64)
+    while len(idx) < n_boot:
+        draw = rng.integers(0, n, (n_boot, n))
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(data.x[draw], axis=-1)), axis=-1)
+        idx = np.concatenate([idx, draw[distinct >= min_distinct]])
+    params, errors = fit(data, idx[:n_boot])
+    used = np.array([error is None for error in errors], dtype=bool)
+    failed = n_boot - int(used.sum())
+    if failed > 0.1 * n_boot:
+        raise InsufficientDataError(
+            f"bootstrap skipped {failed}/{n_boot} resamples whose fit failed (>10%)"
         )
     ci = {
-        name: tuple(np.percentile(np.array(vals), [16.0, 84.0]))
-        for name, vals in samples.items()
+        name: tuple(np.percentile(values[used], [16.0, 84.0]))
+        for name, values in params.items()
     }
-    return ci, n_boot - skipped
+    return ci, n_boot - failed

@@ -185,9 +185,18 @@ def _checked_cap(cap: int) -> int:
     return int(cap)
 
 
-def _check_od(od: float) -> None:
-    if od < 0:
+def _check_od(od) -> None:
+    if np.any(od < 0):
         raise DomainError(f"optical depth must be >= 0, got {od}")
+
+
+def _math_exp(values) -> np.ndarray:
+    """exp per element by math.exp, not np.exp: numpy's SIMD exp differs from
+    the C library's in the last bit for a few percent of inputs, which would
+    move the closed-form outputs."""
+    values = np.asarray(values, dtype=float)
+    flat = np.fromiter(map(math.exp, values.ravel().tolist()), float, values.size)
+    return flat.reshape(values.shape)
 
 
 def capped_poisson_weights(means, cap: int) -> np.ndarray:
@@ -203,10 +212,7 @@ def capped_poisson_weights(means, cap: int) -> np.ndarray:
         raise DomainError("mean photon numbers must be >= 0")
     cap = _checked_cap(cap)
     weights = np.empty(means.shape + (cap + 1,))
-    # k = 0 term, underflowing harmlessly for huge means.  math.exp, not
-    # np.exp: numpy's SIMD exp differs from the C library's in the last bit
-    # for a few percent of inputs, which would move the closed-form outputs.
-    pmf = np.array([math.exp(-m) for m in means.ravel()]).reshape(means.shape)
+    pmf = _math_exp(-means)  # k = 0 term, underflowing harmlessly for huge means
     cum = np.zeros_like(means)
     for k in range(cap):
         weights[..., k] = pmf
@@ -216,19 +222,21 @@ def capped_poisson_weights(means, cap: int) -> np.ndarray:
     return weights
 
 
-def contrast_from_weights(weights, od: float) -> np.ndarray:
+def contrast_from_weights(weights, od) -> np.ndarray:
     """Contrast 1 - E[exp(-j * od)] over capped-Poisson ``weights`` on the last axis.
 
     Lets a caller that evaluates many optical depths at fixed means compute
-    :func:`capped_poisson_weights` once.
+    :func:`capped_poisson_weights` once.  ``od`` is a float or an array that
+    broadcasts against the leading axes of ``weights``.
     """
+    od = np.asarray(od, dtype=float)
     _check_od(od)
     weights = np.asarray(weights, dtype=float)
     # summed left to right rather than by a BLAS dot, whose order depends on
     # the build, so the closed-form outputs keep their last digits
     attenuation = 0.0
     for j in range(weights.shape[-1]):
-        attenuation = attenuation + weights[..., j] * math.exp(-j * od)
+        attenuation = attenuation + weights[..., j] * _math_exp(-j * od)
     return 1.0 - attenuation
 
 

@@ -56,7 +56,7 @@ BLOCK_RUNS = 8192
 # child_seed tags, one per kind of derived stream, so no two kinds share seeds.
 # New tags go at the end, so existing tags keep their values and streams.
 (SCAN_POINT, BOOTSTRAP, TRANSFER_REF, TRANSFER_GATE, DETECTION_REF, SWEEP_POINT,
- POISSONNESS_NULL) = range(7)
+ POISSONNESS_NULL, FIT_BOOTSTRAP) = range(8)
 
 
 def child_seed(seed: int, tag: int, i: int) -> int:

@@ -4,55 +4,53 @@ The package splits into five layers: closed-form formulas (`models`), the
 seeded Monte Carlo engine (`montecarlo`), least-squares parameter recovery
 (`fitting`), single-shot detection statistics (`detection`), and experiment
 drivers plus a CLI (`experiments`, `cli`).
+
+The public names below are loaded lazily (PEP 562): importing the package,
+or `rydberg_transistor.cli`, executes no layer module, and the first access
+to a name imports the submodule that defines it.  So each CLI command loads
+only the layers it runs.
 """
 
-__version__ = "0.4.0"
+import importlib
 
-from .detection import (
-    CountHistogram,
-    MixtureModel,
-    ThresholdResult,
-    decompose,
-    mixture_from_params,
-    optimal_threshold,
-    poissonness_test,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitConvergenceError,
-    InconsistentMeasurementError,
-    InsufficientDataError,
-    TransistorError,
-    UndefinedContrastError,
-)
-from .fitting import DataSet, FitResult, bootstrap_ci, fit_od, fit_saturation
-from .models import (
-    PhotonCounts,
-    SaturationParams,
-    TransistorParams,
-    blockade_capacity,
-    coherent_limit,
-    contrast_curve,
-    expected_contrast_incoming,
-    expected_contrast_stored,
-    fock_contrast,
-    gain,
-    hard_rod_capacity,
-    predicted_gain,
-    stored_mean,
-    switch_contrast,
-    transfer,
-)
-from .montecarlo import (
-    DEFAULT_P_STORE,
-    DEFAULT_RETENTION_TAU,
-    EnsembleResult,
-    SimConfig,
-    calibrate_retention_tau,
-    child_seed,
-    contrast_scan,
-    scan_configs,
-    simulate_ensemble,
-    with_contrast_vs_reference,
-)
+__version__ = "0.4.1"
+
+# submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "detection": (
+        "CountHistogram", "MixtureModel", "ThresholdResult", "decompose",
+        "mixture_from_params", "optimal_threshold", "poissonness_test",
+    ),
+    "errors": (
+        "ConfigError", "DomainError", "FitConvergenceError",
+        "InconsistentMeasurementError", "InsufficientDataError", "TransistorError",
+        "UndefinedContrastError",
+    ),
+    "fitting": ("DataSet", "FitResult", "bootstrap_ci", "fit_od", "fit_saturation"),
+    "models": (
+        "DEFAULT_P_STORE", "PhotonCounts", "SaturationParams", "TransistorParams",
+        "blockade_capacity", "child_seed", "coherent_limit", "contrast_curve",
+        "expected_contrast_incoming", "expected_contrast_stored", "fock_contrast", "gain",
+        "hard_rod_capacity", "predicted_gain", "stored_mean", "switch_contrast", "transfer",
+    ),
+    "montecarlo": (
+        "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig", "calibrate_retention_tau",
+        "contrast_scan", "scan_configs", "simulate_ensemble", "with_contrast_vs_reference",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,10 @@ sidecar with the resolved config and content hashes of the outputs.
 
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
 failure, 5 I/O failure.
+
+Parsing and validation need only `errors` and `models`, so those are the
+package modules imported here; each command's runner imports the layers it
+runs when it runs, and a short command loads nothing else.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
 
-from . import __version__, experiments, models, montecarlo
-from .detection import MU0_MAX, CountHistogram
+from . import __version__, models
 from .errors import ConfigError, FitConvergenceError, TransistorError
-from .fitting import DataSet, fit_od, fit_saturation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,7 +117,7 @@ CONFIG_SCHEMA = {
     },
     "simulation": {
         "n_gate_in": (_F, 0.75),
-        "p_store": (_F, montecarlo.DEFAULT_P_STORE),
+        "p_store": (_F, models.DEFAULT_P_STORE),
         "source_rate": (_F, 0.69),
         "t_int": (_F, 30.0),
         "retention_tau": (_F, math.inf),
@@ -211,9 +213,9 @@ def load_config(name: str | None) -> tuple[str, dict]:
 def _mu0_checks(name: str, values: list[float], eta_det: float) -> list[tuple[str, bool]]:
     """Detection no-gate means: within the analysis' MU0_MAX, and the source
     photon number mu0 / eta_det they need within numpy's Poisson limit."""
-    lam_max = montecarlo.POISSON_LAM_MAX
+    lam_max, mu0_max = models.POISSON_LAM_MAX, models.MU0_MAX
     return [
-        (f"{name} in (0, {MU0_MAX:g}]", all(0 < v <= MU0_MAX for v in values)),
+        (f"{name} in (0, {mu0_max:g}]", all(0 < v <= mu0_max for v in values)),
         (f"{name} / transistor.eta_det <= {lam_max:g}",
          all(v <= lam_max * eta_det for v in values)),
     ]
@@ -227,9 +229,9 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     sim = resolved["simulation"]
     det = resolved["detection"]
     scan = resolved["scan"]
-    lam_max = montecarlo.POISSON_LAM_MAX
+    lam_max = models.POISSON_LAM_MAX
     lam = f"{lam_max:g}"
-    tau_lo = montecarlo.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
+    tau_lo = models.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
     checks = [
         ("transistor.od_sp >= 0", t["od_sp"] >= 0),
         ("transistor.od_st >= 0", t["od_st"] >= 0),
@@ -362,7 +364,8 @@ class OutputWriter:
             self._json(name, record)
         return name
 
-    def histogram(self, stem: str, hist: CountHistogram) -> str:
+    def histogram(self, stem: str, hist) -> str:
+        """Write a detection.CountHistogram."""
         name = f"{stem}.{self.manifest.format}"
         if self.manifest.format == "csv":
             hist.to_csv(self.path(name))
@@ -424,11 +427,14 @@ def read_record(path) -> dict[str, str]:
         return {row[0]: row[1] for row in reader if row}
 
 
-def _load_dataset(path: str) -> DataSet:
-    """Dataset loader tolerant of domain-named columns (first three are x,y,sigma).
+def _load_dataset(path: str):
+    """fitting.DataSet loader tolerant of domain-named columns (first three are
+    x,y,sigma).
 
     Two-column files are accepted with the default uncertainty sigma = 1.
     """
+    from .fitting import DataSet
+
     try:
         header, rows = read_table(path)
         if len(header) < 2:
@@ -443,16 +449,22 @@ def _load_dataset(path: str) -> DataSet:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
-def _sim_objects(resolved: dict):
+def _params(resolved: dict):
     t = resolved["transistor"]
     s = resolved["saturation"]
-    sim = resolved["simulation"]
     params = models.TransistorParams(
         od_sp=t["od_sp"], od_st=t["od_st"], cap=t["cap"],
         a_ge=t["a_ge"], eta_det=t["eta_det"],
     )
-    sat = models.SaturationParams(a=s["a"], b=s["b"])
-    config = montecarlo.SimConfig(
+    return params, models.SaturationParams(a=s["a"], b=s["b"])
+
+
+def _sim_objects(resolved: dict):
+    from .montecarlo import SimConfig
+
+    params, sat = _params(resolved)
+    sim = resolved["simulation"]
+    config = SimConfig(
         n_gate_in=sim["n_gate_in"],
         p_store=sim["p_store"],
         params=params,
@@ -466,11 +478,14 @@ def _sim_objects(resolved: dict):
 
 
 def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
+    from .experiments import incoming_scan_config
+    from .montecarlo import contrast_scan, scan_configs
+
     _, _, base = _sim_objects(manifest.resolved)
     if manifest.options["mode"] == "incoming":
-        base = experiments.incoming_scan_config(base)
-    configs = montecarlo.scan_configs(base, manifest.resolved["scan"]["gate_values"])
-    ds = montecarlo.contrast_scan(configs, manifest.runs)
+        base = incoming_scan_config(base)
+    ds = contrast_scan(scan_configs(base, manifest.resolved["scan"]["gate_values"]),
+                       manifest.runs)
     out.table(
         "contrast_scan",
         ["n_gate_in", "contrast", "sigma"],
@@ -479,19 +494,22 @@ def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
 
 
 def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> None:
-    params, sat, config = _sim_objects(manifest.resolved)
-    rows = experiments.gain_scan_rows(
-        params, sat, config.n_gate_in, manifest.resolved["scan"]["source_values"]
+    params, sat = _params(manifest.resolved)
+    rows = models.gain_scan_rows(
+        params, sat, manifest.resolved["simulation"]["n_gate_in"],
+        manifest.resolved["scan"]["source_values"],
     )
     header = list(rows[0].keys())
     out.table("gain_scan", header, [[r[k] for k in header] for r in rows])
 
 
 def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
+    from .experiments import transfer_scan
+
     _, sat, base = _sim_objects(manifest.resolved)
     if base.sat is None:
         base = replace(base, sat=sat)  # the scan measures the transfer curve itself
-    points = experiments.transfer_scan(
+    points = transfer_scan(
         base, manifest.resolved["scan"]["source_values"], manifest.runs
     )
     out.table(
@@ -504,8 +522,10 @@ def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
 
 
 def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> None:
+    from .montecarlo import simulate_ensemble
+
     _, _, config = _sim_objects(manifest.resolved)
-    result = montecarlo.simulate_ensemble(config, manifest.runs)
+    result = simulate_ensemble(config, manifest.runs)
     out.histogram("histogram", result.histogram)
     out.record(
         "simulate_summary",
@@ -535,6 +555,8 @@ def _fit_record(result) -> dict:
 
 
 def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
+    from .fitting import fit_od
+
     ds = _load_dataset(manifest.options["input"])
     cap = manifest.options.get("cap", manifest.resolved["transistor"]["cap"])
     result = fit_od(ds, cap=cap, mode=manifest.options["mode"], seed=manifest.seed)
@@ -545,17 +567,21 @@ def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
 
 
 def _cmd_fit_saturation(manifest: RunManifest, out: OutputWriter) -> None:
+    from .fitting import fit_saturation
+
     ds = _load_dataset(manifest.options["input"])
     result = fit_saturation(ds, seed=manifest.seed)
     out.record("fit_saturation", _fit_record(result))
 
 
 def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
+    from .experiments import fidelity_sweep
+
     det = manifest.resolved["detection"]
     sim = manifest.resolved["simulation"]
     eta = manifest.resolved["transistor"]["eta_det"]
     mu0_values = [manifest.options["mu0"]] if "mu0" in manifest.options else det["mu0_values"]
-    reports = experiments.fidelity_sweep(
+    reports = fidelity_sweep(
         mu0_values,
         n_runs=manifest.runs,
         seed=manifest.seed,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .models import capped_poisson_weights
+from .models import MU0_MAX, capped_poisson_weights
 
 __all__ = [
     "CountHistogram",
@@ -36,9 +36,6 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 THRESHOLD_TAIL_QUANTILE = 0.9999
-# Largest no-gate mean the analysis accepts.  Its dense threshold and
-# decomposition tables span about mu0 + 40 sqrt(mu0) counts.
-MU0_MAX = 1e6
 # Integers per chunk of poissonness_test's null draws (512 KB of int64).  A
 # null sample is a row of value counts over the Poisson pmf window when that
 # window is narrower than the run count, else a row of one draw per run; a

@@ -13,9 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import models
 from .detection import (
-    MU0_MAX,
     CountHistogram,
     DecompositionResult,
     ThresholdResult,
@@ -26,17 +24,18 @@ from .detection import (
 )
 from .errors import DomainError
 from .fitting import DataSet
-from .montecarlo import (
+from .models import (
     DETECTION_REF,
+    MU0_MAX,
     POISSONNESS_NULL,
     SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
-    SimConfig,
-    calibrate_retention_tau,
+    TransistorParams,
     child_seed,
-    simulate_ensemble,
+    gain_scan_rows,
 )
+from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
 __all__ = [
     "incoming_scan_config",
@@ -58,35 +57,6 @@ def incoming_scan_config(base: SimConfig) -> SimConfig:
     """
     params = replace(base.params, a_ge=0.0, od_st=base.params.od_sp)
     return replace(base, params=params, p_store=1.0)
-
-
-def gain_scan_rows(
-    params: models.TransistorParams,
-    sat: models.SaturationParams,
-    n_gate: float,
-    n_source_values,
-) -> list[dict[str, float]]:
-    """Closed-form gain/transfer table over source input photon numbers.
-
-    Each row carries the no-gate transfer, the with-gate transfer and gain
-    for a coherent gate pulse of mean ``n_gate`` photons, and the predicted
-    gain for a single-photon Fock gate and a single stored excitation.
-    """
-    rows = []
-    for n_src in n_source_values:
-        base = models.transfer(n_src, sat)
-        c_coh = models.expected_contrast_incoming(n_gate, params.od_sp, params.cap)
-        rows.append(
-            {
-                "n_source_in": float(n_src),
-                "no_gate_out": base,
-                "with_gate_out": (1.0 - c_coh) * base,
-                "gain_coherent": c_coh * base,
-                "gain_single_photon": models.fock_contrast(1, params.od_sp, params.cap) * base,
-                "gain_single_stored": models.fock_contrast(1, params.od_st, params.cap) * base,
-            }
-        )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -201,7 +171,7 @@ def detection_experiment(
         raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
     if retention_tau is None:
         retention_tau = calibrate_retention_tau(od_st_instant, od_st_model, t_int)
-    params = models.TransistorParams(
+    params = TransistorParams(
         od_st=od_st_instant, cap=cap, a_ge=0.0, eta_det=eta_det
     )
     rate = mu0 / (eta_det * t_int)

@@ -5,8 +5,9 @@ gate photon/excitation; fit_saturation recovers the (a, b) of the
 self-blockade transfer curve, solving a in closed form (variable projection).
 Both are bounded Brent searches in one variable, written as row fitters: one
 lockstep search fits every row of an index matrix into the data.  The point
-fit is the single row arange(n), and a case-resampling bootstrap (percentile
-68% intervals, deterministic under a seed) fits all its resamples at once.
+fit is the single row arange(n), searched as row 0 of a case-resampling
+bootstrap (percentile 68% intervals, deterministic under a seed) that fits
+all its resamples at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .models import _math_exp, capped_poisson_weights, contrast_curve, contrast_from_weights
+from .models import (
+    FIT_BOOTSTRAP,
+    _math_exp,
+    capped_poisson_weights,
+    child_seed,
+    contrast_curve,
+    contrast_from_weights,
+)
 
 __all__ = [
     "DataSet",
@@ -252,17 +260,46 @@ def _saturation_rows(data: DataSet, idx: np.ndarray):
 
 
 def _fit_point(rows, data: DataSet) -> dict[str, float]:
-    """The row fitter ``rows`` on the data as they are: the single row arange(n)."""
+    """The row fitter ``rows`` on the data as they are, alone: the single row
+    arange(n).  The fitters search this row within the bootstrap's search
+    (_fit_result), where it must come out as it does here."""
     params, (error,) = rows(data, np.arange(len(data))[None, :])
     if error is not None:
         raise error
     return {name: float(values[0]) for name, values in params.items()}
 
 
-def _fit_result(rows, data, params, sse, flags, n_boot, seed, min_distinct) -> FitResult:
-    """``params`` with the bootstrap intervals of ``rows``, taken in order, each
-    widened minimally so that it brackets its point estimate."""
-    ci, n_used = bootstrap_ci(rows, data, n_boot=n_boot, seed=seed, min_distinct=min_distinct)
+def _fit_result(rows, data, assess, n_boot, seed, min_distinct) -> FitResult:
+    """Fit the point row arange(n) as row 0 of the bootstrap's search.
+
+    ``assess`` maps the point row's {name: value} to the estimate's (params,
+    sse, flags, warning messages).  The order is that of a point fit ahead of
+    the bootstrap: a failed point row raises first, the warnings follow, and
+    the bootstrap's own errors come last.  Each interval, taken in order of
+    ``params``, is widened minimally so that it brackets its point estimate.
+    """
+    n = len(data)
+    found = []  # the point row's assessment, once searched
+
+    def with_point(d: DataSet, idx: np.ndarray):
+        params, errors = rows(d, np.concatenate([np.arange(n)[None, :], idx]))
+        if errors[0] is not None:
+            raise errors[0]
+        found.append(assess({name: float(values[0]) for name, values in params.items()}))
+        return {name: values[1:] for name, values in params.items()}, errors[1:]
+
+    try:
+        ci, n_used = bootstrap_ci(with_point, data, n_boot=n_boot, seed=seed,
+                                  min_distinct=min_distinct)
+    except (DomainError, InsufficientDataError):
+        if not found:  # the bootstrap drew no resamples: the point row alone
+            with_point(data, np.empty((0, n), dtype=np.int64))
+        raise
+    finally:
+        if found:  # the point row was searched: its warnings, ahead of any bootstrap error
+            for message in found[0][3]:
+                warnings.warn(message, stacklevel=3)
+    params, sse, flags, _ = found[0]
     ci_68 = {name: (min(lo, value), max(hi, value))
              for (name, value), (lo, hi) in zip(params.items(), ci.values())}
     return FitResult(params=params, sse=sse, ci_68=ci_68, n_boot=n_used, converged=True,
@@ -304,19 +341,19 @@ def fit_od(
     def sse_at(od: float) -> float:
         return float(_weighted_sse(data.y - contrast_curve(data.x, od, cap), data.sigma))
 
-    od_hat = _fit_point(rows, data)["od"]
-    sse = sse_at(od_hat)
-    flags = []
-    if od_hat <= 1e-6:
-        flags.append("boundary_od_zero")
-        warnings.warn("fitted od sits at the zero boundary", stacklevel=2)
-    elif sse_at(OD_SEARCH_MAX) <= sse:
-        flags.append("boundary_od_max")
-        warnings.warn(
-            f"fitted od is no better than the boundary od = {OD_SEARCH_MAX:g}: "
-            "the data do not bound od from above", stacklevel=2,
-        )
-    return _fit_result(rows, data, {name: od_hat}, sse, flags, n_boot, seed, min_distinct=2)
+    def assess(point: dict[str, float]):
+        od_hat = point["od"]
+        sse = sse_at(od_hat)
+        if od_hat <= 1e-6:
+            return {name: od_hat}, sse, ["boundary_od_zero"], [
+                "fitted od sits at the zero boundary"]
+        if sse_at(OD_SEARCH_MAX) <= sse:
+            return {name: od_hat}, sse, ["boundary_od_max"], [
+                f"fitted od is no better than the boundary od = {OD_SEARCH_MAX:g}: "
+                "the data do not bound od from above"]
+        return {name: od_hat}, sse, [], []
+
+    return _fit_result(rows, data, assess, n_boot, seed, min_distinct=2)
 
 
 def fit_saturation(
@@ -332,23 +369,22 @@ def fit_saturation(
     warning plus 'linear_regime'/'b_ci_unbounded' flags instead of an error.
     A failed search raises FitConvergenceError.
     """
-    n_distinct = len(np.unique(data.x))
+    n_distinct = len(set(data.x.tolist()))  # np.unique would import numpy.ma
     if n_distinct < 3:
         raise InsufficientDataError(
             f"need at least 3 distinct x values for a 2-parameter fit, got {n_distinct}"
         )
-    params = _fit_point(_saturation_rows, data)
-    sse = float(_weighted_sse(data.y - saturation_curve(data.x, params["a"], params["b"]),
-                              data.sigma))
-    flags = []
-    if params["b"] >= float(np.max(data.x)):
-        flags += ["linear_regime", "b_ci_unbounded"]
-        warnings.warn(
-            "saturation scale b is not reached by the data; "
-            "only the initial slope a/b is identified",
-            stacklevel=2,
-        )
-    return _fit_result(_saturation_rows, data, params, sse, flags, n_boot, seed, min_distinct=3)
+
+    def assess(params: dict[str, float]):
+        sse = float(_weighted_sse(data.y - saturation_curve(data.x, params["a"], params["b"]),
+                                  data.sigma))
+        if params["b"] >= float(np.max(data.x)):
+            return params, sse, ["linear_regime", "b_ci_unbounded"], [
+                "saturation scale b is not reached by the data; "
+                "only the initial slope a/b is identified"]
+        return params, sse, [], []
+
+    return _fit_result(_saturation_rows, data, assess, n_boot, seed, min_distinct=3)
 
 
 def bootstrap_ci(
@@ -369,11 +405,9 @@ def bootstrap_ci(
     fittable resample than a reordering of themselves raise, as do failed
     fits of more than 10% of the resamples.  Returns (intervals, resamples used).
     """
-    from .montecarlo import FIT_BOOTSTRAP, child_seed  # montecarlo imports this module
-
     if n_boot < 100:
         raise DomainError(f"n_boot must be >= 100, got {n_boot}")
-    n, n_distinct = len(data), len(np.unique(data.x))
+    n, n_distinct = len(data), len(set(data.x.tolist()))
     if n_distinct < min_distinct or n <= min_distinct:
         raise InsufficientDataError(
             f"bootstrap needs more than {min_distinct} points and {min_distinct} distinct "
@@ -394,8 +428,20 @@ def bootstrap_ci(
         raise InsufficientDataError(
             f"bootstrap skipped {failed}/{n_boot} resamples whose fit failed (>10%)"
         )
-    ci = {
-        name: tuple(np.percentile(values[used], [16.0, 84.0]))
-        for name, values in params.items()
-    }
+    ci = {name: _percentiles(values[used], (16.0, 84.0)) for name, values in params.items()}
     return ci, n_boot - failed
+
+
+def _percentiles(values: np.ndarray, qs) -> tuple[float, ...]:
+    """np.percentile(values, qs) of finite values, by its default linear
+    method step for step (Hyndman & Fan 1996, type 7).  np.percentile calls
+    np.unique, which imports numpy.ma."""
+    v = np.sort(values).tolist()
+    out = []
+    for q in qs:
+        h = (len(v) - 1) * (q / 100)
+        i = math.floor(h)
+        a, b, t = v[i], v[min(i + 1, len(v) - 1)], h - i
+        # numpy's lerp: from the nearer end, so that t = 1 gives b exactly
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)

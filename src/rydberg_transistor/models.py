@@ -9,6 +9,12 @@ hard-rod capacity heuristic.  All contrasts are dimensionless reals in
 The capped Poisson law P(min(k, cap) = j) is computed in one place,
 capped_poisson_weights; the contrast models here and the detection mixture
 are sums over it.
+
+The module also holds what the CLI validates against and what more than one
+layer derives seeds with: the Poisson-mean and mu0 bounds, the fly-away
+bracket, the default storage probability and `child_seed` with its tags.  So
+a command that evaluates only closed forms or fits loads no simulation or
+detection code.
 """
 
 from __future__ import annotations
@@ -41,9 +47,47 @@ __all__ = [
     "predicted_transfer_with_gate",
     "hard_rod_capacity",
     "blockade_capacity",
+    "gain_scan_rows",
+    "child_seed",
+    "POISSON_LAM_MAX",
+    "MU0_MAX",
+    "RETENTION_TAU_BRACKET",
+    "DEFAULT_P_STORE",
 ]
 
 STORED_MEAN_TOL = 1e-9
+
+# numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
+# above it.  Every mean the engine draws with must stay at or below it.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+# Largest no-gate mean the detection analysis accepts.  Its dense threshold and
+# decomposition tables span about mu0 + 40 sqrt(mu0) counts.
+MU0_MAX = 1e6
+
+# Fly-away times montecarlo.calibrate_retention_tau searches, in units of
+# t_int.  A ratio od_effective / od_instant under the lower edge has its root
+# below it.
+RETENTION_TAU_BRACKET = (1e-9, 1e9)
+
+# Storage probability that puts the mean stored number at 0.61 for a gate
+# pulse of 0.75 photons after 15% intermediate-state absorption.
+DEFAULT_P_STORE = 0.61 / (0.85 * 0.75)
+
+# child_seed tags, one per kind of derived stream, so no two kinds share seeds.
+# New tags go at the end, so existing tags keep their values and streams.
+(SCAN_POINT, BOOTSTRAP, TRANSFER_REF, TRANSFER_GATE, DETECTION_REF, SWEEP_POINT,
+ POISSONNESS_NULL, FIT_BOOTSTRAP) = range(8)
+
+
+def child_seed(seed: int, tag: int, i: int) -> int:
+    """Seed of stream ``i`` of kind ``tag`` derived from ``seed``.
+
+    The first 64-bit word of the state of ``SeedSequence((seed, tag, i))``.
+    Unlike ``seed + i``, it gives master seeds s and s + 1 disjoint streams.
+    """
+    state = np.random.SeedSequence((seed, tag, i)).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 @dataclass(frozen=True)
@@ -337,6 +381,35 @@ def predicted_transfer_with_gate(
     """With-gate transfer curve (1 - C) * transfer(n_source_in)."""
     c = _mode_contrast(n_gate, mode, params, deterministic)
     return (1.0 - c) * transfer(n_source_in, sat)
+
+
+def gain_scan_rows(
+    params: TransistorParams,
+    sat: SaturationParams,
+    n_gate: float,
+    n_source_values,
+) -> list[dict[str, float]]:
+    """Closed-form gain/transfer table over source input photon numbers.
+
+    Each row carries the no-gate transfer, the with-gate transfer and gain
+    for a coherent gate pulse of mean ``n_gate`` photons, and the predicted
+    gain for a single-photon Fock gate and a single stored excitation.
+    """
+    rows = []
+    for n_src in n_source_values:
+        base = transfer(n_src, sat)
+        c_coh = expected_contrast_incoming(n_gate, params.od_sp, params.cap)
+        rows.append(
+            {
+                "n_source_in": float(n_src),
+                "no_gate_out": base,
+                "with_gate_out": (1.0 - c_coh) * base,
+                "gain_coherent": c_coh * base,
+                "gain_single_photon": fock_contrast(1, params.od_sp, params.cap) * base,
+                "gain_single_stored": fock_contrast(1, params.od_st, params.cap) * base,
+            }
+        )
+    return rows
 
 
 @dataclass(frozen=True)

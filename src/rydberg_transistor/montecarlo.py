@@ -28,7 +28,25 @@ import numpy as np
 from .detection import CountHistogram
 from .errors import DomainError, FitConvergenceError, UndefinedContrastError
 from .fitting import DataSet
-from .models import SaturationParams, TransistorParams, transfer
+# The constants, child_seed and its tags live in models, which the CLI loads
+# alone; they are re-exported here, where the streams they key are drawn.
+from .models import (
+    BOOTSTRAP,
+    DEFAULT_P_STORE,
+    DETECTION_REF,
+    FIT_BOOTSTRAP,
+    POISSON_LAM_MAX,
+    POISSONNESS_NULL,
+    RETENTION_TAU_BRACKET,
+    SCAN_POINT,
+    SWEEP_POINT,
+    TRANSFER_GATE,
+    TRANSFER_REF,
+    SaturationParams,
+    TransistorParams,
+    child_seed,
+    transfer,
+)
 
 __all__ = [
     "SimConfig",
@@ -45,39 +63,15 @@ __all__ = [
     "with_contrast_vs_reference",
 ]
 
-# numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
-# above it.  Every mean the engine draws with must stay at or below it.
-POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
-
 # Runs per random block.  Part of the reproducibility contract: changing it
 # changes the samples of every seed.
 BLOCK_RUNS = 8192
-
-# child_seed tags, one per kind of derived stream, so no two kinds share seeds.
-# New tags go at the end, so existing tags keep their values and streams.
-(SCAN_POINT, BOOTSTRAP, TRANSFER_REF, TRANSFER_GATE, DETECTION_REF, SWEEP_POINT,
- POISSONNESS_NULL, FIT_BOOTSTRAP) = range(8)
-
-
-def child_seed(seed: int, tag: int, i: int) -> int:
-    """Seed of stream ``i`` of kind ``tag`` derived from ``seed``.
-
-    The first 64-bit word of the state of ``SeedSequence((seed, tag, i))``.
-    Unlike ``seed + i``, it gives master seeds s and s + 1 disjoint streams.
-    """
-    state = np.random.SeedSequence((seed, tag, i)).generate_state(1, np.uint64)
-    return int(state[0])
-
 
 # Settings of the retention-time root solve, those of scipy's brentq:
 # absolute and relative tolerance and the iteration cap.
 BRENTQ_XTOL = 1e-12
 BRENTQ_RTOL = 4 * math.ulp(1.0)
 BRENTQ_MAXITER = 100
-
-# Fly-away times calibrate_retention_tau searches, in units of t_int.  A ratio
-# od_effective / od_instant under the lower edge has its root below it.
-RETENTION_TAU_BRACKET = (1e-9, 1e9)
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -185,10 +179,6 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
 
 # Makes od_st = 2.2 average down to the 0.94 seen over a 90 us window.
 DEFAULT_RETENTION_TAU = calibrate_retention_tau(2.2, 0.94, 90.0)
-
-# Storage probability that puts the mean stored number at 0.61 for a gate
-# pulse of 0.75 photons after 15% intermediate-state absorption.
-DEFAULT_P_STORE = 0.61 / (0.85 * 0.75)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydberg_transistor import cli, experiments, models, montecarlo
+from rydberg_transistor import cli, experiments, fitting, models, montecarlo
 from rydberg_transistor.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -436,7 +436,7 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     def explode(*args, **kwargs):
         raise FitConvergenceError("simplex collapsed", diagnostics={"sse": 1.0})
 
-    monkeypatch.setattr(cli, "fit_saturation", explode)
+    monkeypatch.setattr(fitting, "fit_saturation", explode)
     data = tmp_path / "d.csv"
     DataSet(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0]).to_csv(data)
     out = tmp_path / "o"
@@ -527,26 +527,32 @@ def test_all_emitted_csvs_round_trip(small_cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# no command loads scipy
+# modules each command loads: no scipy, and no layer the command does not run
 
-LOADED_SCIPY = """
+LOADED_MODULES = """
 import json, sys
 from rydberg_transistor import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("rydberg_transistor", "numpy", "scipy"))))
 """
 
 
-def scipy_modules_after(argvs):
-    """scipy modules loaded by running ``argvs`` through cli.main in a fresh interpreter."""
+def modules_after(argvs):
+    """rydberg_transistor, numpy and scipy modules loaded by running ``argvs``
+    through cli.main in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "rydberg_transistor"}
 
 
 def test_no_command_loads_scipy(small_cfg, tmp_path):
@@ -562,4 +568,26 @@ def test_no_command_loads_scipy(small_cfg, tmp_path):
     argvs += [["fit-od", "--input", str(contrast), "--output", str(tmp_path / "fo")],
               ["fit-saturation", "--input", str(transfer), "--output", str(tmp_path / "fs")],
               ["detect", *common, "--mu0", "15", "--output", str(tmp_path / "detect")]]
-    assert scipy_modules_after(argvs) == []
+    assert [m for m in modules_after(argvs) if m.split(".")[0] == "scipy"] == []
+
+
+def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
+    argv = ["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")]
+    assert package_modules(modules_after([argv])) == {
+        "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
+        "rydberg_transistor.models",
+    }
+
+
+@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
+def test_fit_commands_add_only_fitting(command, tmp_path):
+    data = tmp_path / "data.csv"
+    x = np.linspace(0.5, 5.0, 10)
+    DataSet(x=x, y=models.contrast_curve(x, 0.75, 3), sigma=np.full(10, 0.02)).to_csv(data)
+    loaded = modules_after([[command, "--input", str(data), "--output", str(tmp_path / "o")]])
+    assert package_modules(loaded) == {
+        "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
+        "rydberg_transistor.models", "rydberg_transistor.fitting",
+    }
+    # np.unique and np.percentile import numpy.ma; the fitters use neither
+    assert "numpy.ma" not in loaded

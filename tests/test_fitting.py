@@ -512,6 +512,105 @@ def test_bootstrap_redraws_unfittable_resamples():
         assert all(len(set(row)) >= 2 for row in idx.tolist())
 
 
+def test_percentiles_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(16)
+    samples = [rng.standard_normal(n) for n in (1, 2, 3, 90, 181, 200)]
+    samples += [np.round(rng.standard_normal(150), 1), np.full(100, 0.75),
+                0.75 + 1e-3 * rng.standard_normal(199)]
+    qs = (0.0, 16.0, 50.0, 84.0, 99.9, 100.0)
+    for values in samples:
+        got = fitting._percentiles(values, qs)
+        assert [repr(v) for v in got] == [repr(float(v)) for v in np.percentile(values, qs)]
+
+
+def _noisy_fit_data(seed):
+    rng = np.random.default_rng(seed)
+    y = models.contrast_curve(GATE_GRID, 0.75, 3) + 0.015 * rng.standard_normal(14)
+    contrast = DataSet(x=GATE_GRID, y=y, sigma=np.full(14, 0.015))
+    x = np.linspace(25.0, 250.0, 10)
+    transfer = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10),
+                       sigma=np.full(10, 0.1))
+    return contrast, transfer
+
+
+def test_point_row_joins_the_bootstrap_search(monkeypatch):
+    # one search of n_boot + 1 rows, whose row 0 gives the one-row estimate
+    # and whose other rows give the bootstrap's intervals unchanged
+    searches = []
+    real_minimize = fitting._minimize_1d
+
+    def recording(objective, lo, hi):
+        searches.append(len(lo))
+        return real_minimize(objective, lo, hi)
+
+    monkeypatch.setattr(fitting, "_minimize_1d", recording)
+    for seed in (3, 8):
+        contrast, transfer = _noisy_fit_data(seed)
+        del searches[:]
+        od = fit_od(contrast, cap=3, n_boot=150, seed=seed)
+        assert searches == [151]
+        assert od.params["od_sp"] == _fit_od_point(contrast, 3)
+        ci, n_used = bootstrap_ci(_od_rows_cap3, contrast, n_boot=150, seed=seed)
+        value = od.params["od_sp"]
+        assert od.ci_68["od_sp"] == (min(ci["od"][0], value), max(ci["od"][1], value))
+        assert od.n_boot == n_used
+
+        del searches[:]
+        sat = fit_saturation(transfer, n_boot=150, seed=seed)
+        assert searches == [151]
+        assert (sat.params["a"], sat.params["b"]) == _fit_saturation_point(transfer)
+        ci, n_used = bootstrap_ci(_saturation_rows, transfer, n_boot=150, seed=seed,
+                                  min_distinct=3)
+        for name, value in sat.params.items():
+            assert sat.ci_68[name] == (min(ci[name][0], value), max(ci[name][1], value))
+        assert sat.n_boot == n_used
+
+
+def test_failed_point_row_raises_before_bootstrap_errors(monkeypatch):
+    real_rows = fitting._saturation_rows
+
+    def failing_point(data, idx):
+        params, errors = real_rows(data, idx)
+        return params, [FitConvergenceError("point failed", diagnostics={"sse": 2.0}),
+                        *errors[1:]]
+
+    monkeypatch.setattr(fitting, "_saturation_rows", failing_point)
+    three = DataSet(x=[25.0, 100.0, 250.0], y=saturation_curve([25.0, 100.0, 250.0], 46.0, 70.0),
+                    sigma=np.ones(3))
+    # the bootstrap runs; it has too few points; it has too few resamples
+    for data, n_boot in ((exact_saturation_data(), 200), (three, 200),
+                         (exact_saturation_data(), 50)):
+        with pytest.raises(FitConvergenceError, match="point failed"):
+            fit_saturation(data, n_boot=n_boot)
+    monkeypatch.undo()
+    with pytest.raises(InsufficientDataError, match="bootstrap needs more than 3 points"):
+        fit_saturation(three)
+    with pytest.raises(DomainError, match="n_boot"):
+        fit_saturation(exact_saturation_data(), n_boot=50)
+
+
+def test_point_warnings_come_before_bootstrap_errors(monkeypatch):
+    # linear-regime data warn; the warning is issued even when the bootstrap
+    # then fails, whether before its search or after it
+    x = [2.0, 8.0, 20.0]
+    linear = DataSet(x=x, y=[0.5 * v for v in x], sigma=np.ones(3))
+    with pytest.warns(UserWarning, match="slope"):
+        with pytest.raises(InsufficientDataError, match="bootstrap needs"):
+            fit_saturation(linear)
+    real_rows = fitting._saturation_rows
+
+    def failing_resamples(data, idx):
+        params, errors = real_rows(data, idx)
+        return params, errors[:1] + [FitConvergenceError("resample failed")] * (len(idx) - 1)
+
+    monkeypatch.setattr(fitting, "_saturation_rows", failing_resamples)
+    x = np.linspace(2.0, 20.0, 10)
+    linear = DataSet(x=x, y=0.5 * x, sigma=np.ones(10))
+    with pytest.warns(UserWarning, match="slope"):
+        with pytest.raises(InsufficientDataError, match="resamples whose fit failed"):
+            fit_saturation(linear)
+
+
 def test_bootstrap_coverage_study():
     # known-sigma gaussian noise on the contrast model: percentile-interval
     # coverage of the true od stays near the nominal 68%

@@ -153,6 +153,10 @@ def _parse_value(kind: str, raw: str):
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
+# The [simulation] values SimConfig takes and models.simulation_violations checks.
+_SIM_KEYS = ("n_gate_in", "p_store", "source_rate", "t_int", "retention_tau")
+
+
 def _finite_or_allowed(section: str, key: str, value) -> bool:
     """Every config float is finite, except the documented retention_tau = inf."""
     if (section, key) == ("simulation", "retention_tau") and value == math.inf:
@@ -222,46 +226,41 @@ def _mu0_checks(name: str, values: list[float], eta_det: float) -> list[tuple[st
 
 
 def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
-    """Names of the violated invariants.  Each check is written so that NaN
-    fails it; Poisson means stay within numpy's limit, POISSON_LAM_MAX."""
-    t = resolved["transistor"]
-    s = resolved["saturation"]
+    """Names of the violated invariants.
+
+    [transistor], [saturation] and [simulation] are checked by the invariant
+    lists their objects raise DomainError on, each name behind its section.
+    The checks here have no object: [detection], mu0, the scan lists, runs and
+    seed.  Each fails on NaN; Poisson means stay within POISSON_LAM_MAX.
+    """
     sim = resolved["simulation"]
     det = resolved["detection"]
     scan = resolved["scan"]
     lam_max = models.POISSON_LAM_MAX
     lam = f"{lam_max:g}"
     tau_lo = models.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
+    objects = {
+        "transistor": models.TransistorParams.violations(**resolved["transistor"]),
+        "saturation": models.SaturationParams.violations(**resolved["saturation"]),
+        "simulation": models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS}),
+    }
     checks = [
-        ("transistor.od_sp >= 0", t["od_sp"] >= 0),
-        ("transistor.od_st >= 0", t["od_st"] >= 0),
-        ("transistor.cap >= 1", t["cap"] >= 1),
-        ("transistor.a_ge in [0, 1)", 0 <= t["a_ge"] < 1),
-        ("transistor.eta_det in (0, 1]", 0 < t["eta_det"] <= 1),
-        ("saturation.a >= 0", s["a"] >= 0),
-        ("saturation.b > 0", s["b"] > 0),
-        (f"simulation.n_gate_in in [0, {lam}]", 0 <= sim["n_gate_in"] <= lam_max),
-        ("simulation.p_store in [0, 1]", 0 <= sim["p_store"] <= 1),
-        ("simulation.source_rate >= 0", sim["source_rate"] >= 0),
-        ("simulation.t_int > 0", sim["t_int"] > 0),
-        (f"simulation.source_rate * t_int <= {lam}",
-         sim["source_rate"] * sim["t_int"] <= lam_max),
-        ("simulation.retention_tau > 0", sim["retention_tau"] > 0),
         (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
         ("detection.od_st_model > 0", det["od_st_model"] > 0),
         ("detection.od_st_instant >= od_st_model",
          det["od_st_instant"] >= det["od_st_model"]),
         (f"detection.od_st_model >= {tau_lo:g} * od_st_instant",
          det["od_st_model"] >= tau_lo * det["od_st_instant"]),
-        *_mu0_checks("detection.mu0_values all", det["mu0_values"], t["eta_det"]),
+        *_mu0_checks("detection.mu0_values all", det["mu0_values"],
+                     resolved["transistor"]["eta_det"]),
         (f"scan.gate_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["gate_values"])),
         (f"scan.source_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["source_values"])),
         ("runs >= 1", runs >= 1),
-        ("seed is an unsigned 64-bit integer", 0 <= seed < 2**64),
     ]
-    return [name for name, ok in checks if not ok]
+    return ([f"{section}.{name}" for section, names in objects.items() for name in names]
+            + models.failed_checks(checks) + models.seed_violations(seed))
 
 
 def parse_and_validate(argv) -> RunManifest:
@@ -292,8 +291,8 @@ def parse_and_validate(argv) -> RunManifest:
         if not math.isfinite(mu0):
             violations.append(f"detect --mu0: must be finite, got {mu0!r}")
         else:
-            checks = _mu0_checks("detect --mu0", [mu0], resolved["transistor"]["eta_det"])
-            violations += [name for name, ok in checks if not ok]
+            violations += models.failed_checks(
+                _mu0_checks("detect --mu0", [mu0], resolved["transistor"]["eta_det"]))
     if violations:
         raise ConfigError(violations)
 
@@ -337,32 +336,21 @@ class OutputWriter:
             self.written[name] = hashlib.sha256(fh.read()).hexdigest()
 
     def table(self, stem: str, header: list[str], rows: list[list]) -> str:
-        name = f"{stem}.{self.manifest.format}"
-        if self.manifest.format == "csv":
-            with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt_cell(v) for v in row])
-        else:
-            payload = [dict(zip(header, row)) for row in rows]
-            self._json(name, payload)
-            return name
+        if self.manifest.format == "json":
+            return self._json(f"{stem}.json", [dict(zip(header, row)) for row in rows])
+        name = f"{stem}.csv"
+        with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt_cell(v) for v in row])
         self.register(name)
         return name
 
     def record(self, stem: str, record: dict) -> str:
-        name = f"{stem}.{self.manifest.format}"
-        if self.manifest.format == "csv":
-            with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["key", "value"])
-                for key in sorted(record):
-                    writer.writerow([key, _fmt_cell(record[key])])
-            self.register(name)
-        else:
-            self._json(name, record)
-        return name
+        if self.manifest.format == "json":
+            return self._json(f"{stem}.json", record)
+        return self.table(stem, ["key", "value"], [[key, record[key]] for key in sorted(record)])
 
     def histogram(self, stem: str, hist) -> str:
         """Write a detection.CountHistogram."""
@@ -374,11 +362,10 @@ class OutputWriter:
         self.register(name)
         return name
 
-    def _json(self, name: str, payload) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    def _json(self, name: str, payload) -> str:
+        _write_json(self.path(name), payload)
         self.register(name)
+        return name
 
     def sidecar(self) -> str:
         name = f"{self.manifest.command}.provenance.json"
@@ -394,10 +381,14 @@ class OutputWriter:
             "outputs": self.written,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
-        with open(self.path(name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(self.path(name), payload)
         return name
+
+
+def _write_json(path, payload, **dump_options) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, **dump_options)
+        fh.write("\n")
 
 
 def read_table(path) -> tuple[list[str], list[list[float]]]:
@@ -441,22 +432,15 @@ def _load_dataset(path: str):
             raise ConfigError([f"{path}: need at least 2 columns, got {header}"])
         points = [row[:3] if len(row) >= 3 else [row[0], row[1], 1.0] for row in rows]
         return DataSet.from_points(points, label=os.path.basename(path))
-    except OSError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from exc
-    except (ValueError, TransistorError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (OSError, ValueError, TransistorError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
 
 def _params(resolved: dict):
-    t = resolved["transistor"]
-    s = resolved["saturation"]
-    params = models.TransistorParams(
-        od_sp=t["od_sp"], od_st=t["od_st"], cap=t["cap"],
-        a_ge=t["a_ge"], eta_det=t["eta_det"],
-    )
-    return params, models.SaturationParams(a=s["a"], b=s["b"])
+    return (models.TransistorParams(**resolved["transistor"]),
+            models.SaturationParams(**resolved["saturation"]))
 
 
 def _sim_objects(resolved: dict):
@@ -464,16 +448,8 @@ def _sim_objects(resolved: dict):
 
     params, sat = _params(resolved)
     sim = resolved["simulation"]
-    config = SimConfig(
-        n_gate_in=sim["n_gate_in"],
-        p_store=sim["p_store"],
-        params=params,
-        sat=sat if sim["self_blockade"] else None,
-        source_rate=sim["source_rate"],
-        t_int=sim["t_int"],
-        retention_tau=sim["retention_tau"],
-        seed=sim["seed"],
-    )
+    config = SimConfig(**{k: sim[k] for k in _SIM_KEYS}, params=params,
+                       sat=sat if sim["self_blockade"] else None, seed=sim["seed"])
     return params, sat, config
 
 
@@ -672,14 +648,9 @@ def execute(manifest: RunManifest) -> int:
 
 def _write_diagnostics(manifest: RunManifest, exc: FitConvergenceError) -> None:
     try:
-        path = os.path.join(manifest.output_dir, f"{manifest.command}.diagnostics.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"error": str(exc), "diagnostics": exc.diagnostics,
-                 "manifest": {**asdict(manifest)}},
-                fh, sort_keys=True, indent=2, default=str,
-            )
-            fh.write("\n")
+        _write_json(os.path.join(manifest.output_dir, f"{manifest.command}.diagnostics.json"),
+                    {"error": str(exc), "diagnostics": exc.diagnostics,
+                     "manifest": {**asdict(manifest)}}, default=str)
     except OSError:
         pass
 

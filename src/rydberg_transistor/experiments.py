@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +24,9 @@ from .detection import (
     poissonness_test,
 )
 from .errors import DomainError
-from .fitting import DataSet
 from .models import (
     DETECTION_REF,
-    MU0_MAX,
+    MU0_MAX,  # re-exported: the bound mixture_from_params puts on mu0
     POISSONNESS_NULL,
     SWEEP_POINT,
     TRANSFER_GATE,
@@ -36,6 +36,9 @@ from .models import (
     gain_scan_rows,
 )
 from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
+
+if TYPE_CHECKING:
+    from .fitting import DataSet
 
 __all__ = [
     "incoming_scan_config",
@@ -112,6 +115,8 @@ def _mean_se(hist: CountHistogram) -> float:
 
 def transfer_dataset(points: list[TransferPoint], label: str = "transfer") -> DataSet:
     """No-gate transfer points as a DataSet ready for fit_saturation."""
+    from .fitting import DataSet
+
     return DataSet(
         x=np.array([p.n_source_in for p in points]),
         y=np.array([p.no_gate_out for p in points]),
@@ -166,58 +171,36 @@ def detection_experiment(
     gated histogram against it, picks the optimal threshold, and scores the
     threshold against the simulator's per-run ground truth.  The reference
     ensemble and the Poissonness null draw from child seeds of ``seed``.
+    The mixture is built first, so a ``mu0`` outside (0, MU0_MAX] raises
+    DomainError before any run is drawn.
     """
-    if not 0 < mu0 <= MU0_MAX:
-        raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
+    model = mixture_from_params(n_stored, cap, od_st_model, mu0)
     if retention_tau is None:
         retention_tau = calibrate_retention_tau(od_st_instant, od_st_model, t_int)
-    params = TransistorParams(
-        od_st=od_st_instant, cap=cap, a_ge=0.0, eta_det=eta_det
-    )
-    rate = mu0 / (eta_det * t_int)
-    gated_cfg = SimConfig(
-        n_gate_in=n_stored,
-        p_store=1.0,
-        params=params,
-        sat=None,
-        source_rate=rate,
-        t_int=t_int,
-        retention_tau=retention_tau,
-        seed=seed,
-    )
+    params = TransistorParams(od_st=od_st_instant, cap=cap, a_ge=0.0, eta_det=eta_det)
+    gated_cfg = SimConfig(n_gate_in=n_stored, p_store=1.0, params=params,
+                          source_rate=mu0 / (eta_det * t_int), t_int=t_int,
+                          retention_tau=retention_tau, seed=seed)
     ref_cfg = replace(gated_cfg, n_gate_in=0.0, seed=child_seed(seed, DETECTION_REF, 0))
 
     gated = simulate_ensemble(gated_cfg, n_runs)
     ref = simulate_ensemble(ref_cfg, n_runs)
 
-    model = mixture_from_params(n_stored, cap, od_st_model, mu0)
     thr = optimal_threshold(model)
     deco = decompose(gated.histogram, model)
 
-    n_correct = 0
-    n_gated_runs = 0
-    n_gated_correct = 0
-    n_ungated_correct = 0
+    # runs and correctly classified runs, without and with a stored excitation
+    runs, correct = [0, 0], [0, 0]
     for k, hist in gated.by_stored.items():
-        for n, runs in hist.counts.items():
-            present = n <= thr.tau
-            correct = present == (k >= 1)
-            n_correct += runs * correct
-            if k >= 1:
-                n_gated_runs += runs
-                n_gated_correct += runs * correct
-            else:
-                n_ungated_correct += runs * correct
-    n_ungated_runs = gated.n_runs - n_gated_runs
-    balanced = 0.5 * (
-        (n_gated_correct / n_gated_runs if n_gated_runs else 0.0)
-        + (n_ungated_correct / n_ungated_runs if n_ungated_runs else 0.0)
-    )
+        for n, r in hist.counts.items():
+            runs[k >= 1] += r
+            correct[k >= 1] += r * ((n <= thr.tau) == (k >= 1))
+    balanced = 0.5 * sum(c / r if r else 0.0 for c, r in zip(correct, runs))
 
     return DetectionReport(
         mu0=float(mu0),
         threshold=thr,
-        fidelity=n_correct / gated.n_runs,
+        fidelity=sum(correct) / gated.n_runs,
         fidelity_balanced=balanced,
         gated_hist=gated.histogram,
         reference_hist=ref.histogram,

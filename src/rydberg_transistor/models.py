@@ -12,8 +12,9 @@ are sums over it.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean and mu0 bounds, the fly-away
-bracket, the default storage probability and `child_seed` with its tags.  So
-a command that evaluates only closed forms or fits loads no simulation or
+bracket, the default storage probability, the invariant lists of the
+parameter objects (SimConfig's too) and `child_seed` with its tags.  So a
+command that evaluates only closed forms or fits loads no simulation or
 detection code.
 """
 
@@ -47,6 +48,7 @@ __all__ = [
     "predicted_transfer_with_gate",
     "hard_rod_capacity",
     "blockade_capacity",
+    "simulation_violations",
     "gain_scan_rows",
     "child_seed",
     "POISSON_LAM_MAX",
@@ -60,6 +62,7 @@ STORED_MEAN_TOL = 1e-9
 # numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
 # above it.  Every mean the engine draws with must stay at or below it.
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+_LAM = f"{POISSON_LAM_MAX:g}"  # as invariant names spell it
 
 # Largest no-gate mean the detection analysis accepts.  Its dense threshold and
 # decomposition tables span about mu0 + 40 sqrt(mu0) counts.
@@ -90,6 +93,38 @@ def child_seed(seed: int, tag: int, i: int) -> int:
     return int(state[0])
 
 
+def failed_checks(checks) -> list[str]:
+    """Names of the failed (name, ok) checks.  The invariant lists of the
+    parameter objects are such checks, written so that NaN fails each one."""
+    return [name for name, ok in checks if not ok]
+
+
+def raise_violations(obj, names: list[str]) -> None:
+    """Raise one DomainError naming every violated invariant of ``obj``, if any."""
+    if names:
+        raise DomainError(f"{type(obj).__name__} violates " + "; ".join(names) + f": {obj!r}")
+
+
+def seed_violations(seed) -> list[str]:
+    """The master-seed invariant of SimConfig and the CLI."""
+    ok = 0 <= seed < 2**64 and seed % 1 == 0
+    return failed_checks([("seed is an unsigned 64-bit integer", ok)])
+
+
+def simulation_violations(n_gate_in, p_store, source_rate, t_int, retention_tau) -> list[str]:
+    """Violated invariants of montecarlo.SimConfig's simulation values.  Both
+    Poisson means the engine draws with, n_gate_in and at most source_rate *
+    t_int, stay within POISSON_LAM_MAX."""
+    return failed_checks([
+        (f"n_gate_in in [0, {_LAM}]", 0 <= n_gate_in <= POISSON_LAM_MAX),
+        ("p_store in [0, 1]", 0 <= p_store <= 1),
+        ("source_rate >= 0", source_rate >= 0),
+        ("t_int > 0", t_int > 0),
+        (f"source_rate * t_int <= {_LAM}", source_rate * t_int <= POISSON_LAM_MAX),
+        ("retention_tau > 0", retention_tau > 0),
+    ])
+
+
 @dataclass(frozen=True)
 class TransistorParams:
     """Physical constants of one transistor realization.
@@ -107,16 +142,20 @@ class TransistorParams:
     a_ge: float = 0.15
     eta_det: float = 0.31
 
+    @staticmethod
+    def violations(od_sp, od_st, cap, a_ge, eta_det) -> list[str]:
+        """Names of the invariants these field values violate."""
+        return failed_checks([
+            ("od_sp >= 0", od_sp >= 0),
+            ("od_st >= 0", od_st >= 0),
+            ("cap >= 1", cap >= 1),
+            ("cap is an integer", cap % 1 == 0),
+            ("a_ge in [0, 1)", 0 <= a_ge < 1),
+            ("eta_det in (0, 1]", 0 < eta_det <= 1),
+        ])
+
     def __post_init__(self):
-        if self.od_sp < 0:
-            raise DomainError(f"od_sp must be >= 0, got {self.od_sp}")
-        if self.od_st < 0:
-            raise DomainError(f"od_st must be >= 0, got {self.od_st}")
-        _checked_cap(self.cap)
-        if not 0 <= self.a_ge < 1:
-            raise DomainError(f"a_ge must be in [0, 1), got {self.a_ge}")
-        if not 0 < self.eta_det <= 1:
-            raise DomainError(f"eta_det must be in (0, 1], got {self.eta_det}")
+        raise_violations(self, self.violations(**vars(self)))
         # Different conditionings, so not an error, but almost always a mix-up.
         if self.od_sp > self.od_st:
             warnings.warn(
@@ -137,11 +176,13 @@ class SaturationParams:
     a: float = 46.0
     b: float = 70.0
 
+    @staticmethod
+    def violations(a, b) -> list[str]:
+        """Names of the invariants these field values violate."""
+        return failed_checks([("a >= 0", a >= 0), ("b > 0", b > 0)])
+
     def __post_init__(self):
-        if self.a < 0:
-            raise DomainError(f"a must be >= 0, got {self.a}")
-        if self.b <= 0:
-            raise DomainError(f"b must be > 0, got {self.b}")
+        raise_violations(self, self.violations(**vars(self)))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .detection import CountHistogram
 from .errors import DomainError, FitConvergenceError, UndefinedContrastError
-from .fitting import DataSet
 # The constants, child_seed and its tags live in models, which the CLI loads
 # alone; they are re-exported here, where the streams they key are drawn.
 from .models import (
@@ -45,8 +45,14 @@ from .models import (
     SaturationParams,
     TransistorParams,
     child_seed,
+    raise_violations,
+    seed_violations,
+    simulation_violations,
     transfer,
 )
+
+if TYPE_CHECKING:
+    from .fitting import DataSet
 
 __all__ = [
     "SimConfig",
@@ -192,6 +198,10 @@ class SimConfig:
     t_int : detection window, microseconds
     retention_tau : mean fly-away time of a stored excitation, microseconds
     seed : 64-bit unsigned master seed
+
+    A config that violates `models.simulation_violations` (the list the CLI
+    checks [simulation] with, which bounds both Poisson means by
+    POISSON_LAM_MAX) or the seed invariant raises one DomainError naming each.
     """
 
     n_gate_in: float = 0.75
@@ -204,18 +214,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_gate_in < 0:
-            raise DomainError(f"n_gate_in must be >= 0, got {self.n_gate_in}")
-        if not 0 <= self.p_store <= 1:
-            raise DomainError(f"p_store must be in [0, 1], got {self.p_store}")
-        if self.source_rate < 0:
-            raise DomainError(f"source_rate must be >= 0, got {self.source_rate}")
-        if self.t_int <= 0:
-            raise DomainError(f"t_int must be > 0, got {self.t_int}")
-        if self.retention_tau <= 0:
-            raise DomainError(f"retention_tau must be > 0, got {self.retention_tau}")
-        if not 0 <= int(self.seed) < 2**64 or int(self.seed) != self.seed:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        raise_violations(self, simulation_violations(
+            self.n_gate_in, self.p_store, self.source_rate, self.t_int, self.retention_tau,
+        ) + seed_violations(self.seed))
 
     @property
     def n_source_in(self) -> float:
@@ -354,6 +355,8 @@ def contrast_scan(
     reference seed, so the scan is fully deterministic).  Resamples whose
     reference mean is zero are skipped.
     """
+    from .fitting import DataSet
+
     ref_idx = next(
         (i for i, c in enumerate(configs) if c.n_gate_in == 0), None
     )

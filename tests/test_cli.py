@@ -23,7 +23,7 @@ from rydberg_transistor.cli import (
     read_table,
 )
 from rydberg_transistor.detection import CountHistogram
-from rydberg_transistor.errors import ConfigError, FitConvergenceError
+from rydberg_transistor.errors import ConfigError, DomainError, FitConvergenceError
 from rydberg_transistor.fitting import DataSet
 
 SMALL_CFG = """
@@ -134,6 +134,35 @@ def test_poisson_mean_out_of_range_is_config_error(section, line, violation, tmp
     assert main(["simulate", "--config", str(cfg), "--runs", "50",
                  "--output", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"  - {violation}\n" in capsys.readouterr().err
+
+
+def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
+    # every [transistor], [saturation] and [simulation] value out of its domain
+    bad = {
+        "transistor": {"od_sp": -1.0, "od_st": -1.0, "cap": 0, "a_ge": 1.0, "eta_det": 0.0},
+        "saturation": {"a": -1.0, "b": 0.0},
+        "simulation": {"n_gate_in": 1e300, "p_store": 2.0, "source_rate": 1e300,
+                       "t_int": 0.5, "retention_tau": -1.0},
+    }
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for section, keys in bad.items()), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        parse_and_validate(["simulate", "--config", str(cfg)])
+    objects = {  # section: (object, its invariant list, how many it must name)
+        "transistor": (models.TransistorParams, models.TransistorParams.violations, 5),
+        "saturation": (models.SaturationParams, models.SaturationParams.violations, 2),
+        # source_rate and t_int each lie in their domain; their product does not
+        "simulation": (montecarlo.SimConfig, models.simulation_violations, 4),
+    }
+    for section, (cls, violations, count) in objects.items():
+        names = violations(**bad[section])
+        assert len(names) == count
+        with pytest.raises(DomainError) as obj_err:
+            cls(**bad[section])
+        for name in names:
+            assert section + "." + name in err.value.violations
+            assert name in str(obj_err.value)
 
 
 @pytest.mark.parametrize("mu0, violation", [
@@ -577,6 +606,16 @@ def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
         "rydberg_transistor.models",
     }
+
+
+@pytest.mark.parametrize("command", ["simulate", "transfer-scan", "detect"])
+def test_commands_that_never_fit_load_no_fitting(command, small_cfg, tmp_path):
+    argv = [command, "--config", small_cfg, "--runs", "40", "--output", str(tmp_path / "o")]
+    if command == "detect":
+        argv += ["--mu0", "15"]
+    loaded = package_modules(modules_after([argv]))
+    assert "rydberg_transistor.montecarlo" in loaded
+    assert "rydberg_transistor.fitting" not in loaded
 
 
 @pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])

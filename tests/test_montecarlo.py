@@ -292,6 +292,31 @@ def test_sim_config_validation():
         SimConfig(seed=-1)
 
 
+LAM = "9.22337e+18"  # POISSON_LAM_MAX as invariant names spell it
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, names", [
+    (lambda: simulate_ensemble(SimConfig(n_gate_in=1e300), 10), [f"n_gate_in in [0, {LAM}]"]),
+    (lambda: SimConfig(source_rate=1e300), [f"source_rate * t_int <= {LAM}"]),
+    (lambda: SimConfig(t_int=NAN), ["t_int > 0"]),
+    (lambda: SimConfig(n_gate_in=NAN), [f"n_gate_in in [0, {LAM}]"]),
+    (lambda: models.TransistorParams(od_sp=NAN), ["od_sp >= 0"]),
+    (lambda: models.SaturationParams(a=NAN, b=NAN), ["a >= 0", "b > 0"]),
+    (lambda: models.TransistorParams(cap=NAN), ["cap >= 1"]),
+    # two bad fields, both listed in one error
+    (lambda: models.TransistorParams(od_st=-1.0, eta_det=0.0), ["od_st >= 0", "eta_det in (0, 1]"]),
+    (lambda: SimConfig(p_store=1.5, seed=-1),
+     ["p_store in [0, 1]", "seed is an unsigned 64-bit integer"]),
+], ids=["n_gate_in-1e300", "source_rate-1e300", "t_int-nan", "n_gate_in-nan", "od_sp-nan",
+        "a-b-nan", "cap-nan", "od_st-eta_det", "p_store-seed"])
+def test_parameter_objects_raise_one_domain_error_naming_each_invariant(call, names):
+    with pytest.raises(DomainError) as err:
+        call()
+    for name in names:
+        assert name in str(err.value)
+
+
 def test_default_p_store_anchors_stored_mean():
     # E[stored] before capping at the 0.75-photon operating point is 0.61
     assert 0.75 * 0.85 * DEFAULT_P_STORE == pytest.approx(0.61, abs=1e-12)

@@ -13,7 +13,7 @@ only the layers it runs.
 
 import importlib
 
-__version__ = "0.4.2"
+__version__ = "0.5.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {
@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig", "calibrate_retention_tau",
-        "contrast_scan", "scan_configs", "simulate_ensemble", "with_contrast_vs_reference",
+        "contrast_scan", "scan_configs", "simulate_ensemble",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

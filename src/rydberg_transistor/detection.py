@@ -7,7 +7,8 @@ the count threshold that discriminates "excitation present" with the highest
 fidelity, and test a histogram for Poissonness via its index of dispersion.
 Every Poisson pmf, cdf, tail and quantile, and the chi-square tail, comes
 from one log-space term, ``exp(a log x - lgamma(a + 1) - x)``, evaluated
-with the standard library's ``math``; the module needs no scipy.
+with the standard library's ``math``, lgamma(a + 1) of every pmf from one
+table per process; the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -47,8 +48,23 @@ NULL_CHUNK_COUNTS = 2**16
 # Poisson / chi-square kernel
 
 
-def _log_space_terms(a: np.ndarray, x: float) -> np.ndarray:
-    """``exp(a log x - lgamma(a + 1) - x)`` for each entry of ``a``; 0 log 0 = 0.
+# lgamma(j + 1) for j = 0, 1, ...: one table per process, grown on demand
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """lgamma(j + 1) for j = 0..n, a read-only slice of ``_LOG_FACTORIALS``."""
+    global _LOG_FACTORIALS
+    if n >= len(_LOG_FACTORIALS):
+        grown = map(math.lgamma, range(len(_LOG_FACTORIALS) + 1, n + 2))
+        _LOG_FACTORIALS = np.append(_LOG_FACTORIALS, np.fromiter(grown, float))
+        _LOG_FACTORIALS.flags.writeable = False  # shared by every later pmf
+    return _LOG_FACTORIALS[: n + 1]
+
+
+def _log_space_terms(a: np.ndarray, lgamma_a1: np.ndarray, x: float) -> np.ndarray:
+    """``exp(a log x - lgamma(a + 1) - x)`` for each entry of ``a``, given
+    ``lgamma_a1 = lgamma(a + 1)``; 0 log 0 = 0.
 
     For integer a this is the Poisson pmf P(N = a) at mean x; for
     half-integer a it is a term of the odd-dof chi-square tail.  Summing in
@@ -57,13 +73,12 @@ def _log_space_terms(a: np.ndarray, x: float) -> np.ndarray:
     """
     if x == 0:
         return (a == 0).astype(float)
-    lgamma = np.fromiter(map(math.lgamma, (a + 1.0).tolist()), float, len(a))
-    return np.exp(a * math.log(x) - lgamma - x)
+    return np.exp(a * math.log(x) - lgamma_a1 - x)
 
 
 def _poisson_pmf(n: int, mu: float) -> np.ndarray:
     """P(N = j), j = 0..n, for N ~ Poisson(mu)."""
-    return _log_space_terms(np.arange(n + 1.0), mu)
+    return _log_space_terms(np.arange(n + 1.0), _log_factorials(n), mu)
 
 
 def _poisson_cdf(n: int, mu: float) -> np.ndarray:
@@ -108,7 +123,9 @@ def _chi2_sf(s: float, dof: int) -> float:
     m = dof // 2
     if dof % 2 == 0:
         return float(_poisson_cdf(m - 1, x)[-1])
-    return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
+    half = np.arange(m) + 0.5
+    lgamma_half = np.fromiter(map(math.lgamma, (half + 1.0).tolist()), float, m)
+    return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(half, lgamma_half, x)))
 
 
 @dataclass(frozen=True, eq=True)
@@ -147,12 +164,6 @@ class CountHistogram:
         for s in samples:
             counts[int(s)] = counts.get(int(s), 0) + 1
         return cls.from_counts(counts)
-
-    def __add__(self, other: "CountHistogram") -> "CountHistogram":
-        merged = dict(self.counts)
-        for k, v in other.counts.items():
-            merged[k] = merged.get(k, 0) + v
-        return CountHistogram.from_counts(merged)
 
     @property
     def max_event(self) -> int:
@@ -550,7 +561,9 @@ def _null_indices(
     values = np.arange(lo, _tail_end(0, mean) + 1.0)
     by_counts = len(values) < total
     if by_counts:
-        pmf = _log_space_terms(values, mean)
+        # the window only: the shared table would grow from 0 up to its end
+        lgamma_v1 = np.fromiter(map(math.lgamma, (values + 1.0).tolist()), float, len(values))
+        pmf = _log_space_terms(values, lgamma_v1, mean)
         pmf /= pmf.sum()
     rows = max(1, NULL_CHUNK_COUNTS // min(len(values), total))
     null_index = np.empty(n_null)

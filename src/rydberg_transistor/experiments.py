@@ -177,7 +177,9 @@ def detection_experiment(
     model = mixture_from_params(n_stored, cap, od_st_model, mu0)
     if retention_tau is None:
         retention_tau = calibrate_retention_tau(od_st_instant, od_st_model, t_int)
-    params = TransistorParams(od_st=od_st_instant, cap=cap, a_ge=0.0, eta_det=eta_det)
+    # detect never reads od_sp; 0 keeps the od_sp > od_st warning quiet
+    params = TransistorParams(od_sp=0.0, od_st=od_st_instant, cap=cap, a_ge=0.0,
+                              eta_det=eta_det)
     gated_cfg = SimConfig(n_gate_in=n_stored, p_store=1.0, params=params,
                           source_rate=mu0 / (eta_det * t_int), t_int=t_int,
                           retention_tau=retention_tau, seed=seed)
@@ -189,12 +191,11 @@ def detection_experiment(
     thr = optimal_threshold(model)
     deco = decompose(gated.histogram, model)
 
-    # runs and correctly classified runs, without and with a stored excitation
-    runs, correct = [0, 0], [0, 0]
-    for k, hist in gated.by_stored.items():
-        for n, r in hist.counts.items():
-            runs[k >= 1] += r
-            correct[k >= 1] += r * ((n <= thr.tau) == (k >= 1))
+    # runs and correctly classified runs, without and with a stored excitation:
+    # a run is declared gated iff it detected at most tau photons
+    joint, cut = gated.joint, thr.tau + 1
+    runs = (int(joint[0].sum()), int(joint[1:].sum()))
+    correct = (int(joint[0, cut:].sum()), int(joint[1:, :cut].sum()))
     balanced = 0.5 * sum(c / r if r else 0.0 for c, r in zip(correct, runs))
 
     return DetectionReport(

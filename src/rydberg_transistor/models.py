@@ -161,7 +161,7 @@ class TransistorParams:
             warnings.warn(
                 f"od_sp={self.od_sp} exceeds od_st={self.od_st}; per-incoming-photon "
                 "attenuation is normally weaker than per-stored-excitation attenuation",
-                stacklevel=2,
+                stacklevel=3,  # the constructing line, past the generated __init__
             )
 
 

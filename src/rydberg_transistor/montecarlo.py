@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,6 +49,7 @@ from .models import (
     raise_violations,
     seed_violations,
     simulation_violations,
+    switch_contrast,
     transfer,
 )
 
@@ -66,7 +68,6 @@ __all__ = [
     "simulate_ensemble",
     "contrast_scan",
     "scan_configs",
-    "with_contrast_vs_reference",
 ]
 
 # Runs per random block.  Part of the reproducibility contract: changing it
@@ -230,23 +231,27 @@ class SimConfig:
         return min(transfer(n_in, self.sat) / n_in, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Aggregated statistics of n_runs independent runs."""
+    """Counts of n_runs independent runs: ``joint[k, n]`` runs stored k
+    excitations and detected n source photons (read-only, cap + 1 rows)."""
 
     n_runs: int
-    histogram: CountHistogram
-    mean_source_detected: float
-    mean_stored: float
+    joint: np.ndarray
     mean_gate_detected: float
-    by_stored: dict[int, CountHistogram]
-    contrast_vs_reference: float | None = None
 
-    def __post_init__(self):
-        if self.histogram.total != self.n_runs:
-            raise DomainError(
-                f"histogram holds {self.histogram.total} runs, expected {self.n_runs}"
-            )
+    @cached_property
+    def histogram(self) -> CountHistogram:
+        runs = self.joint.sum(axis=0)
+        return CountHistogram.from_counts({int(n): int(runs[n]) for n in np.flatnonzero(runs)})
+
+    @property
+    def mean_source_detected(self) -> float:
+        return int(self.joint.sum(axis=0) @ np.arange(self.joint.shape[1])) / self.n_runs
+
+    @property
+    def mean_stored(self) -> float:
+        return int(self.joint.sum(axis=1) @ np.arange(self.joint.shape[0])) / self.n_runs
 
 
 def _simulate_block(config: SimConfig, p_sat: float, n: int, rng: np.random.Generator):
@@ -272,16 +277,12 @@ def _simulate_block(config: SimConfig, p_sat: float, n: int, rng: np.random.Gene
     return k, gate_detected, detected
 
 
-def _histogram(runs: np.ndarray) -> CountHistogram:
-    return CountHistogram.from_counts({int(n): int(runs[n]) for n in np.flatnonzero(runs)})
-
-
 def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
     """Run n_runs independent pulse sequences and aggregate their counts.
 
     Runs are drawn block by block (see the module's reproducibility contract)
-    and folded into a (stored, detected) count table, so memory stays bounded
-    as n_runs grows.
+    and folded into the (stored, detected) count table ``joint``, so memory
+    stays bounded as n_runs grows.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs must be >= 1, got {n_runs}")
@@ -300,25 +301,8 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
         joint += np.bincount(k * width + detected, minlength=rows * width).reshape(rows, width)
         gate_sum += int(gate_detected.sum())
 
-    runs_by_count = joint.sum(axis=0)
-    return EnsembleResult(
-        n_runs=n_runs,
-        histogram=_histogram(runs_by_count),
-        mean_source_detected=int(runs_by_count @ np.arange(joint.shape[1])) / n_runs,
-        mean_stored=int(joint.sum(axis=1) @ np.arange(rows)) / n_runs,
-        mean_gate_detected=gate_sum / n_runs,
-        by_stored={k: _histogram(runs) for k, runs in enumerate(joint) if runs.any()},
-    )
-
-
-def with_contrast_vs_reference(
-    result: EnsembleResult, reference: EnsembleResult
-) -> EnsembleResult:
-    """Copy of `result` with the switch contrast against `reference` filled in."""
-    if reference.mean_source_detected == 0:
-        raise UndefinedContrastError("reference ensemble transmitted nothing")
-    contrast = 1.0 - result.mean_source_detected / reference.mean_source_detected
-    return replace(result, contrast_vs_reference=contrast)
+    joint.flags.writeable = False
+    return EnsembleResult(n_runs=n_runs, joint=joint, mean_gate_detected=gate_sum / n_runs)
 
 
 def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
@@ -334,12 +318,12 @@ def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
     ]
 
 
-def _resampled_means(hist: CountHistogram, rng: np.random.Generator, n_boot: int):
-    """Means of ``n_boot`` case resamples of a histogram, one multinomial draw."""
-    events = np.array(hist.events(), dtype=np.int64)
-    runs = np.array([hist.counts[n] for n in hist.events()], dtype=float)
-    resampled = rng.multinomial(hist.total, runs / runs.sum(), size=n_boot)
-    return (resampled @ events) / hist.total
+def _resampled_means(runs: np.ndarray, rng: np.random.Generator, n_boot: int):
+    """Means of ``n_boot`` case resamples of a dense count row, one multinomial draw."""
+    events = np.flatnonzero(runs)
+    total = int(runs.sum())
+    resampled = rng.multinomial(total, runs[events] / total, size=n_boot)
+    return (resampled @ events) / total
 
 
 def contrast_scan(
@@ -367,16 +351,17 @@ def contrast_scan(
     if ref.mean_source_detected == 0:
         raise UndefinedContrastError("zero-gate reference transmitted nothing")
 
+    ref_runs = ref.joint.sum(axis=0)
     xs, ys, sigmas = [], [], []
     for i, (config, res) in enumerate(zip(configs, results)):
         if i == ref_idx:
             continue
-        contrast = with_contrast_vs_reference(res, ref).contrast_vs_reference
+        contrast = switch_contrast(res.mean_source_detected, ref.mean_source_detected)
         rng = np.random.Generator(
             np.random.Philox(child_seed(configs[ref_idx].seed, BOOTSTRAP, i))
         )
-        m_ref = _resampled_means(ref.histogram, rng, n_boot)
-        m_gate = _resampled_means(res.histogram, rng, n_boot)
+        m_ref = _resampled_means(ref_runs, rng, n_boot)
+        m_gate = _resampled_means(res.joint.sum(axis=0), rng, n_boot)
         kept = m_ref > 0
         boot = 1.0 - m_gate[kept] / m_ref[kept]
         sigma = float(boot.std(ddof=1)) if len(boot) > 1 else 0.0

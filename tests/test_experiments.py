@@ -1,6 +1,7 @@
 """Experiment-driver tests: transfer scan, gain table, detection pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rydberg_transistor.experiments import (
     transfer_scan,
 )
 from rydberg_transistor.fitting import fit_saturation
-from rydberg_transistor.montecarlo import SimConfig
+from rydberg_transistor.montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
 SAT = models.SaturationParams(46.0, 70.0)
 
@@ -95,6 +96,57 @@ def test_detection_experiment_report_shape():
     # the idealized model ignores fly-away smearing, so it is optimistic
     assert report.threshold.fidelity >= report.fidelity
     assert report.mean_stored == pytest.approx(0.61, abs=0.15)
+
+
+def _scored_per_cell(joint, tau):
+    """(fidelity, fidelity_balanced) of "gated iff n <= tau", one cell at a time."""
+    runs, correct = [0, 0], [0, 0]
+    for k in range(joint.shape[0]):
+        for n in range(joint.shape[1]):
+            runs[k >= 1] += int(joint[k, n])
+            correct[k >= 1] += int(joint[k, n]) * ((n <= tau) == (k >= 1))
+    balanced = 0.5 * sum(c / r if r else 0.0 for c, r in zip(correct, runs))
+    return sum(correct) / sum(runs), balanced
+
+
+@pytest.mark.parametrize("kwargs, regime", [
+    (dict(mu0=20.0), "inside"),
+    # od_st_model = 0: the mixture cannot discriminate, so the threshold is
+    # the better trivial classifier, never (few stored) or always (many)
+    (dict(mu0=5.0, n_stored=0.3, od_st_model=0.0, retention_tau=math.inf), "never"),
+    (dict(mu0=5.0, n_stored=3.0, od_st_model=0.0, retention_tau=math.inf), "always"),
+])
+def test_detection_experiment_scores_ground_truth_per_cell(kwargs, regime):
+    args = dict(n_stored=0.61, cap=3, od_st_model=0.94, od_st_instant=2.2, t_int=90.0,
+                eta_det=0.31, retention_tau=None, n_runs=400, seed=7)
+    args.update(kwargs)
+    report = detection_experiment(**args)
+    tau_fly = args["retention_tau"]
+    if tau_fly is None:
+        tau_fly = calibrate_retention_tau(args["od_st_instant"], args["od_st_model"],
+                                          args["t_int"])
+    gated = simulate_ensemble(SimConfig(
+        n_gate_in=args["n_stored"], p_store=1.0,
+        params=models.TransistorParams(od_sp=0.0, od_st=args["od_st_instant"],
+                                       cap=args["cap"], a_ge=0.0, eta_det=args["eta_det"]),
+        source_rate=args["mu0"] / (args["eta_det"] * args["t_int"]), t_int=args["t_int"],
+        retention_tau=tau_fly, seed=args["seed"],
+    ), args["n_runs"])
+    assert report.gated_hist == gated.histogram
+    width = gated.joint.shape[1]
+    assert {"inside": 0 <= report.tau < width - 1, "never": report.tau == -1,
+            "always": report.tau >= width}[regime]
+    fidelity, balanced = _scored_per_cell(gated.joint, report.tau)
+    assert report.fidelity == fidelity
+    assert report.fidelity_balanced == balanced
+
+
+def test_detection_experiment_ignores_od_sp():
+    # detect never reads od_sp, so an instantaneous od_st below its default
+    # must not trigger the od_sp > od_st warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        detection_experiment(mu0=20, od_st_instant=0.5, od_st_model=0.4, n_runs=50)
 
 
 def test_detection_experiment_validates_mu0():

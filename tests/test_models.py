@@ -417,6 +417,12 @@ def test_transistor_params_warns_on_od_ordering():
         models.TransistorParams(od_sp=2.5, od_st=1.0)
 
 
+def test_od_ordering_warning_names_the_constructing_line():
+    with pytest.warns(UserWarning, match="od_sp=2 exceeds") as record:
+        models.TransistorParams(od_sp=2, od_st=1)
+    assert record[0].filename == __file__
+
+
 def test_saturation_params_validation():
     with pytest.raises(DomainError):
         models.SaturationParams(a=-1.0)

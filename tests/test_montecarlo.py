@@ -27,7 +27,6 @@ from rydberg_transistor.montecarlo import (
     contrast_scan,
     scan_configs,
     simulate_ensemble,
-    with_contrast_vs_reference,
 )
 
 INF = math.inf
@@ -329,7 +328,8 @@ def test_block_streams():
     # block 0 draws the same runs whatever blocks follow it
     assert all(longer.histogram.counts.get(n, 0) >= runs
                for n, runs in one_block.histogram.counts.items())
-    assert simulate_ensemble(replace(cfg, seed=43), BLOCK_RUNS) != one_block
+    assert not np.array_equal(simulate_ensemble(replace(cfg, seed=43), BLOCK_RUNS).joint,
+                              one_block.joint)
 
 
 def test_child_seed():
@@ -352,13 +352,13 @@ def stored_config(n_gate, a_ge, cap, seed):
 def test_draw_stored_zero_gate():
     res = simulate_ensemble(stored_config(0.0, 0.15, 3, seed=1), 200)
     assert res.mean_stored == 0.0
-    assert list(res.by_stored) == [0]
+    assert np.flatnonzero(res.joint.sum(axis=1)).tolist() == [0]
 
 
 def test_draw_stored_full_blockade():
     res = simulate_ensemble(stored_config(50.0, 0.0, 1, seed=2), 200)
     assert res.mean_stored == 1.0
-    assert list(res.by_stored) == [1]
+    assert np.flatnonzero(res.joint.sum(axis=1)).tolist() == [1]
 
 
 def test_draw_stored_capped_expectation():
@@ -373,7 +373,8 @@ def test_draw_stored_capped_expectation():
 
 def test_draw_stored_respects_cap():
     res = simulate_ensemble(stored_config(10.0, 0.0, 3, seed=4), 500)
-    assert max(res.by_stored) == 3
+    assert res.joint.shape[0] == 4  # one row per stored number 0..cap
+    assert np.flatnonzero(res.joint.sum(axis=1)).max() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,8 @@ def test_simulate_ensemble_deterministic():
     cfg = lossless_config(0.61, od_st=0.94, seed=5)
     r1 = simulate_ensemble(cfg, 500)
     r2 = simulate_ensemble(cfg, 500)
-    assert r1 == r2
+    assert np.array_equal(r1.joint, r2.joint)
+    assert r1.mean_gate_detected == r2.mean_gate_detected
 
 
 def test_simulate_ensemble_single_run_histogram():
@@ -464,10 +466,13 @@ def test_simulate_ensemble_single_run_histogram():
 
 def test_simulate_ensemble_histogram_mass_and_breakdown():
     res = simulate_ensemble(lossless_config(0.61, od_st=0.94, seed=8), 2000)
-    assert res.histogram.total == 2000
-    merged = sum(res.by_stored.values(), start=list(res.by_stored.values())[0].__class__())
-    assert merged == res.histogram
-    assert all(k <= 3 for k in res.by_stored)  # blockade cap respected
+    assert res.histogram.total == res.joint.sum() == 2000
+    # the histogram and the means are the joint table's marginals
+    assert np.array_equal(res.histogram.to_arrays()[1], res.joint.sum(axis=0))
+    assert res.mean_source_detected == res.histogram.mean()
+    assert res.mean_stored == sum(k * res.joint[k].sum() for k in range(4)) / 2000
+    assert res.joint.shape[0] == 4  # blockade cap respected
+    assert not res.joint.flags.writeable
 
 
 def test_simulate_ensemble_reproduces_histogram_shift():
@@ -481,20 +486,6 @@ def test_simulate_ensemble_reproduces_histogram_shift():
     for n, c in ref.histogram.counts.items():
         high += c * (n <= 2)
     assert low > high  # mass redistributed toward zero events
-
-
-def test_with_contrast_vs_reference():
-    gated = simulate_ensemble(lossless_config(1.0, od_st=2.2, seed=23), 2000)
-    ref = simulate_ensemble(lossless_config(0.0, od_st=2.2, seed=24), 2000)
-    assert gated.contrast_vs_reference is None
-    tagged = with_contrast_vs_reference(gated, ref)
-    assert tagged.contrast_vs_reference == pytest.approx(
-        1.0 - gated.mean_source_detected / ref.mean_source_detected
-    )
-    assert tagged.histogram == gated.histogram
-    zero = simulate_ensemble(replace(lossless_config(0.0, od_st=1.0), source_rate=0.0), 10)
-    with pytest.raises(UndefinedContrastError):
-        with_contrast_vs_reference(gated, zero)
 
 
 def test_ensemble_matches_capped_mixture_prediction():
@@ -573,11 +564,12 @@ def test_flyaway_matches_per_photon_reference():
     reference = np.array([simulate_run(cfg, rng) for _ in range(n_runs)])
     ref_k, ref_detected = reference[:, 0], reference[:, 2]
 
-    n_max = max(fast.histogram.max_event, int(ref_detected.max()))
-    fast_k = [fast.by_stored[k].total if k in fast.by_stored else 0 for k in range(4)]
-    stat, dof = homogeneity_chi2(fast_k, np.bincount(ref_k, minlength=4))
-    for k, hist in fast.by_stored.items():
-        _, fast_runs = hist.to_arrays(n_max)
+    n_max = max(fast.joint.shape[1] - 1, int(ref_detected.max()))
+    joint = np.pad(fast.joint, ((0, 0), (0, n_max + 1 - fast.joint.shape[1])))
+    stat, dof = homogeneity_chi2(joint.sum(axis=1), np.bincount(ref_k, minlength=4))
+    for k, fast_runs in enumerate(joint):
+        if not fast_runs.any():
+            continue
         k_stat, k_dof = homogeneity_chi2(
             fast_runs, np.bincount(ref_detected[ref_k == k], minlength=n_max + 1)
         )
@@ -608,9 +600,8 @@ def test_constant_attenuation_matches_exact_capped_mixture():
     n_max = max(res.histogram.max_event, int(poisson.ppf(1 - 1e-9, mu0)))
     events = np.arange(n_max + 1)
     observed, expected = [], []
-    for k, (weight, mean) in enumerate(model.components):
-        hist = res.by_stored.get(k)
-        runs = hist.to_arrays(n_max)[1] if hist is not None else np.zeros(n_max + 1)
+    joint = np.pad(res.joint, ((0, 0), (0, n_max + 1 - res.joint.shape[1])))
+    for (weight, mean), runs in zip(model.components, joint, strict=True):
         pmf = poisson.pmf(events, mean)
         pmf[-1] += poisson.sf(n_max, mean)
         cuts = pool_bins(n_runs * weight * pmf)

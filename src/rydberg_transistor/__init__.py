@@ -13,7 +13,7 @@ only the layers it runs.
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {
@@ -22,16 +22,14 @@ _EXPORTS = {
         "mixture_from_params", "optimal_threshold", "poissonness_test",
     ),
     "errors": (
-        "ConfigError", "DomainError", "FitConvergenceError",
-        "InconsistentMeasurementError", "InsufficientDataError", "TransistorError",
-        "UndefinedContrastError",
+        "ConfigError", "DomainError", "FitConvergenceError", "InsufficientDataError",
+        "TransistorError", "UndefinedContrastError",
     ),
     "fitting": ("DataSet", "FitResult", "bootstrap_ci", "fit_od", "fit_saturation"),
     "models": (
-        "DEFAULT_P_STORE", "PhotonCounts", "SaturationParams", "TransistorParams",
-        "blockade_capacity", "child_seed", "coherent_limit", "contrast_curve",
-        "expected_contrast_incoming", "expected_contrast_stored", "fock_contrast", "gain",
-        "hard_rod_capacity", "predicted_gain", "stored_mean", "switch_contrast", "transfer",
+        "DEFAULT_P_STORE", "SaturationParams", "TransistorParams", "child_seed",
+        "coherent_limit", "contrast_curve", "expected_contrast_incoming",
+        "expected_contrast_stored", "fock_contrast", "gain", "switch_contrast", "transfer",
     ),
     "montecarlo": (
         "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig", "calibrate_retention_tau",

@@ -231,18 +231,21 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     [transistor], [saturation] and [simulation] are checked by the invariant
     lists their objects raise DomainError on, each name behind its section.
     The checks here have no object: [detection], mu0, the scan lists, runs and
-    seed.  Each fails on NaN; Poisson means stay within POISSON_LAM_MAX.
+    seed.  Each fails on NaN; Poisson means stay within POISSON_LAM_MAX, and
+    detected means, which size the engine's count table, within MU0_MAX.
     """
     sim = resolved["simulation"]
     det = resolved["detection"]
     scan = resolved["scan"]
+    eta, t_int = resolved["transistor"]["eta_det"], sim["t_int"]
     lam_max = models.POISSON_LAM_MAX
     lam = f"{lam_max:g}"
     tau_lo = models.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
     objects = {
         "transistor": models.TransistorParams.violations(**resolved["transistor"]),
         "saturation": models.SaturationParams.violations(**resolved["saturation"]),
-        "simulation": models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS}),
+        "simulation": (models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS})
+                       + models.detected_mean_violations(sim["source_rate"], t_int, eta)),
     }
     checks = [
         (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
@@ -251,12 +254,15 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
          det["od_st_instant"] >= det["od_st_model"]),
         (f"detection.od_st_model >= {tau_lo:g} * od_st_instant",
          det["od_st_model"] >= tau_lo * det["od_st_instant"]),
-        *_mu0_checks("detection.mu0_values all", det["mu0_values"],
-                     resolved["transistor"]["eta_det"]),
+        *_mu0_checks("detection.mu0_values all", det["mu0_values"], eta),
         (f"scan.gate_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["gate_values"])),
         (f"scan.source_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["source_values"])),
+        # as the SimConfig that transfer-scan runs each value with checks it
+        (f"scan.source_values all * transistor.eta_det <= {models.MU0_MAX:g}",
+         t_int <= 0 or not any(models.detected_mean_violations(v / t_int, t_int, eta)
+                               for v in scan["source_values"])),
         ("runs >= 1", runs >= 1),
     ]
     return ([f"{section}.{name}" for section, names in objects.items() for name in names]

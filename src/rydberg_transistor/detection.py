@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,106 +128,69 @@ def _chi2_sf(s: float, dof: int) -> float:
     return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(half, lgamma_half, x)))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class CountHistogram:
     """Integer-binned detection events over repeated runs.
 
-    ``counts`` maps detected-event number to the number of runs that produced
-    it; ``total`` is the run count and must equal the sum of all bins.
+    ``runs[n]`` is the number of runs that detected n events: a read-only
+    int64 row, stored without trailing zeros, so its last index is the
+    largest event seen.  ``total`` is the run count.
     """
 
-    counts: dict[int, int] = field(default_factory=dict)
-    total: int = 0
+    runs: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for k, v in self.counts.items():
-            if int(k) != k or k < 0:
-                raise DomainError(f"histogram keys must be integers >= 0, got {k!r}")
-            if int(v) != v or v < 0:
-                raise DomainError(f"histogram counts must be integers >= 0, got {v!r}")
-            if v:
-                clean[int(k)] = int(v)
-        object.__setattr__(self, "counts", clean)
-        if self.total != sum(clean.values()):
-            raise DomainError(
-                f"total {self.total} does not match bin sum {sum(clean.values())}"
-            )
+        runs = np.asarray(self.runs)
+        if runs.ndim != 1 or runs.dtype.kind not in "iu" or np.any(runs < 0):
+            raise DomainError(f"histogram runs must be a 1-D integer row >= 0, got {runs!r}")
+        runs = np.trim_zeros(runs.astype(np.int64), "b")  # astype copies: no caller can write it
+        runs.flags.writeable = False
+        object.__setattr__(self, "runs", runs)
 
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "CountHistogram":
-        return cls(counts=dict(counts), total=sum(counts.values()))
+    def __eq__(self, other):
+        if not isinstance(other, CountHistogram):
+            return NotImplemented
+        return np.array_equal(self.runs, other.runs)
 
-    @classmethod
-    def from_samples(cls, samples) -> "CountHistogram":
-        counts: dict[int, int] = {}
-        for s in samples:
-            counts[int(s)] = counts.get(int(s), 0) + 1
-        return cls.from_counts(counts)
+    @property
+    def total(self) -> int:
+        return int(self.runs.sum())
 
     @property
     def max_event(self) -> int:
-        return max(self.counts) if self.counts else 0
+        return max(len(self.runs) - 1, 0)
 
-    def events(self) -> list[int]:
-        return sorted(self.counts)
+    def _bins(self) -> list[tuple[int, int]]:
+        """(events, runs) of each nonzero bin, in ascending order of events."""
+        events = np.flatnonzero(self.runs)
+        return list(zip(events.tolist(), self.runs[events].tolist()))
 
     def mean(self) -> float:
-        if self.total == 0:
+        """The exact integer event sum over the run count."""
+        total = self.total
+        if total == 0:
             return 0.0
-        return sum(k * v for k, v in self.counts.items()) / self.total
+        return int(self.runs @ np.arange(len(self.runs))) / total
 
     def variance(self) -> float:
-        """Sample variance (ddof=1); 0 for fewer than two runs."""
-        if self.total < 2:
+        """Sample variance (ddof=1); 0 for fewer than two runs.  Summed bin by
+        bin in ascending order, as one sequential float sum."""
+        total = self.total
+        if total < 2:
             return 0.0
         m = self.mean()
-        return sum(v * (k - m) ** 2 for k, v in self.counts.items()) / (self.total - 1)
-
-    def to_arrays(self, n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (events, runs) arrays covering 0..n_max."""
-        if n_max is None:
-            n_max = self.max_event
-        events = np.arange(n_max + 1)
-        runs = np.zeros(n_max + 1, dtype=np.int64)
-        for k, v in self.counts.items():
-            if k <= n_max:
-                runs[k] = v
-        return events, runs
+        return sum(v * (k - m) ** 2 for k, v in self._bins()) / (total - 1)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["events", "runs"])
-            for k in self.events():
-                writer.writerow([k, self.counts[k]])
-
-    @classmethod
-    def from_csv(cls, path) -> "CountHistogram":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["events", "runs"]:
-                raise DomainError(f"{path}: expected header 'events,runs'")
-            counts = {int(row[0]): int(row[1]) for row in reader if row}
-        return cls.from_counts(counts)
-
-    def to_json_obj(self) -> dict[str, int]:
-        return {str(k): self.counts[k] for k in self.events()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CountHistogram":
-        return cls.from_counts({int(k): int(v) for k, v in obj.items()})
+            writer.writerows(self._bins())
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, sort_keys=True, indent=2)
+            json.dump({str(k): v for k, v in self._bins()}, fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "CountHistogram":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_obj(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -367,7 +330,8 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
         raise InsufficientDataError("cannot decompose an empty histogram")
     mu_max = float(model.means.max())
     n_max = max(observed.max_event, _poisson_ppf(THRESHOLD_TAIL_QUANTILE, mu_max))
-    events, obs = observed.to_arrays(n_max)
+    events = np.arange(n_max + 1)
+    obs = np.pad(observed.runs, (0, n_max + 1 - len(observed.runs)))
     total = observed.total
 
     w = model.weights

@@ -13,10 +13,6 @@ class UndefinedContrastError(DomainError):
     """Switch contrast is undefined (zero reference transmission)."""
 
 
-class InconsistentMeasurementError(TransistorError, ValueError):
-    """Input numbers contradict each other beyond numerical noise."""
-
-
 class InsufficientDataError(TransistorError, ValueError):
     """Not enough data points/runs for the requested analysis."""
 

@@ -1,10 +1,9 @@
 """Closed-form models of the photon transistor.
 
 Everything in this module is a pure function of its arguments: switch
-contrast, storage bookkeeping, the blockade-capped Poisson contrast models,
-the optical gain, the self-blockade saturation transfer function and the
-hard-rod capacity heuristic.  All contrasts are dimensionless reals in
-(-inf, 1]; percent formatting is left to callers.
+contrast, the blockade-capped Poisson contrast models, the optical gain and
+the self-blockade saturation transfer function.  All contrasts are
+dimensionless reals in (-inf, 1]; percent formatting is left to callers.
 
 The capped Poisson law P(min(k, cap) = j) is computed in one place,
 capped_poisson_weights; the contrast models here and the detection mixture
@@ -26,15 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistentMeasurementError, UndefinedContrastError
+from .errors import DomainError, UndefinedContrastError
 
 __all__ = [
     "TransistorParams",
     "SaturationParams",
-    "PhotonCounts",
-    "CapacityEstimate",
     "switch_contrast",
-    "stored_mean",
     "coherent_limit",
     "expected_contrast_incoming",
     "expected_contrast_stored",
@@ -44,11 +40,8 @@ __all__ = [
     "fock_contrast",
     "transfer",
     "gain",
-    "predicted_gain",
-    "predicted_transfer_with_gate",
-    "hard_rod_capacity",
-    "blockade_capacity",
     "simulation_violations",
+    "detected_mean_violations",
     "gain_scan_rows",
     "child_seed",
     "POISSON_LAM_MAX",
@@ -57,15 +50,15 @@ __all__ = [
     "DEFAULT_P_STORE",
 ]
 
-STORED_MEAN_TOL = 1e-9
-
 # numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
 # above it.  Every mean the engine draws with must stay at or below it.
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 _LAM = f"{POISSON_LAM_MAX:g}"  # as invariant names spell it
 
-# Largest no-gate mean the detection analysis accepts.  Its dense threshold and
-# decomposition tables span about mu0 + 40 sqrt(mu0) counts.
+# Largest mean detected count the package tabulates densely: the detection
+# analysis' mu0, whose threshold and decomposition tables span about
+# mu0 + 40 sqrt(mu0) counts, and the detected mean of a simulation, which sets
+# the width of simulate_ensemble's (stored, detected) count table.
 MU0_MAX = 1e6
 
 # Fly-away times montecarlo.calibrate_retention_tau searches, in units of
@@ -123,6 +116,17 @@ def simulation_violations(n_gate_in, p_store, source_rate, t_int, retention_tau)
         (f"source_rate * t_int <= {_LAM}", source_rate * t_int <= POISSON_LAM_MAX),
         ("retention_tau > 0", retention_tau > 0),
     ])
+
+
+def detected_mean_violations(source_rate, t_int, eta_det) -> list[str]:
+    """The detected-count mean source_rate * t_int * eta_det, which sizes the
+    engine's dense count table, within MU0_MAX.  It is compared in the form the
+    detection analysis builds its configs in, source_rate = mu0 / (eta_det *
+    t_int), so that no mu0 <= MU0_MAX fails by rounding.  A non-positive
+    eta_det or t_int, which other invariants reject, does not fail it."""
+    scale = eta_det * t_int
+    return failed_checks([(f"source_rate * t_int * eta_det <= {MU0_MAX:g}",
+                           scale <= 0 or source_rate <= MU0_MAX / scale)])
 
 
 @dataclass(frozen=True)
@@ -185,34 +189,6 @@ class SaturationParams:
         raise_violations(self, self.violations(**vars(self)))
 
 
-@dataclass(frozen=True)
-class PhotonCounts:
-    """Mean photon numbers entering and leaving the medium for one beam.
-
-    mean_out > mean_in is physically impossible for a passive medium and is
-    rejected unless ``allow_excess`` marks it as a known measurement artifact.
-    """
-
-    mean_in: float
-    mean_out: float
-    allow_excess: bool = False
-
-    def __post_init__(self):
-        if self.mean_in < 0 or self.mean_out < 0:
-            raise DomainError(
-                f"photon numbers must be >= 0, got in={self.mean_in} out={self.mean_out}"
-            )
-        if self.mean_out > self.mean_in and not self.allow_excess:
-            raise InconsistentMeasurementError(
-                f"mean_out={self.mean_out} exceeds mean_in={self.mean_in}; "
-                "pass allow_excess=True to keep it as a measurement artifact"
-            )
-
-    def stored_mean(self, a_ge: float) -> float:
-        """Stored excitations estimated from this beam's in/out balance."""
-        return stored_mean(self.mean_in, self.mean_out, a_ge)
-
-
 def switch_contrast(with_gate: float, no_gate: float) -> float:
     """Switch contrast C = 1 - with_gate / no_gate.
 
@@ -232,25 +208,6 @@ def switch_contrast(with_gate: float, no_gate: float) -> float:
     if no_gate == 0:
         raise UndefinedContrastError("no-gate transmission is zero; contrast undefined")
     return 1.0 - with_gate / no_gate
-
-
-def stored_mean(n_in: float, n_out: float, a_ge: float) -> float:
-    """Mean number of stored gate excitations, (1 - a_ge) * n_in - n_out.
-
-    Small negative results (within 1e-9) are clamped to zero as measurement
-    noise; anything more negative is inconsistent and raises.
-    """
-    if n_in < 0 or n_out < 0:
-        raise DomainError(f"photon numbers must be >= 0, got in={n_in} out={n_out}")
-    if not 0 <= a_ge < 1:
-        raise DomainError(f"a_ge must be in [0, 1), got {a_ge}")
-    value = (1.0 - a_ge) * n_in - n_out
-    if value < -STORED_MEAN_TOL:
-        raise InconsistentMeasurementError(
-            f"stored mean {value} < 0: transmitted {n_out} exceeds surviving input "
-            f"{(1.0 - a_ge) * n_in}"
-        )
-    return max(value, 0.0)
 
 
 def coherent_limit(n_gate: float) -> float:
@@ -377,53 +334,6 @@ def gain(no_gate_out: float, with_gate_out: float) -> float:
     return no_gate_out - with_gate_out
 
 
-def _mode_contrast(
-    n_gate: float, mode: str, params: TransistorParams, deterministic: bool
-) -> float:
-    if mode not in ("incoming", "stored"):
-        raise DomainError(f"mode must be 'incoming' or 'stored', got {mode!r}")
-    od = params.od_sp if mode == "incoming" else params.od_st
-    if deterministic:
-        return fock_contrast(int(round(n_gate)), od, params.cap)
-    if mode == "incoming":
-        return expected_contrast_incoming(n_gate, od, params.cap)
-    return expected_contrast_stored(n_gate, od, params.cap)
-
-
-def predicted_gain(
-    n_gate: float,
-    mode: str,
-    params: TransistorParams,
-    sat: SaturationParams,
-    n_source_in: float,
-    deterministic: bool = False,
-) -> float:
-    """Predicted gain C * transfer(n_source_in) for a given gate drive.
-
-    ``mode`` selects the contrast model: ``"incoming"`` uses od_sp against the
-    mean incoming gate photon number, ``"stored"`` uses od_st against the mean
-    number of stored excitations.  ``deterministic`` treats n_gate as an exact
-    photon/excitation number instead of a Poissonian mean.  The with-gate
-    transfer curve is (1 - C) * transfer, so the gain saturates at C * a for
-    large source input.
-    """
-    c = _mode_contrast(n_gate, mode, params, deterministic)
-    return c * transfer(n_source_in, sat)
-
-
-def predicted_transfer_with_gate(
-    n_gate: float,
-    mode: str,
-    params: TransistorParams,
-    sat: SaturationParams,
-    n_source_in: float,
-    deterministic: bool = False,
-) -> float:
-    """With-gate transfer curve (1 - C) * transfer(n_source_in)."""
-    c = _mode_contrast(n_gate, mode, params, deterministic)
-    return (1.0 - c) * transfer(n_source_in, sat)
-
-
 def gain_scan_rows(
     params: TransistorParams,
     sat: SaturationParams,
@@ -452,51 +362,3 @@ def gain_scan_rows(
         )
     return rows
 
-
-@dataclass(frozen=True)
-class CapacityEstimate:
-    """Hard-rod capacity estimate next to the configured blockade cap.
-
-    ``hard_rod`` is the raw geometric estimate; ``configured`` is the cap the
-    rest of the artifact actually uses.  ``adopted`` clamps the estimate to
-    the configured value, which stays authoritative unless overridden.
-    """
-
-    hard_rod: int
-    configured: int
-
-    @property
-    def adopted(self) -> int:
-        return min(self.hard_rod, self.configured)
-
-
-def hard_rod_capacity(length: float, radius: float) -> int:
-    """Maximum excitations along a segment: floor(length / radius) + 1.
-
-    Centers of mutually blockading excitations must sit at least one blockade
-    radius apart, so a segment of the given length holds at most this many.
-    """
-    if length <= 0 or radius <= 0:
-        raise DomainError(f"lengths must be > 0, got length={length} radius={radius}")
-    return int(math.floor(length / radius)) + 1
-
-
-def blockade_capacity(
-    cloud_length_sigma: float,
-    blockade_radius: float,
-    configured_cap: int = 3,
-) -> CapacityEstimate:
-    """Heuristic blockade capacity of a Gaussian cloud of axial size sigma.
-
-    Uses the +-2 sigma extent (4 * sigma) as the effective hard-rod segment.
-    This is a documented heuristic only; nothing else in the package consumes
-    it implicitly, and the configured cap (default 3) remains authoritative.
-    """
-    if cloud_length_sigma <= 0 or blockade_radius <= 0:
-        raise DomainError(
-            "lengths must be > 0, got "
-            f"sigma={cloud_length_sigma} radius={blockade_radius}"
-        )
-    configured = _checked_cap(configured_cap)
-    raw = hard_rod_capacity(4.0 * cloud_length_sigma, blockade_radius)
-    return CapacityEstimate(hard_rod=raw, configured=configured)

@@ -46,6 +46,7 @@ from .models import (
     SaturationParams,
     TransistorParams,
     child_seed,
+    detected_mean_violations,
     raise_violations,
     seed_violations,
     simulation_violations,
@@ -202,7 +203,9 @@ class SimConfig:
 
     A config that violates `models.simulation_violations` (the list the CLI
     checks [simulation] with, which bounds both Poisson means by
-    POISSON_LAM_MAX) or the seed invariant raises one DomainError naming each.
+    POISSON_LAM_MAX), `models.detected_mean_violations` (the detected mean,
+    which sizes the count table, within MU0_MAX) or the seed invariant raises
+    one DomainError naming each.
     """
 
     n_gate_in: float = 0.75
@@ -215,9 +218,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        raise_violations(self, simulation_violations(
-            self.n_gate_in, self.p_store, self.source_rate, self.t_int, self.retention_tau,
-        ) + seed_violations(self.seed))
+        raise_violations(self, [
+            *simulation_violations(self.n_gate_in, self.p_store, self.source_rate,
+                                   self.t_int, self.retention_tau),
+            *detected_mean_violations(self.source_rate, self.t_int, self.params.eta_det),
+            *seed_violations(self.seed),
+        ])
 
     @property
     def n_source_in(self) -> float:
@@ -242,12 +248,12 @@ class EnsembleResult:
 
     @cached_property
     def histogram(self) -> CountHistogram:
-        runs = self.joint.sum(axis=0)
-        return CountHistogram.from_counts({int(n): int(runs[n]) for n in np.flatnonzero(runs)})
+        """The detected-count marginal of ``joint``."""
+        return CountHistogram(self.joint.sum(axis=0))
 
     @property
     def mean_source_detected(self) -> float:
-        return int(self.joint.sum(axis=0) @ np.arange(self.joint.shape[1])) / self.n_runs
+        return self.histogram.mean()
 
     @property
     def mean_stored(self) -> float:
@@ -299,7 +305,9 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
         width = max(joint.shape[1], int(detected.max()) + 1)
         joint = np.pad(joint, ((0, 0), (0, width - joint.shape[1])))
         joint += np.bincount(k * width + detected, minlength=rows * width).reshape(rows, width)
-        gate_sum += int(gate_detected.sum())
+        # summed exactly by 32-bit halves: one int64 sum wraps at large gate means
+        high, low = gate_detected >> 32, gate_detected & 0xFFFFFFFF
+        gate_sum += (int(high.sum()) << 32) + int(low.sum())
 
     joint.flags.writeable = False
     return EnsembleResult(n_runs=n_runs, joint=joint, mean_gate_detected=gate_sum / n_runs)
@@ -351,7 +359,6 @@ def contrast_scan(
     if ref.mean_source_detected == 0:
         raise UndefinedContrastError("zero-gate reference transmitted nothing")
 
-    ref_runs = ref.joint.sum(axis=0)
     xs, ys, sigmas = [], [], []
     for i, (config, res) in enumerate(zip(configs, results)):
         if i == ref_idx:
@@ -360,8 +367,8 @@ def contrast_scan(
         rng = np.random.Generator(
             np.random.Philox(child_seed(configs[ref_idx].seed, BOOTSTRAP, i))
         )
-        m_ref = _resampled_means(ref_runs, rng, n_boot)
-        m_gate = _resampled_means(res.joint.sum(axis=0), rng, n_boot)
+        m_ref = _resampled_means(ref.histogram.runs, rng, n_boot)
+        m_gate = _resampled_means(res.histogram.runs, rng, n_boot)
         kept = m_ref > 0
         boot = 1.0 - m_gate[kept] / m_ref[kept]
         sigma = float(boot.std(ddof=1)) if len(boot) > 1 else 0.0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from rydberg_transistor.cli import (
     read_record,
     read_table,
 )
-from rydberg_transistor.detection import CountHistogram
 from rydberg_transistor.errors import ConfigError, DomainError, FitConvergenceError
 from rydberg_transistor.fitting import DataSet
 
@@ -45,6 +45,23 @@ def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(SMALL_CFG, encoding="utf-8")
     return str(path)
+
+
+def histogram_bins(path):
+    """(events, runs) pairs of a histogram file, CSV or JSON."""
+    if str(path).endswith(".json"):
+        return [(int(k), v) for k, v in json.loads(Path(path).read_text(encoding="utf-8")).items()]
+    header, rows = read_table(path)
+    assert header == ["events", "runs"]
+    return [(int(k), int(v)) for k, v in rows]
+
+
+def histogram_total(path):
+    return sum(runs for _, runs in histogram_bins(path))
+
+
+def histogram_mean(path):
+    return sum(k * runs for k, runs in histogram_bins(path)) / histogram_total(path)
 
 
 def read_bytes_map(directory, skip_provenance=True):
@@ -165,6 +182,48 @@ def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
             assert name in str(obj_err.value)
 
 
+@pytest.mark.parametrize("command, text, violation", [
+    ("simulate", "[simulation]\nsource_rate = 1e12\n",
+     "simulation.source_rate * t_int * eta_det <= 1e+06"),
+    ("transfer-scan", "[simulation]\nsource_rate = 1e12\n",
+     "simulation.source_rate * t_int * eta_det <= 1e+06"),
+    ("transfer-scan", "[scan]\nsource_values = 40 1e12\n",
+     "scan.source_values all * transistor.eta_det <= 1e+06"),
+])
+def test_detected_mean_over_mu0_max_is_config_error(command, text, violation, tmp_path,
+                                                     capsys):
+    # the engine's dense count table would need hundreds of TiB
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"  - {violation}\n" in capsys.readouterr().err
+
+
+def test_scan_source_values_bound_is_the_transfer_scan_configs_bound(tmp_path):
+    # within a few doubles of the bound, the CLI accepts a scan value iff
+    # transfer-scan can build its SimConfig (t_int 30, eta_det 0.31)
+    cfg = tmp_path / "edge.cfg"
+    bound = models.MU0_MAX / 0.31
+    outcomes = set()
+    for k in range(-3, 4):
+        value = bound + k * math.ulp(bound)
+        cfg.write_text(f"[scan]\nsource_values = {value!r}\n", encoding="utf-8")
+        try:
+            parse_and_validate(["transfer-scan", "--config", str(cfg)])
+            accepted = True
+        except ConfigError:
+            accepted = False
+        try:
+            montecarlo.SimConfig(source_rate=value / 30.0, t_int=30.0)
+            built = True
+        except DomainError:
+            built = False
+        assert accepted == built, value
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("mu0, violation", [
     ("inf", "detect --mu0: must be finite, got inf"),
     ("nan", "detect --mu0: must be finite, got nan"),
@@ -217,7 +276,7 @@ def test_detect_od_ratio_within_5e10_of_one_runs(tmp_path):
                    encoding="utf-8")
     assert main(["detect", "--config", str(cfg), "--runs", "100", "--mu0", "15",
                  "--output", str(tmp_path / "o")]) == EXIT_OK
-    assert CountHistogram.from_csv(tmp_path / "o" / "gated_histogram.csv").total == 100
+    assert histogram_total(tmp_path / "o" / "gated_histogram.csv") == 100
 
 
 def test_unknown_flag_usage_error():
@@ -256,10 +315,9 @@ def test_builtin_configs_load():
 def test_simulate_writes_outputs_and_sidecar(small_cfg, tmp_path):
     out = tmp_path / "run1"
     assert main(["simulate", "--config", small_cfg, "--output", str(out)]) == EXIT_OK
-    hist = CountHistogram.from_csv(out / "histogram.csv")
-    assert hist.total == 120
+    assert histogram_total(out / "histogram.csv") == 120
     record = read_record(out / "simulate_summary.csv")
-    assert float(record["mean_source_detected"]) == pytest.approx(hist.mean())
+    assert float(record["mean_source_detected"]) == histogram_mean(out / "histogram.csv")
     side = json.loads((out / "simulate.provenance.json").read_text(encoding="utf-8"))
     assert side["command"] == "simulate"
     for name, digest in side["outputs"].items():
@@ -297,18 +355,16 @@ def test_simulate_builtin_config_with_self_blockade(tmp_path):
     out = tmp_path / "p90"
     assert main(["simulate", "--config", "paper90us", "--runs", "200",
                  "--output", str(out)]) == EXIT_OK
-    hist = CountHistogram.from_csv(out / "histogram.csv")
     # 62 photons in, self-blockade thinning + eta 0.31: means far below 62*0.31
-    assert hist.total == 200
-    assert hist.mean() < 62.0 * 0.31 * 0.7
+    assert histogram_total(out / "histogram.csv") == 200
+    assert histogram_mean(out / "histogram.csv") < 62.0 * 0.31 * 0.7
 
 
 def test_simulate_json_format(small_cfg, tmp_path):
     out = tmp_path / "json"
     assert main(["simulate", "--config", small_cfg, "--output", str(out),
                  "--format", "json"]) == EXIT_OK
-    hist = CountHistogram.from_json(out / "histogram.json")
-    assert hist.total == 120
+    assert histogram_total(out / "histogram.json") == 120
     summary = json.loads((out / "simulate_summary.json").read_text(encoding="utf-8"))
     assert summary["n_runs"] == 120
 
@@ -488,7 +544,7 @@ def test_detect_single_mu0(small_cfg, tmp_path):
     deco_header, _ = read_table(out / "decomposition.csv")
     assert deco_header == ["events", "observed", "model_total", "model_gated",
                            "model_ungated"]
-    assert CountHistogram.from_csv(out / "gated_histogram.csv").total == 300
+    assert histogram_total(out / "gated_histogram.csv") == 300
 
 
 def test_detect_sweep_deterministic(small_cfg, tmp_path):

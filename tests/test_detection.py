@@ -131,41 +131,47 @@ def test_decompose_and_threshold_compute_each_lgamma_once(monkeypatch):
 
 
 def test_histogram_construction_and_stats():
-    hist = CountHistogram.from_samples([3, 3, 5, 0, 0, 0])
+    samples = [3, 3, 5, 0, 0, 0]
+    hist = CountHistogram(np.bincount(samples, minlength=9))  # trailing zeros dropped
     assert hist.total == 6
-    assert hist.counts == {0: 3, 3: 2, 5: 1}
-    assert hist.mean() == pytest.approx(11 / 6)
-    manual_var = sum(c * (k - 11 / 6) ** 2 for k, c in hist.counts.items()) / 5
-    assert hist.variance() == pytest.approx(manual_var)
+    assert hist.runs.tolist() == [3, 0, 0, 2, 0, 1]
+    assert hist.max_event == 5
+    assert hist.runs.dtype == np.int64 and not hist.runs.flags.writeable
+    assert hist.mean() == 11 / 6
+    assert hist.variance() == pytest.approx(np.var(samples, ddof=1), rel=1e-15)
 
 
 def test_histogram_validation():
     with pytest.raises(DomainError):
-        CountHistogram(counts={-1: 2}, total=2)
+        CountHistogram(np.array([2, -1]))
     with pytest.raises(DomainError):
-        CountHistogram(counts={1: -2}, total=-2)
+        CountHistogram(np.ones((2, 2), dtype=int))
     with pytest.raises(DomainError):
-        CountHistogram(counts={1: 2}, total=5)
+        CountHistogram(np.array([1.0, 2.0]))
+
+
+def _nonzero_bins(hist):
+    return {int(k): int(hist.runs[k]) for k in np.flatnonzero(hist.runs)}
 
 
 def test_histogram_csv_round_trip(tmp_path):
-    hist = CountHistogram.from_counts({0: 12, 3: 5, 17: 1})
+    hist = CountHistogram(np.bincount([0] * 12 + [3] * 5 + [17]))
     path = tmp_path / "hist.csv"
     hist.to_csv(path)
-    assert CountHistogram.from_csv(path) == hist
-    with pytest.raises(DomainError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("0,12\n", encoding="utf-8")
-        CountHistogram.from_csv(bad)
+    assert path.read_text(encoding="utf-8") == "events,runs\n0,12\n3,5\n17,1\n"
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert {int(k): int(v) for k, v in rows} == _nonzero_bins(hist)
 
 
 def test_histogram_json_round_trip(tmp_path):
-    hist = CountHistogram.from_counts({2: 7, 9: 3})
+    hist = CountHistogram(np.bincount([2] * 7 + [9] * 3 + [10]))
     path = tmp_path / "hist.json"
     hist.to_json(path)
-    assert CountHistogram.from_json(path) == hist
+    # keys sort as strings
+    assert path.read_text(encoding="utf-8") == '{\n  "10": 1,\n  "2": 7,\n  "9": 3\n}\n'
     obj = json.loads(path.read_text(encoding="utf-8"))
-    assert obj == {"2": 7, "9": 3}
+    assert {int(k): v for k, v in obj.items()} == _nonzero_bins(hist)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def test_gated_mass_fraction():
 
 def test_decompose_pure_ungated_model():
     model = mixture_from_params(0.0, 3, 0.94, 10.0)
-    observed = CountHistogram.from_samples(np.random.default_rng(0).poisson(10.0, 200))
+    observed = CountHistogram(np.bincount(np.random.default_rng(0).poisson(10.0, 200)))
     deco = decompose(observed, model)
     assert np.all(deco.model_gated == 0.0)
     assert np.sum(deco.model_ungated) == pytest.approx(observed.total, rel=1e-9)
@@ -241,14 +247,15 @@ def test_decompose_bins_sum_to_total():
     deco = decompose(res.histogram, model)
     assert np.sum(deco.model_total) == pytest.approx(250.0, rel=1e-9)
     assert np.allclose(deco.model_gated + deco.model_ungated, deco.model_total, rtol=1e-12)
-    assert np.array_equal(deco.observed, res.histogram.to_arrays(deco.events[-1])[1])
+    assert np.array_equal(deco.observed[:len(res.histogram.runs)], res.histogram.runs)
+    assert not deco.observed[len(res.histogram.runs):].any()
     assert np.allclose(deco.residuals, deco.observed - deco.model_total)
 
 
 def test_decompose_empty_histogram_errors():
     model = mixture_from_params(0.61, 3, 0.94, 20.0)
     with pytest.raises(InsufficientDataError):
-        decompose(CountHistogram(), model)
+        decompose(CountHistogram(np.zeros(5, dtype=np.int64)), model)
 
 
 def test_decompose_gated_mass_against_simulation_truth():
@@ -276,7 +283,7 @@ def test_decompose_csv_columns(tmp_path):
 def test_decompose_csv_bytes_match_csv_writer(mu0, tmp_path):
     # 15: 32 bins; 1e5: about 1e5 bins, nearly all of them empty
     model = mixture_from_params(0.61, 3, 0.94, mu0)
-    observed = CountHistogram.from_samples(np.random.default_rng(6).poisson(mu0, 300))
+    observed = CountHistogram(np.bincount(np.random.default_rng(6).poisson(mu0, 300)))
     deco = decompose(observed, model)
     path = tmp_path / "decomposition.csv"
     deco.to_csv(path)
@@ -353,8 +360,8 @@ def test_threshold_and_decomposition_match_scipy():
             assert thr.p_detect_given_gated == pytest.approx(p_detect, rel=rtol)
             assert thr.p_reject_given_ungated == pytest.approx(p_reject, rel=rtol)
 
-        observed = CountHistogram.from_samples(rng.poisson(mu0 * np.exp(
-            -od * np.minimum(rng.poisson(n_stored, 400), 3))))
+        observed = CountHistogram(np.bincount(rng.poisson(mu0 * np.exp(
+            -od * np.minimum(rng.poisson(n_stored, 400), 3)))))
         deco = decompose(observed, model)
         n_max = max(observed.max_event, int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, mu0)))
         assert deco.events[-1] == n_max
@@ -442,18 +449,18 @@ def test_threshold_scaling_invariance_only_when_degenerate():
 
 def test_poissonness_requires_data():
     with pytest.raises(InsufficientDataError):
-        poissonness_test(CountHistogram.from_counts({3: 29}))
+        poissonness_test(CountHistogram(np.bincount([3] * 29)))
 
 
 def test_poissonness_single_bin_underdispersed():
-    hist = CountHistogram.from_counts({7: 50})
+    hist = CountHistogram(np.bincount([7] * 50))
     res = poissonness_test(hist, seed=1)
     assert res.index == 0.0
     assert not res.passed
 
 
 def test_poissonness_all_zero_vacuous():
-    res = poissonness_test(CountHistogram.from_counts({0: 100}), seed=1)
+    res = poissonness_test(CountHistogram(np.bincount([0] * 100)), seed=1)
     assert res.index == 0.0
     assert res.passed
 
@@ -463,7 +470,7 @@ def test_poissonness_pass_rate_on_exact_poisson():
     trials = 60
     passes = sum(
         poissonness_test(
-            CountHistogram.from_samples(rng.poisson(20, 10_000)),
+            CountHistogram(np.bincount(rng.poisson(20, 10_000))),
             n_null=300,
             seed=1000 + t,
         ).passed
@@ -497,7 +504,7 @@ def test_poissonness_chunked_null_matches_one_shot_matrix(chunk_counts, monkeypa
     # than the 2000 runs; 1: one null row per chunk; 2**16: 32 rows per chunk,
     # the last one partial
     monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
-    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(1e4, 2000))
+    hist = CountHistogram(np.bincount(np.random.default_rng(5).poisson(1e4, 2000)))
     res = poissonness_test(hist, n_null=200, seed=4)
     # reference: the whole n_null x total null matrix drawn at once
     draws = _philox(4).poisson(hist.mean(), size=(200, hist.total))
@@ -511,7 +518,7 @@ def test_poissonness_chunked_histogram_null_matches_one_shot_matrix(chunk_counts
     # than the 2000 runs; 1: one null row per chunk; 2**16: 303 rows per
     # chunk, the last one partial
     monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
-    hist = CountHistogram.from_samples(np.random.default_rng(5).poisson(12, 2000))
+    hist = CountHistogram(np.bincount(np.random.default_rng(5).poisson(12, 2000)))
     mean = hist.mean()
     res = poissonness_test(hist, n_null=500, seed=4)
     # reference: the whole n_null x window value-count matrix drawn at once
@@ -545,8 +552,7 @@ def test_poissonness_p_value_matches_fisher_chi2_at_large_n(mu):
     n_null = 2000
     for s in range(6):
         x = np.random.default_rng(s).poisson(mu, 30_000)
-        events, runs = np.unique(x, return_counts=True)
-        hist = CountHistogram.from_counts(dict(zip(events.tolist(), runs.tolist())))
+        hist = CountHistogram(np.bincount(x))
         res = poissonness_test(hist, n_null=n_null, seed=s)
         sf = detection._chi2_sf((hist.total - 1) * res.index, hist.total - 1)
         q = min(sf, 1.0 - sf)
@@ -555,7 +561,7 @@ def test_poissonness_p_value_matches_fisher_chi2_at_large_n(mu):
 
 
 def test_poissonness_deterministic():
-    hist = CountHistogram.from_samples(np.random.default_rng(3).poisson(20, 1000))
+    hist = CountHistogram(np.bincount(np.random.default_rng(3).poisson(20, 1000)))
     r1 = poissonness_test(hist, seed=9)
     r2 = poissonness_test(hist, seed=9)
     assert r1 == r2

@@ -4,16 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from rydberg_transistor import models
-from rydberg_transistor.errors import (
-    DomainError,
-    InconsistentMeasurementError,
-    UndefinedContrastError,
-)
+from rydberg_transistor.errors import DomainError, UndefinedContrastError
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +40,7 @@ def invert_contrast_for_od(target, n_gate, cap, lo=0.0, hi=50.0):
 
 
 # ---------------------------------------------------------------------------
-# switch_contrast / stored_mean
+# switch_contrast
 
 
 def test_switch_contrast_trivial_cases():
@@ -67,34 +63,6 @@ def test_switch_contrast_errors():
         models.switch_contrast(-1.0, 5.0)
     with pytest.raises(DomainError):
         models.switch_contrast(1.0, -5.0)
-
-
-def test_stored_mean_values():
-    assert models.stored_mean(0.0, 0.0, 0.15) == 0.0
-    assert models.stored_mean(1.0, 0.85, 0.15) == pytest.approx(0.0, abs=1e-15)
-    assert models.stored_mean(1.0, 0.25, 0.15) == pytest.approx(0.60, abs=1e-12)
-
-
-def test_stored_mean_clamps_tiny_negative_and_rejects_large():
-    # within tolerance: clamps to zero
-    assert models.stored_mean(1.0, 0.85 + 0.5e-9, 0.15) == 0.0
-    with pytest.raises(InconsistentMeasurementError):
-        models.stored_mean(1.0, 0.95, 0.15)
-    with pytest.raises(DomainError):
-        models.stored_mean(-1.0, 0.0, 0.15)
-    with pytest.raises(DomainError):
-        models.stored_mean(1.0, 0.0, 1.0)
-
-
-def test_photon_counts_validation():
-    pc = models.PhotonCounts(mean_in=1.0, mean_out=0.25)
-    assert pc.stored_mean(0.15) == pytest.approx(0.60, abs=1e-12)
-    with pytest.raises(InconsistentMeasurementError):
-        models.PhotonCounts(mean_in=1.0, mean_out=1.5)
-    # flagged measurement artifact is allowed through
-    models.PhotonCounts(mean_in=1.0, mean_out=1.5, allow_excess=True)
-    with pytest.raises(DomainError):
-        models.PhotonCounts(mean_in=-1.0, mean_out=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,96 +273,71 @@ def test_contrast_constant_across_source_inputs(c, n_src):
 
 
 # ---------------------------------------------------------------------------
-# predicted gain
+# predicted gain: gain_scan_rows, the one place C * transfer is computed
+
+
+def _gain_row(params, n_gate, n_src):
+    return models.gain_scan_rows(params, SAT, n_gate, [n_src])[0]
 
 
 def test_predicted_gain_zero_gate():
     params = models.TransistorParams()
     for n_src in (0.0, 10.0, 500.0):
-        assert models.predicted_gain(0.0, "incoming", params, SAT, n_src) == 0.0
+        assert _gain_row(params, 0.0, n_src)["gain_coherent"] == 0.0
 
 
 def test_predicted_gain_matches_paper_composition():
     # invert the oracle for the od that gives the measured 90us contrast 0.22
     od = invert_contrast_for_od(0.22, 0.75, 3)
     params = models.TransistorParams(od_sp=od, od_st=0.94, cap=3)
-    got = models.predicted_gain(0.75, "incoming", params, SAT, 50.0 * SAT.b)
+    got = _gain_row(params, 0.75, 50.0 * SAT.b)["gain_coherent"]
     assert got == pytest.approx(0.22 * 46.0, rel=1e-6)
     assert abs(got - 10.0) <= 1.0  # paper G = 10(1)
 
 
 def test_predicted_gain_single_stored_excitation():
     params = models.TransistorParams(od_st=0.94, cap=3)
-    got = models.predicted_gain(
-        1, "stored", params, SAT, 50.0 * SAT.b, deterministic=True
-    )
+    got = _gain_row(params, 0.75, 50.0 * SAT.b)["gain_single_stored"]
     assert got == pytest.approx(46.0 * -math.expm1(-0.94), rel=1e-6)
     assert abs(got - 28.0) <= 2.0  # paper G_st = 28(2)
 
 
-@given(
-    st.floats(min_value=0.05, max_value=4.0),
-    st.floats(min_value=0.05, max_value=3.0),
-    st.sampled_from(["incoming", "stored"]),
-)
+@given(st.floats(min_value=0.05, max_value=4.0), st.floats(min_value=0.05, max_value=3.0))
 @settings(max_examples=60)
-def test_predicted_gain_saturates_at_c_times_a(n_gate, od, mode):
+def test_predicted_gain_saturates_at_c_times_a(n_gate, od):
+    # the coherent gain approaches C * a and the single-stored gain
+    # (1 - exp(-od_st)) * a, both from below
     params = models.TransistorParams(od_sp=od, od_st=od, cap=3)
-    c = (
-        models.expected_contrast_incoming(n_gate, od, 3)
-        if mode == "incoming"
-        else models.expected_contrast_stored(n_gate, od, 3)
-    )
-    asymptote = c * SAT.a
-    far = models.predicted_gain(n_gate, mode, params, SAT, 50.0 * SAT.b)
-    assert far == pytest.approx(asymptote, rel=1e-6)
-    # approach from below
-    assert models.predicted_gain(n_gate, mode, params, SAT, 2.0 * SAT.b) <= far
+    near, far = models.gain_scan_rows(params, SAT, n_gate, [2.0 * SAT.b, 50.0 * SAT.b])
+    asymptotes = {"gain_coherent": models.expected_contrast_incoming(n_gate, od, 3) * SAT.a,
+                  "gain_single_stored": -math.expm1(-od) * SAT.a}
+    for column, asymptote in asymptotes.items():
+        assert far[column] == pytest.approx(asymptote, rel=1e-6)
+        assert near[column] <= far[column] <= asymptote
 
 
 def test_predicted_transfer_with_gate_complements_gain():
     params = models.TransistorParams()
-    for n_src in (5.0, 70.0, 400.0):
-        with_gate = models.predicted_transfer_with_gate(0.75, "incoming", params, SAT, n_src)
-        g = models.predicted_gain(0.75, "incoming", params, SAT, n_src)
-        assert with_gate + g == pytest.approx(models.transfer(n_src, SAT), rel=1e-12)
-
-
-def test_predicted_gain_rejects_unknown_mode():
-    with pytest.raises(DomainError):
-        models.predicted_gain(1.0, "sideways", models.TransistorParams(), SAT, 10.0)
+    for row in models.gain_scan_rows(params, SAT, 0.75, (5.0, 70.0, 400.0)):
+        assert row["with_gate_out"] + row["gain_coherent"] == pytest.approx(
+            models.transfer(row["n_source_in"], SAT), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# blockade capacity heuristic
+# the detected-mean bound
 
 
-def test_blockade_capacity_paper_geometry():
-    est = models.blockade_capacity(40.0, 15.0)
-    assert est.hard_rod == 11  # floor(160/15) + 1
-    assert est.configured == 3
-    assert est.adopted == 3
-
-
-def test_hard_rod_capacity_values():
-    assert models.hard_rod_capacity(15.0, 15.0) == 2
-    assert models.hard_rod_capacity(160.0, 15.0) == 11
-    assert models.hard_rod_capacity(10.0, math.inf) == 1  # fully blockaded
-
-
-def test_blockade_capacity_fully_blockaded_limit():
-    est = models.blockade_capacity(40.0, 1e12)
-    assert est.hard_rod == 1
-    assert est.adopted == 1
-
-
-def test_blockade_capacity_domain_errors():
-    with pytest.raises(DomainError):
-        models.blockade_capacity(0.0, 15.0)
-    with pytest.raises(DomainError):
-        models.blockade_capacity(40.0, -1.0)
-    with pytest.raises(DomainError):
-        models.hard_rod_capacity(-5.0, 1.0)
+@given(st.floats(min_value=1e-6, max_value=models.MU0_MAX),
+       st.floats(min_value=1e-6, max_value=1.0),
+       st.floats(min_value=1e-3, max_value=1e6))
+@example(models.MU0_MAX, 0.31, 90.0)
+def test_detected_mean_bound_passes_every_detection_config(mu0, eta_det, t_int):
+    # detection runs at source_rate = mu0 / (eta_det * t_int): no mu0 <= MU0_MAX
+    # fails by rounding, and the next double above the bound fails
+    assert models.detected_mean_violations(mu0 / (eta_det * t_int), t_int, eta_det) == []
+    over = math.nextafter(models.MU0_MAX / (eta_det * t_int), math.inf)
+    assert models.detected_mean_violations(over, t_int, eta_det) == [
+        "source_rate * t_int * eta_det <= 1e+06"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,18 @@ import rydberg_transistor
 from rydberg_transistor import detection, experiments, fitting, models, montecarlo
 
 # Every name rydberg_transistor exported in 0.4.0 and still exports, by the
-# module it came from (0.5.0 removed with_contrast_vs_reference).
+# module it came from (0.5.0 removed with_contrast_vs_reference; 0.6.0 removed
+# InconsistentMeasurementError, PhotonCounts, blockade_capacity,
+# hard_rod_capacity, predicted_gain and stored_mean).
 EXPORTS_0_4_0 = {
     "detection": ["CountHistogram", "MixtureModel", "ThresholdResult", "decompose",
                   "mixture_from_params", "optimal_threshold", "poissonness_test"],
-    "errors": ["ConfigError", "DomainError", "FitConvergenceError",
-               "InconsistentMeasurementError", "InsufficientDataError", "TransistorError",
-               "UndefinedContrastError"],
+    "errors": ["ConfigError", "DomainError", "FitConvergenceError", "InsufficientDataError",
+               "TransistorError", "UndefinedContrastError"],
     "fitting": ["DataSet", "FitResult", "bootstrap_ci", "fit_od", "fit_saturation"],
-    "models": ["PhotonCounts", "SaturationParams", "TransistorParams", "blockade_capacity",
-               "coherent_limit", "contrast_curve", "expected_contrast_incoming",
-               "expected_contrast_stored", "fock_contrast", "gain", "hard_rod_capacity",
-               "predicted_gain", "stored_mean", "switch_contrast", "transfer"],
+    "models": ["SaturationParams", "TransistorParams", "coherent_limit", "contrast_curve",
+               "expected_contrast_incoming", "expected_contrast_stored", "fock_contrast",
+               "gain", "switch_contrast", "transfer"],
     "montecarlo": ["DEFAULT_P_STORE", "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig",
                    "calibrate_retention_tau", "child_seed", "contrast_scan", "scan_configs",
                    "simulate_ensemble"],

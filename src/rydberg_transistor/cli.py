@@ -244,9 +244,15 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     objects = {
         "transistor": models.TransistorParams.violations(**resolved["transistor"]),
         "saturation": models.SaturationParams.violations(**resolved["saturation"]),
-        "simulation": (models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS})
-                       + models.detected_mean_violations(sim["source_rate"], t_int, eta)),
+        "simulation": models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS}),
     }
+    # Detected means are bounded as the engine draws them: thinned under
+    # self-blockade.  A thinned one needs a valid [saturation]; without it,
+    # which is named already, it goes unchecked.
+    sat = None if objects["saturation"] else models.SaturationParams(**resolved["saturation"])
+    if not (sim["self_blockade"] and sat is None):
+        objects["simulation"] += models.detected_mean_violations(
+            sim["source_rate"], t_int, eta, sat if sim["self_blockade"] else None)
     checks = [
         (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
         ("detection.od_st_model > 0", det["od_st_model"] > 0),
@@ -260,9 +266,11 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
         (f"scan.source_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["source_values"])),
         # as the SimConfig that transfer-scan runs each value with checks it
-        (f"scan.source_values all * transistor.eta_det <= {models.MU0_MAX:g}",
-         t_int <= 0 or not any(models.detected_mean_violations(v / t_int, t_int, eta)
-                               for v in scan["source_values"])),
+        (f"scan.source_values all * transistor.eta_det * saturation_thinning"
+         f" <= {models.MU0_MAX:g}",
+         sat is None or t_int <= 0 or not any(
+             models.detected_mean_violations(v / t_int, t_int, eta, sat)
+             for v in scan["source_values"])),
         ("runs >= 1", runs >= 1),
     ]
     return ([f"{section}.{name}" for section, names in objects.items() for name in names]

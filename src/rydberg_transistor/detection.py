@@ -255,7 +255,7 @@ def mixture_from_params(
         raise DomainError(f"od_st must be >= 0, got {od_st}")
     if not 0 < mu0 <= MU0_MAX:
         raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
-    weights = capped_poisson_weights(n_stored, cap).tolist()
+    weights = capped_poisson_weights(n_stored, cap)
     means = [mu0 * math.exp(-k * od_st) for k in range(len(weights))]
     return MixtureModel(components=tuple(zip(weights, means)))
 

@@ -224,7 +224,8 @@ def _minimize_1d(objective, lo: np.ndarray, hi: np.ndarray):
 
 def _od_rows(data: DataSet, idx: np.ndarray, cap: int):
     """fit_od's search on every row of the (m, n) index matrix ``idx`` at once."""
-    weights = capped_poisson_weights(data.x, cap)[idx]  # od-independent: once per call
+    # od-independent: once per call, one (m, n) matrix per stored number j
+    weights = [w[idx] for w in capped_poisson_weights(data.x, cap)]
     y, sigma = data.y[idx], data.sigma[idx]
     od, errors = _minimize_1d(
         lambda od: _weighted_sse(y - contrast_from_weights(weights, od[:, None]), sigma),

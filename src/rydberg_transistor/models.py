@@ -7,7 +7,13 @@ dimensionless reals in (-inf, 1]; percent formatting is left to callers.
 
 The capped Poisson law P(min(k, cap) = j) is computed in one place,
 capped_poisson_weights; the contrast models here and the detection mixture
-are sums over it.
+are sums over it.  It and contrast_from_weights evaluate a real number in
+plain `math` and fit_od's arrays of means by the same lines of code.
+
+The module imports no numpy, so parsing, validation, every rejected input and
+`gain-scan` run without it.  The commands that draw or fit (simulate,
+contrast-scan, transfer-scan, detect, fit-od, fit-saturation) load numpy with
+their runners; `child_seed` imports it when it is called.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean and mu0 bounds, the fly-away
@@ -20,10 +26,9 @@ detection code.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, UndefinedContrastError
 
@@ -42,6 +47,7 @@ __all__ = [
     "gain",
     "simulation_violations",
     "detected_mean_violations",
+    "saturation_thinning",
     "gain_scan_rows",
     "child_seed",
     "POISSON_LAM_MAX",
@@ -51,8 +57,9 @@ __all__ = [
 ]
 
 # numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
-# above it.  Every mean the engine draws with must stay at or below it.
-POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+# above it.  Every mean the engine draws with must stay at or below it.  numpy
+# computes it as int64 max - 10 sqrt(int64 max) in doubles, as here.
+POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 _LAM = f"{POISSON_LAM_MAX:g}"  # as invariant names spell it
 
 # Largest mean detected count the package tabulates densely: the detection
@@ -81,7 +88,10 @@ def child_seed(seed: int, tag: int, i: int) -> int:
 
     The first 64-bit word of the state of ``SeedSequence((seed, tag, i))``.
     Unlike ``seed + i``, it gives master seeds s and s + 1 disjoint streams.
+    Every caller draws with numpy, so it is imported here, not with the module.
     """
+    import numpy as np
+
     state = np.random.SeedSequence((seed, tag, i)).generate_state(1, np.uint64)
     return int(state[0])
 
@@ -118,15 +128,19 @@ def simulation_violations(n_gate_in, p_store, source_rate, t_int, retention_tau)
     ])
 
 
-def detected_mean_violations(source_rate, t_int, eta_det) -> list[str]:
-    """The detected-count mean source_rate * t_int * eta_det, which sizes the
-    engine's dense count table, within MU0_MAX.  It is compared in the form the
-    detection analysis builds its configs in, source_rate = mu0 / (eta_det *
-    t_int), so that no mu0 <= MU0_MAX fails by rounding.  A non-positive
-    eta_det or t_int, which other invariants reject, does not fail it."""
+def detected_mean_violations(source_rate, t_int, eta_det, sat=None) -> list[str]:
+    """The detected-count mean the engine draws with, which sizes its dense
+    count table, within MU0_MAX: source_rate * t_int * eta_det, thinned by
+    saturation_thinning under the self-blockade ``sat``.  It is compared in the
+    form the detection analysis builds its configs in, source_rate = mu0 /
+    (eta_det * t_int), so that no mu0 <= MU0_MAX fails by rounding.  A
+    non-positive eta_det or t_int, which other invariants reject, does not
+    fail it."""
     scale = eta_det * t_int
-    return failed_checks([(f"source_rate * t_int * eta_det <= {MU0_MAX:g}",
-                           scale <= 0 or source_rate <= MU0_MAX / scale)])
+    rate = source_rate * saturation_thinning(source_rate * t_int, sat)
+    thinned = "" if sat is None else " * saturation_thinning"
+    return failed_checks([(f"source_rate * t_int * eta_det{thinned} <= {MU0_MAX:g}",
+                           scale <= 0 or rate <= MU0_MAX / scale)])
 
 
 @dataclass(frozen=True)
@@ -227,63 +241,82 @@ def _checked_cap(cap: int) -> int:
     return int(cap)
 
 
+def _real_or_array(values):
+    """A real number as a float, anything else as a float ndarray: the two
+    forms the closed forms below take.  Only an array imports numpy."""
+    if isinstance(values, numbers.Real):
+        return float(values)
+    import numpy as np
+
+    return np.asarray(values, dtype=float)
+
+
+def _any_negative(values) -> bool:
+    return values < 0 if isinstance(values, numbers.Real) else bool((values < 0).any())
+
+
 def _check_od(od) -> None:
-    if np.any(od < 0):
+    if _any_negative(od):
         raise DomainError(f"optical depth must be >= 0, got {od}")
 
 
-def _math_exp(values) -> np.ndarray:
-    """exp per element by math.exp, not np.exp: numpy's SIMD exp differs from
-    the C library's in the last bit for a few percent of inputs, which would
-    move the closed-form outputs."""
-    values = np.asarray(values, dtype=float)
+def _math_exp(values):
+    """exp by math.exp, per element for an array, not by np.exp: numpy's SIMD
+    exp differs from the C library's in the last bit for a few percent of
+    inputs, which would move the closed-form outputs."""
+    if isinstance(values, numbers.Real):
+        return math.exp(values)
+    import numpy as np
+
     flat = np.fromiter(map(math.exp, values.ravel().tolist()), float, values.size)
     return flat.reshape(values.shape)
 
 
-def capped_poisson_weights(means, cap: int) -> np.ndarray:
+def capped_poisson_weights(means, cap: int) -> tuple:
     """P(min(k, cap) = j) for k ~ Poisson(means), j = 0..cap, exactly.
 
-    The result has the shape of ``means`` plus a last axis of length cap+1.
-    Photon-number states k >= cap are all blockaded alike, so the cap leading
-    Poisson terms come from the pmf recurrence and the last entry is the
-    closed-form tail mass 1 - sum of the others.
+    The result is a tuple of the cap+1 terms j = 0..cap, each a float for a
+    real ``means`` and an array of its shape otherwise.  Photon-number states
+    k >= cap are all blockaded alike, so the cap leading Poisson terms come
+    from the pmf recurrence and the last is the closed-form tail mass 1 - sum
+    of the others.
     """
-    means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
+    means = _real_or_array(means)
+    if _any_negative(means):
         raise DomainError("mean photon numbers must be >= 0")
     cap = _checked_cap(cap)
-    weights = np.empty(means.shape + (cap + 1,))
+    weights = []
     pmf = _math_exp(-means)  # k = 0 term, underflowing harmlessly for huge means
-    cum = np.zeros_like(means)
+    cum = 0.0
     for k in range(cap):
-        weights[..., k] = pmf
+        weights.append(pmf)
         cum = cum + pmf
         pmf = pmf * (means / (k + 1))
-    weights[..., cap] = np.clip(1.0 - cum, 0.0, None)
-    return weights
+    tail = 1.0 - cum
+    weights.append(max(tail, 0.0) if isinstance(tail, float) else tail.clip(0.0))
+    return tuple(weights)
 
 
-def contrast_from_weights(weights, od) -> np.ndarray:
-    """Contrast 1 - E[exp(-j * od)] over capped-Poisson ``weights`` on the last axis.
+def contrast_from_weights(weights, od):
+    """Contrast 1 - E[exp(-j * od)] over the capped-Poisson ``weights`` terms.
 
     Lets a caller that evaluates many optical depths at fixed means compute
     :func:`capped_poisson_weights` once.  ``od`` is a float or an array that
-    broadcasts against the leading axes of ``weights``.
+    broadcasts against the weight terms.
     """
-    od = np.asarray(od, dtype=float)
+    od = _real_or_array(od)
     _check_od(od)
-    weights = np.asarray(weights, dtype=float)
     # summed left to right rather than by a BLAS dot, whose order depends on
     # the build, so the closed-form outputs keep their last digits
     attenuation = 0.0
-    for j in range(weights.shape[-1]):
-        attenuation = attenuation + weights[..., j] * _math_exp(-j * od)
+    for j, weight in enumerate(weights):
+        attenuation = attenuation + weight * _math_exp(-j * od)
     return 1.0 - attenuation
 
 
-def contrast_curve(means, od: float, cap: int = 3) -> np.ndarray:
-    """Expected contrast over an array of Poissonian mean photon numbers.
+def contrast_curve(means, od: float, cap: int = 3):
+    """Expected contrast at a Poissonian mean photon number, or over an array
+    of them.
 
     Averages the Fock-state attenuation exp(-min(k, cap) * od) over the
     photon-number distribution; monotone increasing in both the mean and
@@ -323,6 +356,16 @@ def transfer(n_source_in: float, sat: SaturationParams) -> float:
     if n_source_in < 0:
         raise DomainError(f"mean photon number must be >= 0, got {n_source_in}")
     return sat.a * -math.expm1(-n_source_in / sat.b)
+
+
+def saturation_thinning(n_source_in: float, sat: SaturationParams | None) -> float:
+    """Per-photon survival factor min(transfer(n_in) / n_in, 1) under the
+    self-blockade ``sat``: source photons thinned by it put the runs without
+    stored excitations on the transfer curve.  1 without self-blockade (sat
+    None) or without source photons."""
+    if sat is None or not n_source_in > 0:
+        return 1.0
+    return min(transfer(n_source_in, sat) / n_source_in, 1.0)
 
 
 def gain(no_gate_out: float, with_gate_out: float) -> float:

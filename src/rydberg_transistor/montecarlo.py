@@ -48,10 +48,10 @@ from .models import (
     child_seed,
     detected_mean_violations,
     raise_violations,
+    saturation_thinning,
     seed_violations,
     simulation_violations,
     switch_contrast,
-    transfer,
 )
 
 if TYPE_CHECKING:
@@ -204,8 +204,8 @@ class SimConfig:
     A config that violates `models.simulation_violations` (the list the CLI
     checks [simulation] with, which bounds both Poisson means by
     POISSON_LAM_MAX), `models.detected_mean_violations` (the detected mean,
-    which sizes the count table, within MU0_MAX) or the seed invariant raises
-    one DomainError naming each.
+    thinned under self-blockade, which sizes the count table, within MU0_MAX)
+    or the seed invariant raises one DomainError naming each.
     """
 
     n_gate_in: float = 0.75
@@ -221,7 +221,8 @@ class SimConfig:
         raise_violations(self, [
             *simulation_violations(self.n_gate_in, self.p_store, self.source_rate,
                                    self.t_int, self.retention_tau),
-            *detected_mean_violations(self.source_rate, self.t_int, self.params.eta_det),
+            *detected_mean_violations(self.source_rate, self.t_int, self.params.eta_det,
+                                      self.sat),
             *seed_violations(self.seed),
         ])
 
@@ -231,10 +232,7 @@ class SimConfig:
 
     def saturation_thinning(self) -> float:
         """Per-photon survival factor that puts k=0 runs on the transfer curve."""
-        n_in = self.n_source_in
-        if self.sat is None or n_in == 0:
-            return 1.0
-        return min(transfer(n_in, self.sat) / n_in, 1.0)
+        return saturation_thinning(self.n_source_in, self.sat)
 
 
 @dataclass(frozen=True, eq=False)

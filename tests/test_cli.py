@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,12 +189,16 @@ def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
      "simulation.source_rate * t_int * eta_det <= 1e+06"),
     ("transfer-scan", "[simulation]\nsource_rate = 1e12\n",
      "simulation.source_rate * t_int * eta_det <= 1e+06"),
-    ("transfer-scan", "[scan]\nsource_values = 40 1e12\n",
-     "scan.source_values all * transistor.eta_det <= 1e+06"),
+    # self-blockade thins the source to about a photons, here 1e7
+    ("transfer-scan", "[scan]\nsource_values = 40 1e12\n[saturation]\na = 1e7\n",
+     "scan.source_values all * transistor.eta_det * saturation_thinning <= 1e+06"),
+    ("simulate", "[simulation]\nsource_rate = 1e12\nself_blockade = true\n"
+                 "[saturation]\na = 1e7\n",
+     "simulation.source_rate * t_int * eta_det * saturation_thinning <= 1e+06"),
 ])
 def test_detected_mean_over_mu0_max_is_config_error(command, text, violation, tmp_path,
                                                      capsys):
-    # the engine's dense count table would need hundreds of TiB
+    # the engine's dense count table would need from 8 MB to hundreds of TiB
     cfg = tmp_path / "big.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(cfg), "--runs", "50",
@@ -200,28 +206,75 @@ def test_detected_mean_over_mu0_max_is_config_error(command, text, violation, tm
     assert f"  - {violation}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("transfer-scan", "[scan]\nsource_values = 40 1e7\n"),
+    ("simulate", "[simulation]\nsource_rate = 1e12\nself_blockade = true\n"),
+])
+def test_self_blockade_thins_the_detected_mean_bound(command, text, tmp_path):
+    # unthinned, these detected means would be 3.1e6 and 9.3e12 counts; the
+    # engine draws them thinned to at most a * eta_det = 14.26
+    cfg = tmp_path / "thinned.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--runs", "200",
+                 "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
+def transfer_scan_builds(resolved) -> bool:
+    """Whether transfer-scan's runner builds every SimConfig it would simulate
+    with: its base config, with self-blockade, at each scan value."""
+    try:
+        _, sat, base = cli._sim_objects(resolved)
+        if base.sat is None:
+            base = replace(base, sat=sat)
+        for value in resolved["scan"]["source_values"]:
+            rate = float(value) / base.t_int
+            replace(base, n_gate_in=0.0, source_rate=rate)
+            replace(base, source_rate=rate)
+    except DomainError:
+        return False
+    return True
+
+
 def test_scan_source_values_bound_is_the_transfer_scan_configs_bound(tmp_path):
-    # within a few doubles of the bound, the CLI accepts a scan value iff
-    # transfer-scan can build its SimConfig (t_int 30, eta_det 0.31)
+    # the CLI accepts a scan iff transfer-scan can build its SimConfigs, so a
+    # validated transfer-scan never exits 4 (t_int 30, eta_det 0.31 unless drawn)
     cfg = tmp_path / "edge.cfg"
-    bound = models.MU0_MAX / 0.31
-    outcomes = set()
-    for k in range(-3, 4):
-        value = bound + k * math.ulp(bound)
-        cfg.write_text(f"[scan]\nsource_values = {value!r}\n", encoding="utf-8")
+
+    def check(text) -> bool:
+        cfg.write_text(text, encoding="utf-8")
         try:
             parse_and_validate(["transfer-scan", "--config", str(cfg)])
             accepted = True
         except ConfigError:
             accepted = False
-        try:
-            montecarlo.SimConfig(source_rate=value / 30.0, t_int=30.0)
-            built = True
-        except DomainError:
-            built = False
-        assert accepted == built, value
-        outcomes.add(accepted)
-    assert outcomes == {True, False}
+        assert accepted == transfer_scan_builds(cli.load_config(str(cfg))[1]), text
+        return accepted
+
+    edge = models.MU0_MAX / 0.31
+    unthinned, thinned = set(), set()
+    for k in range(-3, 4):
+        near = edge + k * math.ulp(edge)
+        # within a few doubles of the bound: unthinned (transfer(n) >= n at
+        # b = 1e-3), and thinned to a as the source value grows without bound
+        unthinned.add(check(f"[scan]\nsource_values = {near!r}\n"
+                            "[saturation]\na = 1e7\nb = 1e-3\n"))
+        thinned.add(check(f"[scan]\nsource_values = 1e9\n[saturation]\na = {near!r}\n"))
+        # at the shipped a = 46 every such value runs
+        assert check(f"[scan]\nsource_values = {near!r}\n")
+    assert unthinned == thinned == {True, False}
+    # and over random scans, most of them at a source value far above the bound
+    rng = random.Random(12)
+
+    def log(lo, hi):
+        return 10 ** rng.uniform(lo, hi)
+
+    drawn = [check(f"[transistor]\neta_det = {rng.uniform(0.01, 1.0)!r}\n"
+                   f"[saturation]\na = {log(0, 8)!r}\nb = {log(-3, 4)!r}\n"
+                   f"[simulation]\nt_int = {log(-1, 3)!r}\nsource_rate = {log(-3, 9)!r}\n"
+                   f"self_blockade = {rng.choice(['true', 'false'])}\n"
+                   f"[scan]\nsource_values = {log(0, 13)!r} {log(0, 13)!r}\n")
+             for _ in range(300)]
+    assert 30 <= drawn.count(True) <= 270, drawn.count(True)
 
 
 @pytest.mark.parametrize("mu0, violation", [
@@ -617,20 +670,21 @@ def test_all_emitted_csvs_round_trip(small_cfg, tmp_path):
 LOADED_MODULES = """
 import json, sys
 from rydberg_transistor import cli
-for argv in json.loads(sys.argv[1]):
-    assert cli.main(argv) == 0, argv
+argvs, code = json.loads(sys.argv[1])
+for argv in argvs:
+    assert cli.main(argv) == code, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] in ("rydberg_transistor", "numpy", "scipy"))))
 """
 
 
-def modules_after(argvs):
+def modules_after(argvs, code=EXIT_OK):
     """rydberg_transistor, numpy and scipy modules loaded by running ``argvs``
-    through cli.main in a fresh interpreter."""
+    through cli.main in a fresh interpreter, each exiting with ``code``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps([argvs, code])],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -657,11 +711,20 @@ def test_no_command_loads_scipy(small_cfg, tmp_path):
 
 
 def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
-    argv = ["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")]
-    assert package_modules(modules_after([argv])) == {
-        "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
-        "rydberg_transistor.models",
-    }
+    # and no numpy: neither the closed forms nor a rejected config need it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[simulation]\nn_gate_in = 1e300\n[transistor]\nod_sp = -1\n",
+                   encoding="utf-8")
+    runs = [([["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")],
+              ["--help"]], EXIT_OK),
+            ([["simulate", "--config", str(bad), "--output", str(tmp_path / "bad")],
+              ["detect", "--config", "paper90us", "--mu0", "1e12",
+               "--output", str(tmp_path / "mu0")]], EXIT_CONFIG)]
+    for argvs, code in runs:
+        assert modules_after(argvs, code) == [
+            "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
+            "rydberg_transistor.models",
+        ], argvs
 
 
 @pytest.mark.parametrize("command", ["simulate", "transfer-scan", "detect"])

@@ -172,17 +172,28 @@ def test_contrast_curve_matches_scalar():
 def test_capped_poisson_weights_against_scipy(cap):
     means = np.array([0.0, 1e-12, 0.61, 50.0, 1e3])
     stacked = models.capped_poisson_weights(means, cap)
-    assert stacked.shape == (len(means), cap + 1)
-    for mean, row in zip(means, stacked):
-        weights = models.capped_poisson_weights(float(mean), cap)
-        assert weights.shape == (cap + 1,)
-        assert np.array_equal(weights, row)
+    assert len(stacked) == cap + 1
+    assert all(term.shape == means.shape for term in stacked)
+    ods = np.array([0.0, 0.75, 2.2, 40.0])
+    # fit_od's lockstep form: the terms indexed to (m, n), od a column of m
+    lockstep = models.contrast_from_weights([term[None, :] for term in stacked], ods[:, None])
+    for i, mean in enumerate(means.tolist()):
+        weights = models.capped_poisson_weights(mean, cap)
+        assert all(type(w) is float for w in weights)
+        # the scalar path and the array path are one recurrence and one sum
+        assert list(weights) == [term[i] for term in stacked]
+        for j, od in enumerate(ods.tolist()):
+            contrast = models.contrast_from_weights(weights, od)
+            assert type(contrast) is float
+            assert contrast == lockstep[j, i] == models.contrast_curve(means, od, cap)[i]
         oracle = np.append(poisson.pmf(np.arange(cap), mean), poisson.sf(cap - 1, mean))
         np.testing.assert_allclose(weights, oracle, rtol=1e-12, atol=1e-15)
         assert weights[-1] >= 0
-        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert abs(sum(weights) - 1.0) <= 1e-12
     with pytest.raises(DomainError):
         models.capped_poisson_weights([0.5, -1e-9], cap)
+    with pytest.raises(DomainError):
+        models.capped_poisson_weights(-1e-9, cap)
     with pytest.raises(DomainError):
         models.capped_poisson_weights(0.5, cap + 0.5)
 

@@ -67,12 +67,14 @@ def test_shared_constants_have_one_definition():
 
 
 def test_importing_cli_executes_no_layer_module():
+    # nor numpy, also once a manifest is parsed and validated
     src = str(Path(rydberg_transistor.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = ("import json, sys; import rydberg_transistor.cli; "
+    code = ("import json, sys; import rydberg_transistor.cli as cli; "
+            "cli.parse_and_validate(['detect', '--config', 'paper90us', '--mu0', '20']); "
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'rydberg_transistor')))")
+            "if m.split('.')[0] in ('rydberg_transistor', 'numpy'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

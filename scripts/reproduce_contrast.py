@@ -9,12 +9,12 @@ Usage:
 """
 
 import argparse
-import csv
 import os
 
 import numpy as np
 
 from rydberg_transistor import models
+from rydberg_transistor.cli import write_csv
 from rydberg_transistor.experiments import incoming_scan_config
 from rydberg_transistor.montecarlo import SimConfig, contrast_scan, scan_configs
 
@@ -30,16 +30,11 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    grid = np.linspace(0.05, 3.5, 70)
-    with open(os.path.join(args.out, "contrast_curves.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_gate_in", "model_contrast", "coherent_limit"])
-        for n in grid:
-            writer.writerow([
-                repr(float(n)),
-                repr(models.expected_contrast_incoming(float(n), OD_SP, CAP)),
-                repr(models.coherent_limit(float(n))),
-            ])
+    grid = np.linspace(0.05, 3.5, 70).tolist()
+    write_csv(os.path.join(args.out, "contrast_curves.csv"),
+              ["n_gate_in", "model_contrast", "coherent_limit"],
+              [[n, models.expected_contrast_incoming(n, OD_SP, CAP), models.coherent_limit(n)]
+               for n in grid])
 
     gate_values = [0.25 * k for k in range(1, 15)]
     base = incoming_scan_config(SimConfig(
@@ -47,7 +42,7 @@ def main():
         source_rate=0.69, t_int=30.0, retention_tau=float("inf"), seed=args.seed,
     ))
     ds = contrast_scan(scan_configs(base, gate_values), args.runs)
-    ds.to_csv(os.path.join(args.out, "contrast_sim.csv"))
+    write_csv(os.path.join(args.out, "contrast_sim.csv"), ["x", "y", "sigma"], ds.points)
 
     print(f"simulated contrast scan, {args.runs} runs/point, od_sp={OD_SP}, cap={CAP}")
     print(f"{'n_gate':>7} {'model':>8} {'sim':>8} {'sigma':>8} {'limit':>8}")

@@ -10,9 +10,9 @@ Usage:
 """
 
 import argparse
-import csv
 import os
 
+from rydberg_transistor.cli import decomposition_table, histogram_table, write_csv
 from rydberg_transistor.experiments import fidelity_sweep
 
 
@@ -27,14 +27,11 @@ def main():
     mu0_grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
     reports = fidelity_sweep(mu0_grid, n_runs=args.runs, seed=args.seed)
 
-    with open(os.path.join(args.out, "fidelity_sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mu0", "tau", "fidelity", "fidelity_balanced",
-                         "model_fidelity", "decomposition_p"])
-        for r in reports:
-            writer.writerow([repr(r.mu0), r.tau, repr(r.fidelity),
-                             repr(r.fidelity_balanced), repr(r.threshold.fidelity),
-                             repr(r.decomposition.p_value)])
+    write_csv(os.path.join(args.out, "fidelity_sweep.csv"),
+              ["mu0", "tau", "fidelity", "fidelity_balanced", "model_fidelity",
+               "decomposition_p"],
+              [[r.mu0, r.tau, r.fidelity, r.fidelity_balanced, r.threshold.fidelity,
+                r.decomposition.p_value] for r in reports])
 
     print(f"{args.runs} runs/point, n_stored = 0.61, od_st 2.2 instantaneous "
           "(0.94 effective over 90 us)")
@@ -43,9 +40,11 @@ def main():
         print(f"{r.mu0:5.0f} {r.tau:4d} {r.fidelity:9.3f} "
               f"{r.fidelity_balanced:9.3f} {r.threshold.fidelity:7.3f}")
     best = max(reports, key=lambda r: r.fidelity)
-    best.gated_hist.to_csv(os.path.join(args.out, "gated_histogram.csv"))
-    best.reference_hist.to_csv(os.path.join(args.out, "reference_histogram.csv"))
-    best.decomposition.to_csv(os.path.join(args.out, "decomposition.csv"))
+    write_csv(os.path.join(args.out, "gated_histogram.csv"), *histogram_table(best.gated_hist))
+    write_csv(os.path.join(args.out, "reference_histogram.csv"),
+              *histogram_table(best.reference_hist))
+    write_csv(os.path.join(args.out, "decomposition.csv"),
+              *decomposition_table(best.decomposition))
     in_band = [r.mu0 for r in reports if abs(r.fidelity - 0.72) <= 0.05]
     print(f"fidelity within 0.72(5) at mu0 = {in_band}")
     print(f"wrote sweep + histograms for mu0 = {best.mu0:.0f} to {args.out}/")

@@ -10,13 +10,13 @@ Usage:
 """
 
 import argparse
-import csv
 import math
 import os
 
 import numpy as np
 
 from rydberg_transistor import models
+from rydberg_transistor.cli import write_csv
 from rydberg_transistor.experiments import gain_scan_rows, transfer_dataset, transfer_scan
 from rydberg_transistor.fitting import fit_saturation
 from rydberg_transistor.montecarlo import SimConfig
@@ -33,13 +33,10 @@ def main():
     params = models.TransistorParams(od_sp=0.45, od_st=0.94, cap=3)
     sat = models.SaturationParams(46.0, 70.0)
 
-    rows = gain_scan_rows(params, sat, 0.75, np.linspace(10, 250, 25))
-    with open(os.path.join(args.out, "gain_curves.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(row[k])) for k in header])
+    rows = gain_scan_rows(params, sat, 0.75, np.linspace(10, 250, 25).tolist())
+    header = list(rows[0].keys())
+    write_csv(os.path.join(args.out, "gain_curves.csv"), header,
+              [[row[k] for k in header] for row in rows])
 
     base = SimConfig(
         n_gate_in=0.61, p_store=1.0,
@@ -47,14 +44,10 @@ def main():
         sat=sat, t_int=90.0, retention_tau=math.inf, seed=args.seed,
     )
     points = transfer_scan(base, np.linspace(25, 250, 10), args.runs)
-    with open(os.path.join(args.out, "transfer_sim.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_source_in", "no_gate_out", "no_gate_sigma",
-                         "with_gate_out", "with_gate_sigma"])
-        for p in points:
-            writer.writerow([repr(p.n_source_in), repr(p.no_gate_out),
-                             repr(p.no_gate_sigma), repr(p.with_gate_out),
-                             repr(p.with_gate_sigma)])
+    write_csv(os.path.join(args.out, "transfer_sim.csv"),
+              ["n_source_in", "no_gate_out", "no_gate_sigma", "with_gate_out", "with_gate_sigma"],
+              [[p.n_source_in, p.no_gate_out, p.no_gate_sigma, p.with_gate_out, p.with_gate_sigma]
+               for p in points])
 
     fit = fit_saturation(transfer_dataset(points), n_boot=100)
     c_coh = models.expected_contrast_incoming(0.75, 0.45, 3)

@@ -24,9 +24,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import chain
 
 from . import __version__, models
 from .errors import ConfigError, FitConvergenceError, TransistorError
@@ -225,7 +226,12 @@ def _mu0_checks(name: str, values: list[float], eta_det: float) -> list[tuple[st
     ]
 
 
-def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
+def _self_blockade(command: str, resolved: dict) -> bool:
+    """Whether the command simulates with self-blockade; transfer-scan always does."""
+    return command == "transfer-scan" or resolved["simulation"]["self_blockade"]
+
+
+def _validate(resolved: dict, seed: int, runs: int, command: str) -> list[str]:
     """Names of the violated invariants.
 
     [transistor], [saturation] and [simulation] are checked by the invariant
@@ -250,9 +256,10 @@ def _validate(resolved: dict, seed: int, runs: int) -> list[str]:
     # self-blockade.  A thinned one needs a valid [saturation]; without it,
     # which is named already, it goes unchecked.
     sat = None if objects["saturation"] else models.SaturationParams(**resolved["saturation"])
-    if not (sim["self_blockade"] and sat is None):
+    thinned = _self_blockade(command, resolved)
+    if not (thinned and sat is None):
         objects["simulation"] += models.detected_mean_violations(
-            sim["source_rate"], t_int, eta, sat if sim["self_blockade"] else None)
+            sim["source_rate"], t_int, eta, sat if thinned else None)
     checks = [
         (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
         ("detection.od_st_model > 0", det["od_st_model"] > 0),
@@ -297,7 +304,7 @@ def parse_and_validate(argv) -> RunManifest:
     if args.command == "detect" and args.mu0 is not None:
         options["mu0"] = args.mu0
 
-    violations = _validate(resolved, seed, runs)
+    violations = _validate(resolved, seed, runs, args.command)
     if args.command == "fit-od" and options.get("cap", 1) < 1:
         violations.append("fit-od --cap >= 1")
     if "mu0" in options:
@@ -323,20 +330,65 @@ def parse_and_validate(argv) -> RunManifest:
     )
 
 
-def _fmt_cell(v) -> str:
-    # numpy scalar to its Python type first: np.float64 is a float subclass
-    # whose repr is "np.float64(...)" under numpy 2
+def _csv_cell(v):
+    """A table cell as ``write_csv`` takes it: a numpy scalar as its Python
+    value, a bool (numpy's too) as true/false."""
     if hasattr(v, "item"):
         v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return v
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV result-file writer: UTF-8, a header row, then one LF-ended
+    line per row of any iterable, so rows can be streamed.  Cells are str, int
+    or float; a float is written with ``repr``, so it reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload, **dump_options) -> None:
+    """The one JSON result-file writer: UTF-8, keys sorted, indent 2, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, **dump_options)
+        fh.write("\n")
+
+
+def histogram_table(hist):
+    """Header and rows of a detection.CountHistogram: its nonzero bins."""
+    return ["events", "runs"], hist.bins()
+
+
+# decomposition rows converted from numpy to Python at a time
+ROW_CHUNK = 2**16
+
+
+def decomposition_table(deco):
+    """Header and rows of a detection.DecompositionResult, one row per bin:
+    about a million at mu0 = 1e6, so its columns are converted to Python
+    values ROW_CHUNK rows at a time, never all at once."""
+    header = ["events", "observed", "model_total", "model_gated", "model_ungated"]
+    columns = [getattr(deco, name) for name in header]
+    return header, chain.from_iterable(
+        zip(*(_cells(c[start:start + ROW_CHUNK]) for c in columns))
+        for start in range(0, len(deco.events), ROW_CHUNK))
+
+
+def _cells(column):
+    """A numpy column's Python values, each zero (bit pattern 0, so not -0.0)
+    as the text csv.writer makes of it: most decomposition cells are zeros
+    (86% of the rows at mu0 = 1e6), and a text cell needs no conversion."""
+    cells = column.astype(object)
+    cells[column.view("i8") == 0] = "0.0" if column.dtype.kind == "f" else "0"
+    return cells.tolist()
 
 
 class OutputWriter:
-    """Deterministic result-file writer that records content hashes."""
+    """Deterministic result-file writer that records content hashes; every
+    result file goes through ``write_csv`` or ``_write_json``."""
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
@@ -349,17 +401,10 @@ class OutputWriter:
         with open(self.path(name), "rb") as fh:
             self.written[name] = hashlib.sha256(fh.read()).hexdigest()
 
-    def table(self, stem: str, header: list[str], rows: list[list]) -> str:
+    def table(self, stem: str, header: list[str], rows) -> str:
         if self.manifest.format == "json":
             return self._json(f"{stem}.json", [dict(zip(header, row)) for row in rows])
-        name = f"{stem}.csv"
-        with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(v) for v in row])
-        self.register(name)
-        return name
+        return self.csv_table(stem, header, [list(map(_csv_cell, row)) for row in rows])
 
     def record(self, stem: str, record: dict) -> str:
         if self.manifest.format == "json":
@@ -367,12 +412,16 @@ class OutputWriter:
         return self.table(stem, ["key", "value"], [[key, record[key]] for key in sorted(record)])
 
     def histogram(self, stem: str, hist) -> str:
-        """Write a detection.CountHistogram."""
-        name = f"{stem}.{self.manifest.format}"
-        if self.manifest.format == "csv":
-            hist.to_csv(self.path(name))
-        else:
-            hist.to_json(self.path(name))
+        """A detection.CountHistogram: an ``events,runs`` table in CSV, the
+        ``{"n": runs}`` map of its nonzero bins in JSON."""
+        if self.manifest.format == "json":
+            return self._json(f"{stem}.json", {str(n): runs for n, runs in hist.bins()})
+        return self.csv_table(stem, *histogram_table(hist))
+
+    def csv_table(self, stem: str, header: list[str], rows) -> str:
+        """A CSV table in either format."""
+        name = f"{stem}.csv"
+        write_csv(self.path(name), header, rows)
         self.register(name)
         return name
 
@@ -397,12 +446,6 @@ class OutputWriter:
         }
         _write_json(self.path(name), payload)
         return name
-
-
-def _write_json(path, payload, **dump_options) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, **dump_options)
-        fh.write("\n")
 
 
 def read_table(path) -> tuple[list[str], list[list[float]]]:
@@ -457,21 +500,22 @@ def _params(resolved: dict):
             models.SaturationParams(**resolved["saturation"]))
 
 
-def _sim_objects(resolved: dict):
+def _sim_config(resolved: dict, command: str):
+    """The SimConfig the command simulates with (transfer-scan varies its rate)."""
     from .montecarlo import SimConfig
 
     params, sat = _params(resolved)
     sim = resolved["simulation"]
-    config = SimConfig(**{k: sim[k] for k in _SIM_KEYS}, params=params,
-                       sat=sat if sim["self_blockade"] else None, seed=sim["seed"])
-    return params, sat, config
+    return SimConfig(**{k: sim[k] for k in _SIM_KEYS}, params=params,
+                     sat=sat if _self_blockade(command, resolved) else None,
+                     seed=sim["seed"])
 
 
 def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
     from .experiments import incoming_scan_config
     from .montecarlo import contrast_scan, scan_configs
 
-    _, _, base = _sim_objects(manifest.resolved)
+    base = _sim_config(manifest.resolved, manifest.command)
     if manifest.options["mode"] == "incoming":
         base = incoming_scan_config(base)
     ds = contrast_scan(scan_configs(base, manifest.resolved["scan"]["gate_values"]),
@@ -496,9 +540,7 @@ def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> None:
 def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
     from .experiments import transfer_scan
 
-    _, sat, base = _sim_objects(manifest.resolved)
-    if base.sat is None:
-        base = replace(base, sat=sat)  # the scan measures the transfer curve itself
+    base = _sim_config(manifest.resolved, manifest.command)
     points = transfer_scan(
         base, manifest.resolved["scan"]["source_values"], manifest.runs
     )
@@ -514,7 +556,7 @@ def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
 def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> None:
     from .montecarlo import simulate_ensemble
 
-    _, _, config = _sim_objects(manifest.resolved)
+    config = _sim_config(manifest.resolved, manifest.command)
     result = simulate_ensemble(config, manifest.runs)
     out.histogram("histogram", result.histogram)
     out.record(
@@ -611,9 +653,7 @@ def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
     )
     out.histogram("gated_histogram", best.gated_hist)
     out.histogram("reference_histogram", best.reference_hist)
-    deco_name = "decomposition.csv"
-    best.decomposition.to_csv(out.path(deco_name))
-    out.register(deco_name)
+    out.csv_table("decomposition", *decomposition_table(best.decomposition))
 
 
 _DISPATCH = {

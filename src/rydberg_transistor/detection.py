@@ -13,8 +13,6 @@ table per process; the module needs no scipy.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -160,7 +158,7 @@ class CountHistogram:
     def max_event(self) -> int:
         return max(len(self.runs) - 1, 0)
 
-    def _bins(self) -> list[tuple[int, int]]:
+    def bins(self) -> list[tuple[int, int]]:
         """(events, runs) of each nonzero bin, in ascending order of events."""
         events = np.flatnonzero(self.runs)
         return list(zip(events.tolist(), self.runs[events].tolist()))
@@ -179,18 +177,7 @@ class CountHistogram:
         if total < 2:
             return 0.0
         m = self.mean()
-        return sum(v * (k - m) ** 2 for k, v in self._bins()) / (total - 1)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["events", "runs"])
-            writer.writerows(self._bins())
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({str(k): v for k, v in self._bins()}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        return sum(v * (k - m) ** 2 for k, v in self.bins()) / (total - 1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +249,8 @@ def mixture_from_params(
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Expected gated/ungated run counts per bin for an observed histogram."""
+    """Expected gated/ungated run counts per bin for an observed histogram:
+    column arrays over the bins ``events`` = 0..n_max."""
 
     events: np.ndarray
     observed: np.ndarray
@@ -275,27 +263,17 @@ class DecompositionResult:
     p_value: float
     gated_runs: float  # model-expected number of gated runs
 
-    def to_csv(self, path) -> None:
-        """One row per bin: events and observed as integers, model cells as
-        ``repr(float)``; no cell needs CSV quoting, so rows are joined directly."""
-        rows = zip(
-            map(int, self.events.tolist()),
-            map(int, self.observed.tolist()),
-            self.model_total.tolist(),
-            self.model_gated.tolist(),
-            self.model_ungated.tolist(),
-        )
-        lines = ["events,observed,model_total,model_gated,model_ungated"]
-        lines += [f"{n},{o},{t!r},{g!r},{u!r}" for n, o, t, g, u in rows]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
-    """Pearson chi-square with adjacent bins pooled to expected >= 5."""
+    """Pearson chi-square with adjacent bins pooled to expected >= 5.
+
+    Only bins with a nonzero observed or expected count are visited: one with
+    o = 0 and e = 0.0 leaves both sums and the pooling test unchanged.
+    """
     pooled_obs, pooled_exp = [], []
     acc_o, acc_e = 0.0, 0.0
-    for o, e in zip(observed, expected):
+    visited = np.flatnonzero((observed != 0) | (expected != 0))
+    for o, e in zip(observed[visited].tolist(), expected[visited].tolist()):
         acc_o += o
         acc_e += e
         if acc_e >= 5.0:

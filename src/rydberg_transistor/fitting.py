@@ -12,7 +12,6 @@ all its resamples at once.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,25 +86,6 @@ class DataSet:
     def from_points(cls, points, label: str = "") -> "DataSet":
         arr = np.asarray(list(points), dtype=float)
         return cls(x=arr[:, 0], y=arr[:, 1], sigma=arr[:, 2], label=label)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "y", "sigma"])
-            for xi, yi, si in self.points:
-                writer.writerow([repr(xi), repr(yi), repr(si)])
-
-    @classmethod
-    def from_csv(cls, path, label: str = "") -> "DataSet":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["x", "y", "sigma"]:
-                raise DomainError(f"{path}: expected header 'x,y,sigma'")
-            rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-        if not rows:
-            raise InsufficientDataError(f"{path}: no data rows")
-        return cls.from_points(rows, label=label or str(path))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from rydberg_transistor.cli import (
     parse_and_validate,
     read_record,
     read_table,
+    write_csv,
 )
 from rydberg_transistor.errors import ConfigError, DomainError, FitConvergenceError
 from rydberg_transistor.fitting import DataSet
@@ -47,6 +48,10 @@ def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(SMALL_CFG, encoding="utf-8")
     return str(path)
+
+
+def write_dataset(path, ds):
+    write_csv(path, ["x", "y", "sigma"], ds.points)
 
 
 def histogram_bins(path):
@@ -187,8 +192,6 @@ def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
 @pytest.mark.parametrize("command, text, violation", [
     ("simulate", "[simulation]\nsource_rate = 1e12\n",
      "simulation.source_rate * t_int * eta_det <= 1e+06"),
-    ("transfer-scan", "[simulation]\nsource_rate = 1e12\n",
-     "simulation.source_rate * t_int * eta_det <= 1e+06"),
     # self-blockade thins the source to about a photons, here 1e7
     ("transfer-scan", "[scan]\nsource_values = 40 1e12\n[saturation]\na = 1e7\n",
      "scan.source_values all * transistor.eta_det * saturation_thinning <= 1e+06"),
@@ -209,23 +212,26 @@ def test_detected_mean_over_mu0_max_is_config_error(command, text, violation, tm
 @pytest.mark.parametrize("command, text", [
     ("transfer-scan", "[scan]\nsource_values = 40 1e7\n"),
     ("simulate", "[simulation]\nsource_rate = 1e12\nself_blockade = true\n"),
+    # transfer-scan always thins, whatever [simulation] self_blockade says
+    ("transfer-scan", "[simulation]\nsource_rate = 1e12\n"),
 ])
 def test_self_blockade_thins_the_detected_mean_bound(command, text, tmp_path):
-    # unthinned, these detected means would be 3.1e6 and 9.3e12 counts; the
-    # engine draws them thinned to at most a * eta_det = 14.26
+    # unthinned, these detected means would be 3.1e6, 9.3e12 and 9.3e12
+    # counts; the engine draws them thinned to at most a * eta_det = 14.26
     cfg = tmp_path / "thinned.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(cfg), "--runs", "200",
                  "--output", str(tmp_path / "o")]) == EXIT_OK
+    # the sidecar records the config as given
+    sidecar = json.loads((tmp_path / "o" / f"{command}.provenance.json").read_text("utf-8"))
+    assert sidecar["resolved_config"]["simulation"]["self_blockade"] == ("true" in text)
 
 
 def transfer_scan_builds(resolved) -> bool:
     """Whether transfer-scan's runner builds every SimConfig it would simulate
     with: its base config, with self-blockade, at each scan value."""
     try:
-        _, sat, base = cli._sim_objects(resolved)
-        if base.sat is None:
-            base = replace(base, sat=sat)
+        base = cli._sim_config(resolved, "transfer-scan")
         for value in resolved["scan"]["source_values"]:
             rate = float(value) / base.t_int
             replace(base, n_gate_in=0.0, source_rate=rate)
@@ -445,7 +451,7 @@ def test_contrast_scan_round_trips_into_fit_od(small_cfg, tmp_path):
     x = np.arange(0.25, 3.51, 0.25)
     ds = DataSet(x=x, y=models.contrast_curve(x, 0.75, 3), sigma=np.full_like(x, 0.04))
     data_path = tmp_path / "exact.csv"
-    ds.to_csv(data_path)
+    write_dataset(data_path, ds)
     code = main(["fit-od", "--input", str(data_path), "--mode", "incoming",
                  "--output", str(out)])
     assert code == EXIT_OK
@@ -503,7 +509,7 @@ def test_fit_saturation_cli_round_trip(tmp_path):
     x = np.linspace(25, 250, 10)
     ds = DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0), sigma=np.ones_like(x))
     data_path = tmp_path / "sat.csv"
-    ds.to_csv(data_path)
+    write_dataset(data_path, ds)
     out = tmp_path / "fit"
     assert main(["fit-saturation", "--input", str(data_path),
                  "--output", str(out)]) == EXIT_OK
@@ -522,7 +528,7 @@ def test_fit_record_cells_parse_as_numbers(command, tmp_path):
         x = np.linspace(25, 250, 10)
         y = 46.0 * -np.expm1(-x / 70.0)
     data_path = tmp_path / "data.csv"
-    DataSet(x=x, y=y, sigma=np.full_like(x, 0.04)).to_csv(data_path)
+    write_dataset(data_path, DataSet(x=x, y=y, sigma=np.full_like(x, 0.04)))
     out = tmp_path / "fit"
     assert main([command, "--input", str(data_path), "--output", str(out)]) == EXIT_OK
     record = read_record(out / f"{command.replace('-', '_')}.csv")
@@ -576,7 +582,7 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(fitting, "fit_saturation", explode)
     data = tmp_path / "d.csv"
-    DataSet(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0]).to_csv(data)
+    write_dataset(data, DataSet(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0]))
     out = tmp_path / "o"
     assert main(["fit-saturation", "--input", str(data), "--output", str(out)]) == EXIT_NUMERIC
     diag = json.loads((out / "fit-saturation.diagnostics.json").read_text(encoding="utf-8"))
@@ -664,6 +670,65 @@ def test_all_emitted_csvs_round_trip(small_cfg, tmp_path):
     assert path2.read_bytes() == (out / "contrast_scan.csv").read_bytes()
 
 
+def output_writer(directory, fmt):
+    """The CLI's result-file writer, writing into ``directory`` in ``fmt``."""
+    return cli.OutputWriter(cli.RunManifest(
+        command="simulate", config_path="", seed=0, runs=1, output_dir=str(directory),
+        format=fmt, force=False))
+
+
+def test_table_and_record_bytes(tmp_path):
+    # bools as true/false, ints with str, floats (np.float64 too) with repr
+    header = ["flag", "n", "x", "y"]
+    rows = [[True, 3, 0.1, np.float64(1 / 3)], [False, -7, 1e300, np.float64(0.0)]]
+    record = {"sse": 0.1, "n_boot": 200, "converged": True, "a": np.float64(46.0),
+              "flags": "linear_regime,b_ci_unbounded"}
+    csv_out, json_out = output_writer(tmp_path, "csv"), output_writer(tmp_path, "json")
+    assert csv_out.table("table", header, rows) == "table.csv"
+    assert csv_out.record("record", record) == "record.csv"
+    assert json_out.table("table", header, rows) == "table.json"
+    assert json_out.record("record", record) == "record.json"
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == (
+        "flag,n,x,y\ntrue,3,0.1,0.3333333333333333\nfalse,-7,1e+300,0.0\n")
+    assert (tmp_path / "record.csv").read_text(encoding="utf-8") == (
+        'key,value\na,46.0\nconverged,true\nflags,"linear_regime,b_ci_unbounded"\n'
+        "n_boot,200\nsse,0.1\n")
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == (
+        '[\n  {\n    "flag": true,\n    "n": 3,\n    "x": 0.1,\n    "y": 0.3333333333333333\n'
+        '  },\n  {\n    "flag": false,\n    "n": -7,\n    "x": 1e+300,\n    "y": 0.0\n  }\n]\n')
+    assert (tmp_path / "record.json").read_text(encoding="utf-8") == (
+        '{\n  "a": 46.0,\n  "converged": true,\n  "flags": "linear_regime,b_ci_unbounded",\n'
+        '  "n_boot": 200,\n  "sse": 0.1\n}\n')
+    # the sidecar hashes every file it wrote
+    assert csv_out.written == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                               for name in ("table.csv", "record.csv")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sidecar_outputs_are_the_planned_outputs(fmt, small_cfg, tmp_path):
+    # --force refusal checks the planned names, so they must be what each
+    # runner writes
+    contrast, transfer = tmp_path / "contrast.csv", tmp_path / "transfer.csv"
+    x = np.linspace(0.5, 5.0, 10)
+    write_dataset(contrast, DataSet(x=x, y=models.contrast_curve(x, 0.75, 3),
+                                    sigma=np.full(10, 0.02)))
+    x = np.linspace(25.0, 250.0, 10)
+    write_dataset(transfer, DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0),
+                                    sigma=np.full(10, 0.1)))
+    extra = {"fit-od": ["--input", str(contrast)], "fit-saturation": ["--input", str(transfer)],
+             "detect": ["--mu0", "15"]}
+    for command, (_, planned) in cli._DISPATCH.items():
+        out = tmp_path / command
+        manifest = parse_and_validate([command, "--config", small_cfg, "--runs", "40",
+                                       "--format", fmt, "--output", str(out),
+                                       *extra.get(command, [])])
+        assert cli.execute(manifest) == EXIT_OK
+        sidecar = f"{command}.provenance.json"
+        outputs = json.loads((out / sidecar).read_text(encoding="utf-8"))["outputs"]
+        assert sorted(outputs) == sorted(planned(manifest)), command
+        assert sorted(os.listdir(out)) == sorted([*outputs, sidecar]), command
+
+
 # ---------------------------------------------------------------------------
 # modules each command loads: no scipy, and no layer the command does not run
 
@@ -697,10 +762,12 @@ def package_modules(modules):
 def test_no_command_loads_scipy(small_cfg, tmp_path):
     contrast = tmp_path / "contrast.csv"
     gate = np.arange(0.25, 3.51, 0.25)
-    DataSet(x=gate, y=models.contrast_curve(gate, 0.75, 3), sigma=np.full(14, 0.02)).to_csv(contrast)
+    write_dataset(contrast, DataSet(x=gate, y=models.contrast_curve(gate, 0.75, 3),
+                                    sigma=np.full(14, 0.02)))
     transfer = tmp_path / "transfer.csv"
     x = np.linspace(25.0, 250.0, 10)
-    DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0), sigma=np.full(10, 0.1)).to_csv(transfer)
+    write_dataset(transfer, DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0),
+                                    sigma=np.full(10, 0.1)))
     common = ["--config", small_cfg, "--runs", "40"]
     argvs = [[command, *common, "--output", str(tmp_path / command)]
              for command in ("gain-scan", "simulate", "contrast-scan", "transfer-scan")]
@@ -741,7 +808,8 @@ def test_commands_that_never_fit_load_no_fitting(command, small_cfg, tmp_path):
 def test_fit_commands_add_only_fitting(command, tmp_path):
     data = tmp_path / "data.csv"
     x = np.linspace(0.5, 5.0, 10)
-    DataSet(x=x, y=models.contrast_curve(x, 0.75, 3), sigma=np.full(10, 0.02)).to_csv(data)
+    write_dataset(data, DataSet(x=x, y=models.contrast_curve(x, 0.75, 3),
+                                sigma=np.full(10, 0.02)))
     loaded = modules_after([[command, "--input", str(data), "--output", str(tmp_path / "o")]])
     assert package_modules(loaded) == {
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",

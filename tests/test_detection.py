@@ -12,7 +12,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import ks_2samp
 from scipy.stats import poisson
 
-from rydberg_transistor import detection
+from rydberg_transistor import cli, detection
 from rydberg_transistor.detection import (
     THRESHOLD_TAIL_QUANTILE,
     CountHistogram,
@@ -28,6 +28,13 @@ from rydberg_transistor.models import TransistorParams
 from rydberg_transistor.montecarlo import SimConfig, simulate_ensemble
 
 INF = math.inf
+
+
+def output_writer(directory, fmt="csv"):
+    """The CLI's result-file writer, writing into ``directory`` in ``fmt``."""
+    return cli.OutputWriter(cli.RunManifest(
+        command="detect", config_path="", seed=0, runs=1, output_dir=str(directory),
+        format=fmt, force=False))
 
 
 def mixture_matched_config(n_stored, od_st, mu0, cap=3, seed=0):
@@ -156,8 +163,8 @@ def _nonzero_bins(hist):
 
 def test_histogram_csv_round_trip(tmp_path):
     hist = CountHistogram(np.bincount([0] * 12 + [3] * 5 + [17]))
+    assert output_writer(tmp_path).histogram("hist", hist) == "hist.csv"
     path = tmp_path / "hist.csv"
-    hist.to_csv(path)
     assert path.read_text(encoding="utf-8") == "events,runs\n0,12\n3,5\n17,1\n"
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -166,8 +173,8 @@ def test_histogram_csv_round_trip(tmp_path):
 
 def test_histogram_json_round_trip(tmp_path):
     hist = CountHistogram(np.bincount([2] * 7 + [9] * 3 + [10]))
+    assert output_writer(tmp_path, "json").histogram("hist", hist) == "hist.json"
     path = tmp_path / "hist.json"
-    hist.to_json(path)
     # keys sort as strings
     assert path.read_text(encoding="utf-8") == '{\n  "10": 1,\n  "2": 7,\n  "9": 3\n}\n'
     obj = json.loads(path.read_text(encoding="utf-8"))
@@ -273,8 +280,10 @@ def test_decompose_csv_columns(tmp_path):
     model = mixture_from_params(0.61, 3, 0.94, 15.0)
     res = simulate_ensemble(mixture_matched_config(0.61, 0.94, 15.0, seed=4), 250)
     deco = decompose(res.histogram, model)
+    # CSV in either format
+    assert output_writer(tmp_path, "json").csv_table(
+        "decomposition", *cli.decomposition_table(deco)) == "decomposition.csv"
     path = tmp_path / "decomposition.csv"
-    deco.to_csv(path)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "events,observed,model_total,model_gated,model_ungated"
 
@@ -285,8 +294,8 @@ def test_decompose_csv_bytes_match_csv_writer(mu0, tmp_path):
     model = mixture_from_params(0.61, 3, 0.94, mu0)
     observed = CountHistogram(np.bincount(np.random.default_rng(6).poisson(mu0, 300)))
     deco = decompose(observed, model)
+    output_writer(tmp_path).csv_table("decomposition", *cli.decomposition_table(deco))
     path = tmp_path / "decomposition.csv"
-    deco.to_csv(path)
     reference = tmp_path / "reference.csv"
     with open(reference, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -295,6 +304,72 @@ def test_decompose_csv_bytes_match_csv_writer(mu0, tmp_path):
             writer.writerow([int(n), int(deco.observed[i]), repr(float(deco.model_total[i])),
                              repr(float(deco.model_gated[i])), repr(float(deco.model_ungated[i]))])
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_decomposition_rows_stream_in_chunks(monkeypatch, tmp_path):
+    # zero cells are written as str(0) and repr(0.0), and -0.0 and the
+    # smallest subnormal with repr too; rows are converted from the columns in
+    # chunks, and the chunk size does not show in the bytes
+    zeros = np.zeros(5)
+    deco = detection.DecompositionResult(
+        events=np.arange(5), observed=np.array([0, 2, 0, 0, 1]),
+        model_total=np.array([0.0, 2.5, 1e-300, 5e-324, 0.0]),
+        model_gated=np.array([0.0, -0.0, 0.0, 0.0, 0.0]),
+        model_ungated=np.array([0.0, 2.5, 1e-300, 5e-324, 0.0]), residuals=zeros,
+        chi2=0.0, dof=0, p_value=1.0, gated_runs=0.0)
+    expected = ("events,observed,model_total,model_gated,model_ungated\n"
+                "0,0,0.0,0.0,0.0\n1,2,2.5,-0.0,2.5\n2,0,1e-300,0.0,1e-300\n"
+                "3,0,5e-324,0.0,5e-324\n4,1,0.0,0.0,0.0\n")
+    for chunk, directory in [(cli.ROW_CHUNK, tmp_path / "one"), (2, tmp_path / "three")]:
+        monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+        directory.mkdir()
+        output_writer(directory).csv_table("decomposition", *cli.decomposition_table(deco))
+        assert (directory / "decomposition.csv").read_text(encoding="utf-8") == expected
+
+
+def _pooled_chi2_every_bin(observed, expected):
+    """detection._pooled_chi2 as it was before 0.8.0: it visits every bin."""
+    pooled_obs, pooled_exp = [], []
+    acc_o, acc_e = 0.0, 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            pooled_obs.append(acc_o)
+            pooled_exp.append(acc_e)
+            acc_o, acc_e = 0.0, 0.0
+    if acc_e > 0 and pooled_exp:
+        pooled_obs[-1] += acc_o
+        pooled_exp[-1] += acc_e
+    elif acc_e > 0:
+        pooled_obs.append(acc_o)
+        pooled_exp.append(acc_e)
+    if len(pooled_exp) < 2:
+        return 0.0, 0, 1.0
+    obs = np.array(pooled_obs)
+    exp = np.array(pooled_exp)
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    dof = len(exp) - 1
+    return stat, dof, detection._chi2_sf(stat, dof)
+
+
+def test_pooled_chi2_skips_only_empty_bins():
+    # a bin with o = 0 and e = 0.0 leaves the sums alone, so skipping such
+    # bins gives the same chi2, dof and p-value bit for bit
+    cases = []
+    for mu0 in (15.0, 1e5):  # 1e5: nearly every bin is empty
+        observed = CountHistogram(np.bincount(np.random.default_rng(6).poisson(mu0, 300)))
+        deco = decompose(observed, mixture_from_params(0.61, 3, 0.94, mu0))
+        cases.append((deco.observed.astype(float), deco.model_total))
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        keep = rng.random(n) < rng.random()
+        cases.append((np.where(keep, rng.poisson(3.0, n), 0).astype(float),
+                      np.where(keep | (rng.random(n) < 0.2), rng.exponential(3.0, n), 0.0)))
+    for observed, expected in cases:
+        assert detection._pooled_chi2(observed, expected) == \
+            _pooled_chi2_every_bin(observed, expected)
 
 
 def test_decompose_calibration_on_exact_model():

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_transistor import fitting, models, montecarlo
-from rydberg_transistor.errors import DomainError, FitConvergenceError, InsufficientDataError
+from rydberg_transistor import cli, fitting, models, montecarlo
+from rydberg_transistor.errors import (
+    ConfigError,
+    DomainError,
+    FitConvergenceError,
+    InsufficientDataError,
+)
 from rydberg_transistor.fitting import (
     DataSet,
     bootstrap_ci,
@@ -66,20 +71,24 @@ def test_dataset_validation():
 
 
 def test_dataset_csv_round_trip(tmp_path):
+    # the CLI's writer and dataset loader: repr floats read back exactly
     ds = exact_contrast_data(0.75)
     path = tmp_path / "data.csv"
-    ds.to_csv(path)
-    back = DataSet.from_csv(path)
+    cli.write_csv(path, ["x", "y", "sigma"], ds.points)
+    back = cli._load_dataset(str(path))
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.sigma, ds.sigma)
+    assert back.label == "data.csv"
 
 
 def test_dataset_csv_requires_header(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("0.5,0.2,0.04\n1.0,0.4,0.04\n", encoding="utf-8")
-    with pytest.raises(DomainError):
-        DataSet.from_csv(path)
+    with pytest.raises(ConfigError, match="missing header row"):
+        cli._load_dataset(str(path))
+    assert cli.main(["fit-od", "--input", str(path),
+                     "--output", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ only the layers it runs.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

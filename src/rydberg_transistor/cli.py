@@ -9,24 +9,19 @@ sidecar with the resolved config and content hashes of the outputs.
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
 failure, 5 I/O failure.
 
-Parsing and validation need only `errors` and `models`, so those are the
-package modules imported here; each command's runner imports the layers it
-runs when it runs, and a short command loads nothing else.
+A command starts on `errors`, `models`, argparse and configparser alone: the
+layers its runner runs, and csv, json, hashlib and datetime for the result
+files, are imported when first needed.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import hashlib
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
-from importlib import resources
+from collections import namedtuple
 from itertools import chain
 
 from . import __version__, models
@@ -43,19 +38,16 @@ BUILTIN_CONFIGS = ("paper30us", "paper90us")
 DEFAULT_CONFIG = "paper30us"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(namedtuple("RunManifest", "command config_path seed runs output_dir "
+                             "format force options resolved")):
     """Everything that determines one CLI execution."""
 
-    command: str
-    config_path: str
-    seed: int
-    runs: int
-    output_dir: str
-    format: str
-    force: bool
-    options: dict = field(default_factory=dict)
-    resolved: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, command, config_path, seed, runs, output_dir, format, force,
+                options=None, resolved=None):
+        return super().__new__(cls, command, config_path, seed, runs, output_dir, format,
+                               force, options or {}, resolved or {})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,12 +162,16 @@ def _resolve_config_source(name: str | None):
     if name is None:
         name = DEFAULT_CONFIG
     if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
+        path = name
+    elif name in BUILTIN_CONFIGS:  # package data, plain files beside this module
+        path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg")
+    else:
+        raise ConfigError([f"config {name!r} is neither a file nor one of {BUILTIN_CONFIGS}"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return name, fh.read()
-    if name in BUILTIN_CONFIGS:
-        ref = resources.files("rydberg_transistor").joinpath(f"configs/{name}.cfg")
-        return name, ref.read_text(encoding="utf-8")
-    raise ConfigError([f"config {name!r} is neither a file nor one of {BUILTIN_CONFIGS}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"config {name}: {exc}"]) from exc
 
 
 def load_config(name: str | None) -> tuple[str, dict]:
@@ -344,6 +340,8 @@ def write_csv(path, header, rows) -> None:
     """The one CSV result-file writer: UTF-8, a header row, then one LF-ended
     line per row of any iterable, so rows can be streamed.  Cells are str, int
     or float; a float is written with ``repr``, so it reads back exactly."""
+    import csv  # the writer modules load with the first write, not at start
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -352,6 +350,8 @@ def write_csv(path, header, rows) -> None:
 
 def _write_json(path, payload, **dump_options) -> None:
     """The one JSON result-file writer: UTF-8, keys sorted, indent 2, final newline."""
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, **dump_options)
         fh.write("\n")
@@ -398,6 +398,8 @@ class OutputWriter:
         return os.path.join(self.manifest.output_dir, name)
 
     def register(self, name: str) -> None:
+        import hashlib
+
         with open(self.path(name), "rb") as fh:
             self.written[name] = hashlib.sha256(fh.read()).hexdigest()
 
@@ -431,6 +433,8 @@ class OutputWriter:
         return name
 
     def sidecar(self) -> str:
+        from datetime import datetime, timezone
+
         name = f"{self.manifest.command}.provenance.json"
         payload = {
             "command": self.manifest.command,
@@ -450,6 +454,8 @@ class OutputWriter:
 
 def read_table(path) -> tuple[list[str], list[list[float]]]:
     """Read a CSV table written by this tool: header row + float cells."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -467,6 +473,8 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
 
 def read_record(path) -> dict[str, str]:
     """Read a key/value CSV record written by this tool; values stay strings."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -704,7 +712,7 @@ def _write_diagnostics(manifest: RunManifest, exc: FitConvergenceError) -> None:
     try:
         _write_json(os.path.join(manifest.output_dir, f"{manifest.command}.diagnostics.json"),
                     {"error": str(exc), "diagnostics": exc.diagnostics,
-                     "manifest": {**asdict(manifest)}}, default=str)
+                     "manifest": manifest._asdict()}, default=str)
     except OSError:
         pass
 

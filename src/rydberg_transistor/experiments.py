@@ -58,7 +58,7 @@ def incoming_scan_config(base: SimConfig) -> SimConfig:
     (a_ge = 0, p_store = 1, od_st := od_sp), so the measured contrast follows
     the incoming-photon contrast model directly.
     """
-    params = replace(base.params, a_ge=0.0, od_st=base.params.od_sp)
+    params = base.params._replace(a_ge=0.0, od_st=base.params.od_sp)
     return replace(base, params=params, p_store=1.0)
 
 

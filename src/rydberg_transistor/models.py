@@ -13,7 +13,11 @@ plain `math` and fit_od's arrays of means by the same lines of code.
 The module imports no numpy, so parsing, validation, every rejected input and
 `gain-scan` run without it.  The commands that draw or fit (simulate,
 contrast-scan, transfer-scan, detect, fit-od, fit-saturation) load numpy with
-their runners; `child_seed` imports it when it is called.
+their runners; `child_seed` imports it when it is called.  Nor does it import
+`dataclasses`, whose `inspect` costs a short command more than the rest of
+its start: the parameter records are namedtuples that validate in `__new__`.
+The numpy layers keep their dataclasses, since numpy already imports
+`inspect` and `dataclasses` then costs them about 1 ms.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean and mu0 bounds, the fly-away
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, UndefinedContrastError
 
@@ -143,8 +147,24 @@ def detected_mean_violations(source_rate, t_int, eta_det, sat=None) -> list[str]
                            scale <= 0 or rate <= MU0_MAX / scale)])
 
 
-@dataclass(frozen=True)
-class TransistorParams:
+class _Record:
+    """A namedtuple that raises one DomainError naming every violated invariant
+    when built, also by ``_make`` and ``_replace`` (namedtuple's skip ``__new__``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        raise_violations(self, self.violations(*self))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class TransistorParams(_Record, namedtuple("TransistorParams", "od_sp od_st cap a_ge eta_det",
+                                           defaults=(0.75, 2.2, 3, 0.15, 0.31))):
     """Physical constants of one transistor realization.
 
     od_sp : optical depth of the source beam per incoming gate photon
@@ -154,11 +174,7 @@ class TransistorParams:
     eta_det : overall photon detection efficiency, in (0, 1]
     """
 
-    od_sp: float = 0.75
-    od_st: float = 2.2
-    cap: int = 3
-    a_ge: float = 0.15
-    eta_det: float = 0.31
+    __slots__ = ()
 
     @staticmethod
     def violations(od_sp, od_st, cap, a_ge, eta_det) -> list[str]:
@@ -172,35 +188,31 @@ class TransistorParams:
             ("eta_det in (0, 1]", 0 < eta_det <= 1),
         ])
 
-    def __post_init__(self):
-        raise_violations(self, self.violations(**vars(self)))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Different conditionings, so not an error, but almost always a mix-up.
         if self.od_sp > self.od_st:
             warnings.warn(
                 f"od_sp={self.od_sp} exceeds od_st={self.od_st}; per-incoming-photon "
                 "attenuation is normally weaker than per-stored-excitation attenuation",
-                stacklevel=3,  # the constructing line, past the generated __init__
+                stacklevel=2,  # the constructing line
             )
+        return self
 
 
-@dataclass(frozen=True)
-class SaturationParams:
+class SaturationParams(_Record, namedtuple("SaturationParams", "a b", defaults=(46.0, 70.0))):
     """Self-blockade transfer curve N_out = a * (1 - exp(-N_in / b)).
 
     a : maximum photon number transmitted per detection window
     b : input photon number at which the self-nonlinear regime is reached
     """
 
-    a: float = 46.0
-    b: float = 70.0
+    __slots__ = ()
 
     @staticmethod
     def violations(a, b) -> list[str]:
         """Names of the invariants these field values violate."""
         return failed_checks([("a >= 0", a >= 0), ("b > 0", b > 0)])
-
-    def __post_init__(self):
-        raise_violations(self, self.violations(**vars(self)))
 
 
 def switch_contrast(with_gate: float, no_gate: float) -> float:

@@ -1,5 +1,6 @@
 """CLI contract tests: parsing, exit codes, determinism, provenance."""
 
+import ast
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,26 @@ def test_missing_config_file_rejected():
     assert main(["simulate", "--config", "/nonexistent/nope.cfg"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag, kind, cause", [
+    ("--config", "directory", "Is a directory"),
+    ("--config", "latin-1", "'utf-8' codec can't decode byte 0xb5"),
+    ("--input", "latin-1", "'utf-8' codec can't decode byte 0xb5"),
+])
+def test_unreadable_config_or_input_is_config_error(flag, kind, cause, tmp_path, capsys):
+    # one violation naming the path and the cause, not a traceback
+    path = tmp_path / "given"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("[simulation]\nt_int = 30 # µs\n".encode("latin-1"))
+    command = "fit-od" if flag == "--input" else "simulate"
+    assert main([command, flag, str(path), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0] == "config validation failed:"
+    assert lines[1].startswith(f"  - {'config ' if flag == '--config' else ''}{path}: ")
+    assert cause in lines[1]
+
+
 def test_builtin_configs_load():
     for name in ("paper30us", "paper90us"):
         m = parse_and_validate(["simulate", "--config", name])
@@ -589,6 +610,46 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     assert diag["diagnostics"]["sse"] == 1.0
 
 
+@dataclass(frozen=True)
+class DataclassManifest:
+    """cli.RunManifest as the frozen dataclass it was up to version 0.8.0."""
+
+    command: str
+    config_path: str
+    seed: int
+    runs: int
+    output_dir: str
+    format: str
+    force: bool
+    options: dict = field(default_factory=dict)
+    resolved: dict = field(default_factory=dict)
+
+
+def test_manifest_repr_and_diagnostics_are_the_dataclass_ones(monkeypatch, small_cfg, tmp_path):
+    # the repr, and the diagnostics file written from the manifest's dict,
+    # are byte for byte what the dataclass and its asdict gave
+    def explode(*args, **kwargs):
+        raise FitConvergenceError("simplex collapsed",
+                                  diagnostics={"sse": 1.0, "x": np.array([1.0, 2.0])})
+
+    monkeypatch.setattr(fitting, "fit_saturation", explode)
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    write_dataset(data, DataSet(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0]))
+    argv = ["fit-saturation", "--config", small_cfg, "--input", str(data), "--output", str(out)]
+    manifest = parse_and_validate(argv)
+    reference = DataclassManifest(*manifest)
+    assert repr(manifest) == "RunManifest" + repr(reference).removeprefix("DataclassManifest")
+    assert repr(cli.RunManifest("simulate", "", 0, 1, "o", "csv", False)) == (
+        "RunManifest(command='simulate', config_path='', seed=0, runs=1, output_dir='o', "
+        "format='csv', force=False, options={}, resolved={})")
+    assert main(argv) == EXIT_NUMERIC
+    expected = json.dumps({"error": "simplex collapsed",
+                           "diagnostics": {"sse": 1.0, "x": np.array([1.0, 2.0])},
+                           "manifest": {**asdict(reference)}},
+                          sort_keys=True, indent=2, default=str) + "\n"
+    assert (out / "fit-saturation.diagnostics.json").read_text(encoding="utf-8") == expected
+
+
 def test_detect_single_mu0(small_cfg, tmp_path):
     out = tmp_path / "detect"
     code = main(["detect", "--config", small_cfg, "--mu0", "15", "--runs", "300",
@@ -732,27 +793,44 @@ def test_sidecar_outputs_are_the_planned_outputs(fmt, small_cfg, tmp_path):
 # ---------------------------------------------------------------------------
 # modules each command loads: no scipy, and no layer the command does not run
 
+# Stdlib modules no command loads before its first write: `dataclasses` and
+# its `inspect` (about 14 ms), `importlib.resources`, and the writers' modules.
+NOT_AT_START = ("dataclasses", "inspect", "importlib.resources")
+WRITER_MODULES = ("csv", "json", "hashlib", "datetime")
+
+# imports nothing it watches before the commands run: argvs come as a literal
 LOADED_MODULES = """
-import json, sys
+import ast, sys
 from rydberg_transistor import cli
-argvs, code = json.loads(sys.argv[1])
+argvs, code, watched = ast.literal_eval(sys.argv[1])
 for argv in argvs:
-    assert cli.main(argv) == code, argv
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("rydberg_transistor", "numpy", "scipy"))))
+    if code is None:
+        cli.parse_and_validate(argv)
+    else:
+        assert cli.main(argv) == code, argv
+print(sorted(m for m in sys.modules
+             if m in watched or m.split(".")[0] in ("rydberg_transistor", "numpy", "scipy")))
 """
 
 
 def modules_after(argvs, code=EXIT_OK):
-    """rydberg_transistor, numpy and scipy modules loaded by running ``argvs``
-    through cli.main in a fresh interpreter, each exiting with ``code``."""
+    """rydberg_transistor, numpy and scipy modules, and those of NOT_AT_START
+    and WRITER_MODULES, loaded by running ``argvs`` through cli.main in a
+    fresh interpreter, each exiting with ``code``; with ``code`` None, only
+    parsed and validated, as the benchmark's setup probe does.
+
+    The interpreter runs with -S, so that no ``site`` .pth file preloads a
+    module; numpy's directory is put on its path instead.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    path = [src, str(Path(np.__file__).resolve().parents[1]),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps([argvs, code])],
+    arg = repr([argvs, code, [*NOT_AT_START, *WRITER_MODULES]])
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, arg],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def package_modules(modules):
@@ -778,20 +856,24 @@ def test_no_command_loads_scipy(small_cfg, tmp_path):
 
 
 def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
-    # and no numpy: neither the closed forms nor a rejected config need it
+    # and no numpy: neither the closed forms nor a rejected config need it;
+    # nor dataclasses, inspect or importlib.resources, and the writer modules
+    # only once a result file is written
+    package = ["rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
+               "rydberg_transistor.models"]
     bad = tmp_path / "bad.cfg"
     bad.write_text("[simulation]\nn_gate_in = 1e300\n[transistor]\nod_sp = -1\n",
                    encoding="utf-8")
-    runs = [([["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")],
-              ["--help"]], EXIT_OK),
+    runs = [([["gain-scan", "--config", small_cfg], ["detect", "--config", "paper90us"]],
+             None, package),
+            ([["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")]],
+             EXIT_OK, sorted([*package, *WRITER_MODULES])),
+            ([["--help"]], EXIT_OK, package),
             ([["simulate", "--config", str(bad), "--output", str(tmp_path / "bad")],
               ["detect", "--config", "paper90us", "--mu0", "1e12",
-               "--output", str(tmp_path / "mu0")]], EXIT_CONFIG)]
-    for argvs, code in runs:
-        assert modules_after(argvs, code) == [
-            "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
-            "rydberg_transistor.models",
-        ], argvs
+               "--output", str(tmp_path / "mu0")]], EXIT_CONFIG, package)]
+    for argvs, code, loaded in runs:
+        assert modules_after(argvs, code) == loaded, argvs
 
 
 @pytest.mark.parametrize("command", ["simulate", "transfer-scan", "detect"])

@@ -1,6 +1,9 @@
 """Closed-form model tests: frozen oracle values + algebraic properties."""
 
+import inspect
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,7 +377,8 @@ def test_transistor_params_warns_on_od_ordering():
 def test_od_ordering_warning_names_the_constructing_line():
     with pytest.warns(UserWarning, match="od_sp=2 exceeds") as record:
         models.TransistorParams(od_sp=2, od_st=1)
-    assert record[0].filename == __file__
+    here = inspect.currentframe().f_lineno
+    assert (record[0].filename, record[0].lineno) == (__file__, here - 1)
 
 
 def test_saturation_params_validation():
@@ -382,3 +386,66 @@ def test_saturation_params_validation():
         models.SaturationParams(a=-1.0)
     with pytest.raises(DomainError):
         models.SaturationParams(b=0.0)
+
+
+TP_BAD = ("TransistorParams violates od_sp >= 0; cap >= 1; cap is an integer; "
+          "eta_det in (0, 1]: TransistorParams(od_sp=-1.0, od_st=2.2, cap=0.5, "
+          "a_ge=0.15, eta_det=0.0)")
+
+
+def test_records_validate_on_construction_and_on_every_replace():
+    # one DomainError naming every violated invariant, however the record is
+    # built: namedtuple's _make and _replace would otherwise skip __new__
+    good = models.TransistorParams()
+    builds = [
+        lambda: models.TransistorParams(-1.0, 2.2, 0.5, 0.15, 0.0),
+        lambda: models.TransistorParams(od_sp=-1.0, cap=0.5, eta_det=0.0),
+        lambda: good._replace(od_sp=-1.0, cap=0.5, eta_det=0.0),
+        lambda: models.TransistorParams._make([-1.0, 2.2, 0.5, 0.15, 0.0]),
+    ]
+    for build in builds:
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == TP_BAD
+    sat = models.SaturationParams()
+    for build in (lambda: models.SaturationParams(-1.0, 0.0),
+                  lambda: sat._replace(a=-1.0, b=0.0),
+                  lambda: models.SaturationParams._make([-1.0, 0.0])):
+        with pytest.raises(DomainError, match=r"^SaturationParams violates a >= 0; b > 0: "
+                                              r"SaturationParams\(a=-1.0, b=0.0\)$"):
+            build()
+    # a replaced record keeps the fields it was not given
+    assert good._replace(a_ge=0.0) == models.TransistorParams(a_ge=0.0)
+    with pytest.raises(ValueError, match="unexpected field"):
+        good._replace(od=1.0)
+
+
+def test_simconfig_replace_validates_with_its_record():
+    # dataclasses.replace on a SimConfig that holds the records: its checks
+    # read the records' fields, and a bad record never reaches it
+    from rydberg_transistor.montecarlo import SimConfig
+
+    cfg = SimConfig(params=models.TransistorParams(eta_det=0.5))
+    with pytest.raises(DomainError) as err:
+        replace(cfg, source_rate=1e12, seed=-1)
+    assert str(err.value).startswith(
+        "SimConfig violates source_rate * t_int * eta_det <= 1e+06; "
+        "seed is an unsigned 64-bit integer: SimConfig(n_gate_in=0.75, p_store=")
+    assert "params=TransistorParams(od_sp=0.75, od_st=2.2, cap=3, a_ge=0.15, eta_det=0.5)" \
+        in str(err.value)
+    assert replace(cfg, params=cfg.params._replace(eta_det=0.31)).params.eta_det == 0.31
+    with pytest.raises(DomainError) as err:
+        replace(cfg, params=cfg.params._replace(od_sp=-1.0, cap=0.5, eta_det=0.0))
+    assert str(err.value).startswith("TransistorParams violates od_sp >= 0; cap >= 1")
+
+
+def test_record_repr_and_pickle():
+    # DomainError and exit-3 messages embed the repr
+    params = models.TransistorParams(od_sp=0.45, od_st=0.94)
+    sat = models.SaturationParams()
+    assert repr(params) == ("TransistorParams(od_sp=0.45, od_st=0.94, cap=3, a_ge=0.15, "
+                            "eta_det=0.31)")
+    assert repr(sat) == "SaturationParams(a=46.0, b=70.0)"
+    for record in (params, sat):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record

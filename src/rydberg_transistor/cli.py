@@ -263,9 +263,12 @@ def _validate(resolved: dict, seed: int, runs: int, command: str) -> list[str]:
          det["od_st_instant"] >= det["od_st_model"]),
         (f"detection.od_st_model >= {tau_lo:g} * od_st_instant",
          det["od_st_model"] >= tau_lo * det["od_st_instant"]),
+        ("detection.mu0_values is not empty", bool(det["mu0_values"])),
         *_mu0_checks("detection.mu0_values all", det["mu0_values"], eta),
+        ("scan.gate_values is not empty", bool(scan["gate_values"])),
         (f"scan.gate_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["gate_values"])),
+        ("scan.source_values is not empty", bool(scan["source_values"])),
         (f"scan.source_values all in (0, {lam}]",
          all(0 < v <= lam_max for v in scan["source_values"])),
         # as the SimConfig that transfer-scan runs each value with checks it
@@ -301,8 +304,10 @@ def parse_and_validate(argv) -> RunManifest:
         options["mu0"] = args.mu0
 
     violations = _validate(resolved, seed, runs, args.command)
-    if args.command == "fit-od" and options.get("cap", 1) < 1:
-        violations.append("fit-od --cap >= 1")
+    cap = options.get("cap", 1)  # set by fit-od alone
+    violations += models.failed_checks([("fit-od --cap >= 1", cap >= 1),
+                                        (f"fit-od --cap <= {models.CAP_MAX}",
+                                         cap <= models.CAP_MAX)])
     if "mu0" in options:
         mu0 = options["mu0"]
         if not math.isfinite(mu0):
@@ -467,7 +472,12 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
             pass
         else:
             raise ConfigError([f"{path}: missing header row"])
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if len(row) == 1:  # every table this tool writes has 2 or more columns
+                raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
+            if row:
+                rows.append([float(cell) for cell in row])
     return header, rows
 
 

@@ -84,7 +84,7 @@ class DataSet:
 
     @classmethod
     def from_points(cls, points, label: str = "") -> "DataSet":
-        arr = np.asarray(list(points), dtype=float)
+        arr = np.asarray(list(points), dtype=float).reshape(-1, 3)
         return cls(x=arr[:, 0], y=arr[:, 1], sigma=arr[:, 2], label=label)
 
 

@@ -16,11 +16,12 @@ contrast-scan, transfer-scan, detect, fit-od, fit-saturation) load numpy with
 their runners; `child_seed` imports it when it is called.  Nor does it import
 `dataclasses`, whose `inspect` costs a short command more than the rest of
 its start: the parameter records are namedtuples that validate in `__new__`.
-The numpy layers keep their dataclasses, since numpy already imports
-`inspect` and `dataclasses` then costs them about 1 ms.
+The numpy layers keep their dataclasses.  numpy already imports `inspect`,
+but creating a frozen dataclass still takes about 1.1-1.3 ms (a namedtuple
+0.1-0.2 ms), some 14 ms for the 11 of a command that loads them all.
 
 The module also holds what the CLI validates against and what more than one
-layer derives seeds with: the Poisson-mean and mu0 bounds, the fly-away
+layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
 bracket, the default storage probability, the invariant lists of the
 parameter objects (SimConfig's too) and `child_seed` with its tags.  So a
 command that evaluates only closed forms or fits loads no simulation or
@@ -56,6 +57,7 @@ __all__ = [
     "child_seed",
     "POISSON_LAM_MAX",
     "MU0_MAX",
+    "CAP_MAX",
     "RETENTION_TAU_BRACKET",
     "DEFAULT_P_STORE",
 ]
@@ -71,6 +73,11 @@ _LAM = f"{POISSON_LAM_MAX:g}"  # as invariant names spell it
 # mu0 + 40 sqrt(mu0) counts, and the detected mean of a simulation, which sets
 # the width of simulate_ensemble's (stored, detected) count table.
 MU0_MAX = 1e6
+
+# Largest blockade cap: the engine draws cap lifetimes per fly-away run (an
+# 8192 x 100 matrix, 6.6 MB, per block here) and capped_poisson_weights loops
+# cap times in Python.
+CAP_MAX = 100
 
 # Fly-away times montecarlo.calibrate_retention_tau searches, in units of
 # t_int.  A ratio od_effective / od_instant under the lower edge has its root
@@ -183,6 +190,7 @@ class TransistorParams(_Record, namedtuple("TransistorParams", "od_sp od_st cap 
             ("od_sp >= 0", od_sp >= 0),
             ("od_st >= 0", od_st >= 0),
             ("cap >= 1", cap >= 1),
+            (f"cap <= {CAP_MAX}", cap <= CAP_MAX),
             ("cap is an integer", cap % 1 == 0),
             ("a_ge in [0, 1)", 0 <= a_ge < 1),
             ("eta_det in (0, 1]", 0 < eta_det <= 1),
@@ -248,8 +256,8 @@ def coherent_limit(n_gate: float) -> float:
 
 
 def _checked_cap(cap: int) -> int:
-    if int(cap) != cap or cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {cap}")
+    if not (1 <= cap <= CAP_MAX and cap % 1 == 0):  # NaN fails too
+        raise DomainError(f"cap must be an integer in [1, {CAP_MAX}], got {cap}")
     return int(cap)
 
 

@@ -75,79 +75,9 @@ __all__ = [
 # changes the samples of every seed.
 BLOCK_RUNS = 8192
 
-# Settings of the retention-time root solve, those of scipy's brentq:
-# absolute and relative tolerance and the iteration cap.
-BRENTQ_XTOL = 1e-12
-BRENTQ_RTOL = 4 * math.ulp(1.0)
-BRENTQ_MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of ``f`` in [xa, xb] by Brent's zeroin (Brent 1973, ch. 4).
-
-    Bisection, secant and inverse quadratic steps on a sign-changing bracket,
-    ported operation for operation from scipy's ``brentq.c`` with plain floats
-    and the BRENTQ_* settings, so its result equals scipy's bit for bit.
-    Raises DomainError when f(xa) and f(xb) have the same sign and
-    FitConvergenceError after BRENTQ_MAXITER iterations.
-    """
-    def negative(v):  # C's signbit
-        return math.copysign(1.0, v) < 0
-
-    def div(p, q):  # C's p / q: inf or NaN where Python raises ZeroDivisionError
-        if q:
-            return p / q
-        if p == 0 or p != p:
-            return math.nan
-        return math.copysign(math.inf, p) * math.copysign(1.0, q)
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise DomainError(f"f({xa!r}) and f({xb!r}) must have different signs")
-    for _ in range(BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = div(-fcur * (xcur - xpre), fcur - fpre)
-            else:  # extrapolate
-                dpre = div(fpre - fcur, xpre - xcur)
-                dblk = div(fblk - fcur, xblk - xcur)
-                stry = div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise FitConvergenceError(
-        f"root search failed to converge after {BRENTQ_MAXITER} iterations",
-        diagnostics={"x": xcur, "f": fcur},
-    )
+# Newton steps calibrate_retention_tau takes at most; it needs 35 at the
+# upper edge of RETENTION_TAU_BRACKET and 5 at the paper's settings.
+RETENTION_TAU_MAXITER = 100
 
 
 def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float) -> float:
@@ -155,11 +85,12 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
 
     With exponential lifetimes the window-averaged attenuation exponent per
     excitation is od_instant * (tau / t) * (1 - exp(-t / tau)); this solves
-    that expression for tau on RETENTION_TAU_BRACKET = [1e-9, 1e9] * t_int.
-    Returns inf when no decay is needed, which includes od_effective /
-    od_instant above about 1 - 5e-10: a fly-away time over 1e9 windows is
-    no decay at this resolution.  Raises DomainError for a ratio below about
-    1e-9, whose root lies under the bracket.
+    that expression for tau on RETENTION_TAU_BRACKET = [1e-9, 1e9] * t_int, by
+    Newton's method in t / tau.  Returns inf when no decay is needed, which
+    includes od_effective / od_instant above about 1 - 5e-10: a fly-away time
+    over 1e9 windows is no decay at this resolution.  Raises DomainError for a
+    ratio below about 1e-9, whose root lies under the bracket, and
+    FitConvergenceError after RETENTION_TAU_MAXITER steps.
     """
     if od_instant <= 0 or t_int <= 0:
         raise DomainError(
@@ -182,7 +113,21 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
             f"od_effective / od_instant = {ratio!r} needs a fly-away time below "
             f"1e-9 * t_int"
         )
-    return _brentq(averaged_fraction, lo, hi)
+    # Newton's method on g(x) = (1 - e^-x) - ratio * x for x = t_int / tau.
+    # g is concave and negative at 1 / ratio, beyond the root, where g' < 0:
+    # from there the iterates fall monotonically onto the root, so the first
+    # one that does not decrease marks the end of the descent.
+    x = 1 / ratio
+    for _ in range(RETENTION_TAU_MAXITER):
+        g = -math.expm1(-x) - ratio * x
+        below = x - g / (math.exp(-x) - ratio)
+        if not below < x:
+            return t_int / x
+        x = below
+    raise FitConvergenceError(
+        f"retention-time search failed to converge after {RETENTION_TAU_MAXITER} steps",
+        diagnostics={"tau": t_int / x, "residual": g},
+    )
 
 
 # Makes od_st = 2.2 average down to the 0.94 seen over a 90 us window.

@@ -161,6 +161,25 @@ def test_poisson_mean_out_of_range_is_config_error(section, line, violation, tmp
     assert f"  - {violation}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, violation", [
+    ("gain-scan", "[scan]\nsource_values =", "scan.source_values is not empty"),
+    ("transfer-scan", "[scan]\nsource_values =", "scan.source_values is not empty"),
+    ("contrast-scan", "[scan]\ngate_values =", "scan.gate_values is not empty"),
+    ("detect", "[detection]\nmu0_values =", "detection.mu0_values is not empty"),
+    ("simulate", "[transistor]\ncap = 1000000000000", f"transistor.cap <= {models.CAP_MAX}"),
+    ("simulate", "[transistor]\ncap = 101", "transistor.cap <= 100"),
+])
+def test_empty_list_or_huge_cap_is_config_error(command, line, violation, tmp_path, capsys):
+    # an empty list left nothing to write (gain-scan, detect: a traceback), and
+    # a cap of 1e12 asked for a 7 TiB lifetime matrix
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config validation failed:\n  - {violation}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
     # every [transistor], [saturation] and [simulation] value out of its domain
     bad = {
@@ -583,6 +602,29 @@ def test_non_finite_input_is_config_error(command, tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
+@pytest.mark.parametrize("text, violation", [
+    ("x,y,sigma\n", "need at least 2 points, got 0"),
+    ("x,y,sigma\n1.0,0.2,0.1\n\n2.0\n3.0,0.5,0.1\n", "line 4: need at least 2 cells"),
+])
+def test_input_without_rows_or_with_a_short_row_is_config_error(command, text, violation,
+                                                                tmp_path, capsys):
+    # each ended in an IndexError traceback; one violation names the path
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config validation failed:\n  - {bad}: {violation}\n"
+
+
+@pytest.mark.parametrize("cap, violation", [("0", "fit-od --cap >= 1"),
+                                             ("101", "fit-od --cap <= 100"),
+                                             ("1000000000", "fit-od --cap <= 100")])
+def test_fit_od_cap_out_of_range_is_config_error(cap, violation, tmp_path, capsys):
+    assert main(["fit-od", "--input", str(tmp_path / "unread.csv"), "--cap", cap,
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config validation failed:\n  - {violation}\n"
+
+
 def test_fit_od_two_column_input_defaults_sigma(tmp_path):
     x = np.arange(0.25, 3.51, 0.25)
     y = models.contrast_curve(x, 0.94, 3)
@@ -864,6 +906,10 @@ def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[simulation]\nn_gate_in = 1e300\n[transistor]\nod_sp = -1\n",
                    encoding="utf-8")
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("[scan]\nsource_values =\n", encoding="utf-8")
+    huge_cap = tmp_path / "cap.cfg"
+    huge_cap.write_text("[transistor]\ncap = 1000000000000\n", encoding="utf-8")
     runs = [([["gain-scan", "--config", small_cfg], ["detect", "--config", "paper90us"]],
              None, package),
             ([["gain-scan", "--config", small_cfg, "--output", str(tmp_path / "gain")]],
@@ -871,7 +917,11 @@ def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
             ([["--help"]], EXIT_OK, package),
             ([["simulate", "--config", str(bad), "--output", str(tmp_path / "bad")],
               ["detect", "--config", "paper90us", "--mu0", "1e12",
-               "--output", str(tmp_path / "mu0")]], EXIT_CONFIG, package)]
+               "--output", str(tmp_path / "mu0")],
+              ["gain-scan", "--config", str(empty), "--output", str(tmp_path / "empty")],
+              ["simulate", "--config", str(huge_cap), "--output", str(tmp_path / "cap")],
+              ["fit-od", "--input", str(bad), "--cap", "101",
+               "--output", str(tmp_path / "fit")]], EXIT_CONFIG, package)]
     for argvs, code, loaded in runs:
         assert modules_after(argvs, code) == loaded, argvs
 

@@ -225,6 +225,28 @@ def test_fock_contrast_cap_saturation(k, od, cap):
         assert models.fock_contrast(k, od, cap) == models.fock_contrast(cap, od, cap)
 
 
+def test_cap_is_bounded_by_cap_max():
+    # one bound for the records and the closed forms, and through them for the
+    # engine, the contrast fit and the detection mixture
+    from rydberg_transistor.detection import mixture_from_params
+    from rydberg_transistor.fitting import DataSet, fit_od
+
+    cap_max = models.CAP_MAX
+    assert cap_max == 100
+    assert models.TransistorParams(cap=cap_max).cap == cap_max
+    assert len(models.capped_poisson_weights(0.5, cap_max)) == cap_max + 1
+    data = DataSet(x=[0.5, 1.0, 2.0], y=[0.3, 0.5, 0.7], sigma=[0.05, 0.05, 0.05])
+    for cap in (cap_max + 1, 1e12, math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"; cap <= {cap_max}; "):
+            models.TransistorParams(od_sp=-1.0, cap=cap, eta_det=0.0)
+        for call in (lambda: models.capped_poisson_weights(0.5, cap),
+                     lambda: models.fock_contrast(1, 0.5, cap),
+                     lambda: mixture_from_params(0.61, cap, 0.94, 20.0),
+                     lambda: fit_od(data, cap=cap)):
+            with pytest.raises(DomainError, match=r"cap must be an integer in \[1, 100\]"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # transfer function and gain
 

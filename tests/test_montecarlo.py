@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,11 +15,7 @@ from rydberg_transistor.detection import mixture_from_params
 from rydberg_transistor.errors import DomainError, FitConvergenceError, UndefinedContrastError
 from rydberg_transistor.montecarlo import (
     BLOCK_RUNS,
-    BRENTQ_MAXITER,
-    BRENTQ_RTOL,
-    BRENTQ_XTOL,
     POISSON_LAM_MAX,
-    _brentq,
     DEFAULT_P_STORE,
     DEFAULT_RETENTION_TAU,
     SimConfig,
@@ -136,12 +133,34 @@ def capped_poisson_moments(lam, cap, k_max=200):
 # retention-time calibration
 
 
+def _exact_tau(od_instant, od_effective, t_int):
+    """tau at which od_instant * (tau / t_int) * (1 - exp(-t_int / tau)) equals
+    od_effective exactly, for these doubles, as a 50-digit Decimal.
+
+    x = t_int / tau solves (1 - e^-x) / x = od_effective / od_instant.  The left
+    side falls from 1 at x = 0 to below the ratio at x = 1 / ratio; the root is
+    bisected to a width of 2^-170 of that bracket.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ratio = Decimal(od_effective) / Decimal(od_instant)
+        lo, hi = Decimal(0), 1 / ratio
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            if (1 - (-mid).exp()) / mid > ratio:
+                lo = mid
+            else:
+                hi = mid
+        return Decimal(t_int) / ((lo + hi) / 2)
+
+
 def test_calibrate_retention_tau_matches_quadrature():
     tau = calibrate_retention_tau(2.2, 0.94, 90.0)
     # independent check: window-averaged exponent via numerical quadrature
     integral, _ = quad(lambda t: 2.2 * math.exp(-t / tau), 0.0, 90.0)
     assert integral / 90.0 == pytest.approx(0.94, abs=1e-9)
-    assert tau == 44.2392747531388  # the value scipy's brentq returns
+    # the correctly rounded root for the inputs 2.2, 0.94 and 90.0
+    assert tau == 44.23927475313881 == float(_exact_tau(2.2, 0.94, 90.0))
     assert DEFAULT_RETENTION_TAU == tau
 
 
@@ -165,106 +184,33 @@ def test_calibrate_retention_tau_beyond_the_bracket():
         calibrate_retention_tau(2.2, 1e-12, 90.0)
 
 
-# Brent's zeroin against scipy.optimize.brentq at the same settings
-
-
-def _scipy_brentq(f, a, b, maxiter=BRENTQ_MAXITER):
-    """(evaluated points, root or exception) of scipy's brentq."""
-    from scipy.optimize import brentq
-
-    points = []
-
-    def recorded(x):
-        points.append(x)
-        return f(x)
-
-    try:
-        return points, brentq(recorded, a, b, xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL,
-                              maxiter=maxiter)
-    except (ValueError, RuntimeError) as exc:
-        return points, exc
-
-
-def _port_brentq(f, a, b):
-    points = []
-
-    def recorded(x):
-        points.append(x)
-        return f(x)
-
-    try:
-        return points, _brentq(recorded, a, b)
-    except (DomainError, FitConvergenceError) as exc:
-        return points, exc
-
-
-def _assert_same_root_search(f, a, b):
-    ref_points, ref = _scipy_brentq(f, a, b)
-    points, out = _port_brentq(f, a, b)
-    assert points == ref_points  # every iterate, bit for bit
-    if isinstance(ref, float):
-        assert out == ref
-    elif isinstance(ref, RuntimeError):  # the iteration cap
-        assert isinstance(out, FitConvergenceError)
-    else:  # the sign check
-        assert isinstance(ref, ValueError) and isinstance(out, DomainError)
-
-
-def test_brentq_matches_scipy_on_retention_objective():
+def test_calibrate_retention_tau_matches_exact_oracle():
+    # Against the exact root for the ratio the function solves, od_effective /
+    # od_instant rounded once: that rounding is the input's, not the search's.
+    # Near ratio 1 the double-precision residual cancels, so the bound there is
+    # relative.
     for od_instant in (0.05, 1.0, 2.2, 7.5, 40.0):
         for fraction in (1e-8, 1e-4, 0.01, 0.2, 0.427, 0.5, 0.9, 0.999, 1 - 1e-7):
             for t_int in (1e-3, 1.0, 30.0, 90.0, 1e4):
-                ratio = (od_instant * fraction) / od_instant
-
-                def averaged_fraction(tau):
-                    return (tau / t_int) * -math.expm1(-t_int / tau) - ratio
-
-                _assert_same_root_search(averaged_fraction, 1e-9 * t_int, 1e9 * t_int)
-                _, ref = _scipy_brentq(averaged_fraction, 1e-9 * t_int, 1e9 * t_int)
-                assert calibrate_retention_tau(
-                    od_instant, od_instant * fraction, t_int) == ref
-
-
-def test_brentq_matches_scipy_on_random_objectives():
-    # smooth objectives, some (x - c)^p and atan^3 ones flat enough at the root
-    # to exhaust the iteration cap, and tiny-valued ones whose secant slopes
-    # underflow to 0 (C divides by zero there and bisects)
-    rng = np.random.default_rng(19730101)
-    for i in range(800):
-        c, s, amp, w = rng.uniform(-5, 5), rng.uniform(0.1, 10), rng.uniform(0, 0.9), \
-            rng.uniform(0.1, 20)
-        kind = i % 5
-        if kind == 0:
-            f = lambda x: s * (x - c) + amp * math.sin(w * (x - c))  # noqa: E731
-        elif kind == 1:
-            f = lambda x: math.copysign(abs(x - c) ** s, x - c)  # noqa: E731
-        elif kind == 2:
-            f = lambda x: math.expm1(s * (x - c)) - amp  # noqa: E731
-        elif kind == 3:
-            f = lambda x: math.atan(w * (x - c)) ** 3  # noqa: E731
-        else:
-            f = lambda x: 1e-300 * math.tanh(w * (x - c))  # noqa: E731
-        a = c - 10.0 ** rng.uniform(-6, 2)
-        b = c + 10.0 ** rng.uniform(-6, 2)
-        if i % 50 == 0:
-            a, b = c, b  # f(a) == 0 or a sign error, as in scipy
-        elif i % 50 == 1:
-            a, b = a, c  # f(b) == 0
-        elif i % 50 == 2:
-            a, b = b, b + 1.0  # one sign on both ends
-        _assert_same_root_search(f, a, b)
-    zero_at = {_port_brentq(lambda x: x - 1.0, 1.0, 3.0)[1],
-               _port_brentq(lambda x: x - 3.0, 1.0, 3.0)[1]}
-    assert zero_at == {1.0, 3.0}
+                od_effective = od_instant * fraction
+                tau = calibrate_retention_tau(od_instant, od_effective, t_int)
+                exact = _exact_tau(1.0, od_effective / od_instant, t_int)
+                error = abs(Decimal(tau) - exact)
+                if fraction <= 0.9:
+                    assert error <= 3 * Decimal(math.ulp(float(exact))), \
+                        (od_instant, fraction, t_int)
+                else:
+                    bound = 1e-12 if fraction == 0.999 else 2e-9
+                    assert error <= Decimal(bound) * exact, (od_instant, fraction, t_int)
 
 
-def test_brentq_iteration_cap_matches_scipy(monkeypatch):
-    monkeypatch.setattr(montecarlo, "BRENTQ_MAXITER", 3)
-    f = lambda x: math.expm1(x) - 0.3  # noqa: E731
-    ref_points, ref = _scipy_brentq(f, -4.0, 10.0, maxiter=3)
-    points, out = _port_brentq(f, -4.0, 10.0)
-    assert isinstance(ref, RuntimeError) and isinstance(out, FitConvergenceError)
-    assert points == ref_points
+def test_calibrate_retention_tau_iteration_cap(monkeypatch):
+    # five Newton steps at the paper's settings; one fewer does not converge
+    monkeypatch.setattr(montecarlo, "RETENTION_TAU_MAXITER", 4)
+    with pytest.raises(FitConvergenceError):
+        calibrate_retention_tau(2.2, 0.94, 90.0)
+    monkeypatch.setattr(montecarlo, "RETENTION_TAU_MAXITER", 5)
+    assert calibrate_retention_tau(2.2, 0.94, 90.0) == DEFAULT_RETENTION_TAU
 
 
 def test_poisson_lam_max_is_numpys_limit():

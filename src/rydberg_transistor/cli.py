@@ -473,11 +473,13 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
         else:
             raise ConfigError([f"{path}: missing header row"])
         rows = []
-        for row in reader:
+        for row in filter(None, reader):  # blank lines are skipped
             if len(row) == 1:  # every table this tool writes has 2 or more columns
                 raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
-            if row:
+            try:
                 rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ConfigError([f"{path}: line {reader.line_num}: {exc}"]) from exc
     return header, rows
 
 

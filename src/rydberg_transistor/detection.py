@@ -7,8 +7,8 @@ the count threshold that discriminates "excitation present" with the highest
 fidelity, and test a histogram for Poissonness via its index of dispersion.
 Every Poisson pmf, cdf, tail and quantile, and the chi-square tail, comes
 from one log-space term, ``exp(a log x - lgamma(a + 1) - x)``, evaluated
-with the standard library's ``math``, lgamma(a + 1) of every pmf from one
-table per process; the module needs no scipy.
+with the standard library's ``math``, each pmf only on the window of counts
+where its terms can be nonzero; the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -46,23 +46,8 @@ NULL_CHUNK_COUNTS = 2**16
 # Poisson / chi-square kernel
 
 
-# lgamma(j + 1) for j = 0, 1, ...: one table per process, grown on demand
-_LOG_FACTORIALS = np.zeros(0)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """lgamma(j + 1) for j = 0..n, a read-only slice of ``_LOG_FACTORIALS``."""
-    global _LOG_FACTORIALS
-    if n >= len(_LOG_FACTORIALS):
-        grown = map(math.lgamma, range(len(_LOG_FACTORIALS) + 1, n + 2))
-        _LOG_FACTORIALS = np.append(_LOG_FACTORIALS, np.fromiter(grown, float))
-        _LOG_FACTORIALS.flags.writeable = False  # shared by every later pmf
-    return _LOG_FACTORIALS[: n + 1]
-
-
-def _log_space_terms(a: np.ndarray, lgamma_a1: np.ndarray, x: float) -> np.ndarray:
-    """``exp(a log x - lgamma(a + 1) - x)`` for each entry of ``a``, given
-    ``lgamma_a1 = lgamma(a + 1)``; 0 log 0 = 0.
+def _log_space_terms(a: np.ndarray, x: float) -> np.ndarray:
+    """``exp(a log x - lgamma(a + 1) - x)`` for each entry of ``a``; 0 log 0 = 0.
 
     For integer a this is the Poisson pmf P(N = a) at mean x; for
     half-integer a it is a term of the odd-dof chi-square tail.  Summing in
@@ -71,12 +56,30 @@ def _log_space_terms(a: np.ndarray, lgamma_a1: np.ndarray, x: float) -> np.ndarr
     """
     if x == 0:
         return (a == 0).astype(float)
+    lgamma_a1 = np.fromiter(map(math.lgamma, (a + 1.0).tolist()), float, len(a))
     return np.exp(a * math.log(x) - lgamma_a1 - x)
 
 
+def _poisson_window(mu: float) -> tuple[int, int]:
+    """(lo, hi): outside lo..hi every Poisson(mu) pmf term is exactly 0.0.
+
+    By the Chernoff bounds P(N <= mu - t) <= exp(-t^2 / 2 mu) and
+    P(N >= mu + t) <= exp(-t^2 / 2 (mu + t)), a term below lo (t > 40 sqrt(mu))
+    or above hi (t > 800 + 40 sqrt(mu + 400), where t^2 = 1600 (mu + t)) is
+    below e^-800, far under the smallest subnormal, e^-744.4.  The exponent
+    ``_log_space_terms`` computes is off by under 1e-6 at counts up to a few
+    million, so each such term already evaluates to 0.0.
+    """
+    lo = max(0, math.floor(mu - 40.0 * math.sqrt(mu)) - 64)
+    return lo, math.ceil(mu + 800.0 + 40.0 * math.sqrt(mu + 400.0))
+
+
 def _poisson_pmf(n: int, mu: float) -> np.ndarray:
-    """P(N = j), j = 0..n, for N ~ Poisson(mu)."""
-    return _log_space_terms(np.arange(n + 1.0), _log_factorials(n), mu)
+    """P(N = j), j = 0..n, for N ~ Poisson(mu); zero outside ``_poisson_window``."""
+    lo, hi = _poisson_window(mu)
+    pmf = np.zeros(n + 1)
+    pmf[lo:min(n, hi) + 1] = _log_space_terms(np.arange(lo, min(n, hi) + 1.0), mu)
+    return pmf
 
 
 def _poisson_cdf(n: int, mu: float) -> np.ndarray:
@@ -121,9 +124,7 @@ def _chi2_sf(s: float, dof: int) -> float:
     m = dof // 2
     if dof % 2 == 0:
         return float(_poisson_cdf(m - 1, x)[-1])
-    half = np.arange(m) + 0.5
-    lgamma_half = np.fromiter(map(math.lgamma, (half + 1.0).tolist()), float, m)
-    return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(half, lgamma_half, x)))
+    return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
 
 
 @dataclass(frozen=True)
@@ -312,18 +313,16 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     obs = np.pad(observed.runs, (0, n_max + 1 - len(observed.runs)))
     total = observed.total
 
-    w = model.weights
     # per component: its pmf over 0..n_max, with the tail mass past n_max
     # folded into the last bin, so column sums match `total`
-    parts = []
-    for w_k, mu_k in zip(w, model.means):
+    gated = np.zeros(len(events), dtype=float)
+    for k, (w_k, mu_k) in enumerate(zip(model.weights, model.means)):
         part = total * w_k * _poisson_pmf(n_max, mu_k)
         part[-1] += total * w_k * float(_poisson_sf(n_max, mu_k)[-1])
-        parts.append(part)
-    ungated = parts[0]
-    gated = np.zeros(len(events), dtype=float)
-    for part in parts[1:]:
-        gated += part
+        if k == 0:
+            ungated = part
+        else:
+            gated += part
     model_total = ungated + gated
 
     chi2, dof, p_value = _pooled_chi2(obs.astype(float), model_total)
@@ -499,13 +498,11 @@ def _null_indices(
 ) -> np.ndarray:
     """Indices of dispersion of ``n_null`` samples of ``total`` Poisson(mean)
     draws: the null of ``poissonness_test``, drawn as its docstring says."""
-    lo = max(0, math.floor(mean - 40.0 * math.sqrt(mean)) - 64)
+    lo, _ = _poisson_window(mean)
     values = np.arange(lo, _tail_end(0, mean) + 1.0)
     by_counts = len(values) < total
     if by_counts:
-        # the window only: the shared table would grow from 0 up to its end
-        lgamma_v1 = np.fromiter(map(math.lgamma, (values + 1.0).tolist()), float, len(values))
-        pmf = _log_space_terms(values, lgamma_v1, mean)
+        pmf = _poisson_pmf(_tail_end(0, mean), mean)[lo:]
         pmf /= pmf.sum()
     rows = max(1, NULL_CHUNK_COUNTS // min(len(values), total))
     null_index = np.empty(n_null)

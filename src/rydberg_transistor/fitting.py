@@ -67,8 +67,8 @@ class DataSet:
         if not finite.all():
             row = int(np.argmin(finite))
             raise DomainError(
-                f"non-finite value in data row {row + 1}: x={self.x[row]!r}, "
-                f"y={self.y[row]!r}, sigma={self.sigma[row]!r}"
+                f"non-finite value in data row {row + 1}: x={self.x[row]}, "
+                f"y={self.y[row]}, sigma={self.sigma[row]}"
             )
         if np.any(self.x < 0):
             raise DomainError("x values must be >= 0")

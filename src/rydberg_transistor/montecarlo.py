@@ -182,8 +182,8 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Counts of n_runs independent runs: ``joint[k, n]`` runs stored k
-    excitations and detected n source photons (read-only, cap + 1 rows)."""
+    """Counts of n_runs independent runs: ``joint[k, n]`` runs stored k excitations
+    and detected n source photons (read-only; a row per k up to the largest drawn <= cap)."""
 
     n_runs: int
     joint: np.ndarray
@@ -230,14 +230,13 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
     """Run n_runs independent pulse sequences and aggregate their counts.
 
     Runs are drawn block by block (see the module's reproducibility contract)
-    and folded into the (stored, detected) count table ``joint``, so memory
-    stays bounded as n_runs grows.
+    and folded into the count table ``joint``, grown to the largest stored and
+    detected numbers drawn, so memory stays bounded as n_runs grows.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs must be >= 1, got {n_runs}")
-    rows = int(config.params.cap) + 1
     p_sat = config.saturation_thinning()
-    joint = np.zeros((rows, 1), dtype=np.int64)  # [k_stored, detected] -> runs
+    joint = np.zeros((1, 1), dtype=np.int64)  # [k_stored, detected] -> runs
     gate_sum = 0
     for b, start in enumerate(range(0, n_runs, BLOCK_RUNS)):
         block_rng = np.random.Generator(
@@ -245,8 +244,9 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
         )
         n = min(BLOCK_RUNS, n_runs - start)
         k, gate_detected, detected = _simulate_block(config, p_sat, n, block_rng)
+        rows = max(joint.shape[0], int(k.max()) + 1)
         width = max(joint.shape[1], int(detected.max()) + 1)
-        joint = np.pad(joint, ((0, 0), (0, width - joint.shape[1])))
+        joint = np.pad(joint, ((0, rows - joint.shape[0]), (0, width - joint.shape[1])))
         joint += np.bincount(k * width + detected, minlength=rows * width).reshape(rows, width)
         # summed exactly by 32-bit halves: one int64 sum wraps at large gate means
         high, low = gate_detected >> 32, gate_detected & 0xFFFFFFFF

@@ -599,17 +599,22 @@ def test_non_finite_input_is_config_error(command, tmp_path, capsys):
     bad.write_text("x,y,sigma\n1.0,0.2,0.1\n2.0,nan,0.1\n3.0,0.5,0.1\n4.0,0.6,0.1\n",
                    encoding="utf-8")
     assert main([command, "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "row 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("config validation failed:\n  - "
+                                       f"{bad}: non-finite value in data row 2: "
+                                       "x=2.0, y=nan, sigma=0.1\n")
 
 
 @pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
 @pytest.mark.parametrize("text, violation", [
     ("x,y,sigma\n", "need at least 2 points, got 0"),
     ("x,y,sigma\n1.0,0.2,0.1\n\n2.0\n3.0,0.5,0.1\n", "line 4: need at least 2 cells"),
+    ("x,y,sigma\n0.5,0.2,0.1\n1.0,abc,0.1\n2.0,0.5,0.1\n",
+     "line 3: could not convert string to float: 'abc'"),
 ])
 def test_input_without_rows_or_with_a_short_row_is_config_error(command, text, violation,
                                                                 tmp_path, capsys):
-    # each ended in an IndexError traceback; one violation names the path
+    # the first two ended in an IndexError traceback and the last named no
+    # line; one violation names the path, and the line of a bad row
     bad = tmp_path / "bad.csv"
     bad.write_text(text, encoding="utf-8")
     assert main([command, "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -96,41 +96,65 @@ def test_chi2_sf_against_scipy():
     assert chi2_dist.sf(2000.0, 499) > 1e-300 and math.exp(-1000.0) == 0.0
 
 
-def test_log_factorials_grow_one_table(monkeypatch):
-    monkeypatch.setattr(detection, "_LOG_FACTORIALS", np.zeros(0))
-    assert detection._log_factorials(3).tolist() == [math.lgamma(j + 1) for j in range(4)]
-    grown = detection._log_factorials(300)  # appended to the 4 entries above
-    assert grown.tolist() == [math.lgamma(j + 1) for j in range(301)]
-    assert len(detection._log_factorials(10)) == 11
-    assert len(detection._LOG_FACTORIALS) == 301
-    assert not grown.flags.writeable
-    # the Poissonness null computes its own window, however far out it lies
-    detection._null_indices(1e4, 20_000, 5, np.random.default_rng(0))
-    assert len(detection._LOG_FACTORIALS) == 301
+def _unwindowed_pmf(n, mu, lgamma_table):
+    """P(N = j) on every j = 0..n, from lgamma(j + 1) = lgamma_table[j]."""
+    a = np.arange(n + 1.0)
+    if mu == 0:
+        return (a == 0).astype(float)
+    return np.exp(a * math.log(mu) - lgamma_table[: n + 1] - mu)
 
 
-def test_decompose_and_threshold_compute_each_lgamma_once(monkeypatch):
-    # integer lgamma(j + 1) come from one table per process: from an empty
-    # table each is computed once, and a second pass computes none; only the
-    # chi-square tail's half-integer terms are computed per call
+def test_windowed_kernel_is_bit_identical_to_every_count():
+    # the pmf, cdf, sf and ppf evaluated on _poisson_window only equal, as
+    # int64 views, the same sums over terms evaluated at every count; the
+    # window's lower edge first leaves 0 at mu = 1727.75
+    rng = np.random.default_rng(16)
+    mus = [0.0, 5e-324, 1e-300, 1719.0, 1720.0, 1721.0, 1727.5, 1727.75, 1728.0,
+           1e5, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 12)).tolist()]
+    top = detection._tail_end(detection._poisson_window(1e6)[1] + 5, 1e6)
+    lgamma_table = np.array([math.lgamma(j + 1) for j in range(top + 1)])
+
+    def same_bits(mine, ref):
+        assert np.array_equal(np.asarray(mine).view(np.int64), np.asarray(ref).view(np.int64))
+
+    for mu in mus:
+        lo, hi = detection._poisson_window(mu)
+        end = detection._tail_end(0, mu)
+        ref_cdf = np.cumsum(_unwindowed_pmf(end, mu, lgamma_table))
+        q = THRESHOLD_TAIL_QUANTILE
+        assert detection._poisson_ppf(q, mu) == int(np.searchsorted(ref_cdf, q))
+        for n in sorted({max(lo - 1, 0), (lo + end) // 2, end, hi + 5}):
+            ref = _unwindowed_pmf(detection._tail_end(n, mu), mu, lgamma_table)
+            same_bits(detection._poisson_pmf(n, mu), ref[: n + 1])
+            same_bits(detection._poisson_cdf(n, mu), np.cumsum(ref[: n + 1]))
+            same_bits(detection._poisson_sf(n, mu), np.cumsum(ref[:0:-1])[::-1][: n + 1])
+        # every term outside the window is 0.0: its Chernoff exponents reach 800
+        full = _unwindowed_pmf(hi + 5, mu, lgamma_table)
+        assert not full[:lo].any() and not full[hi + 1:].any()
+        assert lo == 0 or (mu - lo + 1) ** 2 / (2 * mu) >= 800
+        assert (hi + 1 - mu) ** 2 / (2 * (hi + 1)) >= 800
+
+
+def test_decompose_and_threshold_evaluate_only_the_window(monkeypatch):
+    # at mu0 = 1e6 every integer lgamma(j + 1) lies in some component's
+    # window, the lowest starting at the smallest mean's; the fit's
+    # chi-square tail, which evaluates its own window at s / 2, is stubbed
     calls = []
 
     def counting_lgamma(x, lgamma=math.lgamma):
         calls.append(x)
         return lgamma(x)
 
-    model = mixture_from_params(0.61, 3, 0.94, 20.0)
-    hist = simulate_ensemble(mixture_matched_config(0.61, 0.94, 20.0, seed=2), 250).histogram
-    monkeypatch.setattr(detection, "_LOG_FACTORIALS", np.zeros(0))
+    model = mixture_from_params(0.61, 3, 0.94, 1e6)
+    hist = simulate_ensemble(mixture_matched_config(0.61, 0.94, 1e6, seed=2), 300).histogram
+    lo, _ = detection._poisson_window(float(model.means.min()))
+    monkeypatch.setattr(detection, "_chi2_sf", lambda s, dof: 1.0)
     monkeypatch.setattr(math, "lgamma", counting_lgamma)
     decompose(hist, model)
     optimal_threshold(model)
     integer = [x for x in calls if x % 1 == 0]
-    assert len(integer) == len(set(integer)) == len(detection._LOG_FACTORIALS) > 100
-    calls.clear()
-    decompose(hist, model)
-    optimal_threshold(model)
-    assert all(x % 1 == 0.5 for x in calls)
+    assert lo == 49_776
+    assert min(integer) == lo + 1
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,24 @@ def test_draw_stored_respects_cap():
     assert np.flatnonzero(res.joint.sum(axis=1)).max() == 3
 
 
+def test_joint_rows_grow_to_the_largest_k_drawn():
+    # the table has a row for each k up to the largest drawn, not cap + 1
+    ref = simulate_ensemble(stored_config(0.0, 0.15, 100, seed=5), 500)
+    assert ref.joint.shape[0] == 1
+    # three blocks: the stored numbers drawn block by block, as the engine does
+    cfg = stored_config(2.0, 0.15, 100, seed=6)
+    n_runs = 2 * BLOCK_RUNS + 100
+    res = simulate_ensemble(cfg, n_runs)
+    k = np.concatenate([
+        montecarlo._simulate_block(
+            cfg, cfg.saturation_thinning(), min(BLOCK_RUNS, n_runs - start),
+            np.random.Generator(np.random.Philox(np.random.SeedSequence((6, b)))))[0]
+        for b, start in enumerate(range(0, n_runs, BLOCK_RUNS))
+    ])
+    assert res.joint.shape[0] == k.max() + 1 < 101
+    assert np.array_equal(res.joint.sum(axis=1), np.bincount(k))
+
+
 # ---------------------------------------------------------------------------
 # detected counts
 
@@ -427,8 +445,9 @@ def test_simulate_ensemble_histogram_mass_and_breakdown():
     # the histogram and the means are the joint table's marginals
     assert np.array_equal(res.histogram.runs, res.joint.sum(axis=0))
     assert res.mean_source_detected == res.histogram.mean()
-    assert res.mean_stored == sum(k * res.joint[k].sum() for k in range(4)) / 2000
-    assert res.joint.shape[0] == 4  # blockade cap respected
+    rows = range(res.joint.shape[0])
+    assert res.mean_stored == sum(k * res.joint[k].sum() for k in rows) / 2000
+    assert res.joint.shape[0] == 4  # k = cap = 3 is drawn; no row past the cap
     assert not res.joint.flags.writeable
 
 

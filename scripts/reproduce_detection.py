@@ -12,7 +12,8 @@ Usage:
 import argparse
 import os
 
-from rydberg_transistor.cli import decomposition_table, histogram_table, write_csv
+from rydberg_transistor.cli import (decomposition_table, fidelity_sweep_row, histogram_table,
+                                    write_csv)
 from rydberg_transistor.experiments import fidelity_sweep
 
 
@@ -27,11 +28,9 @@ def main():
     mu0_grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
     reports = fidelity_sweep(mu0_grid, n_runs=args.runs, seed=args.seed)
 
-    write_csv(os.path.join(args.out, "fidelity_sweep.csv"),
-              ["mu0", "tau", "fidelity", "fidelity_balanced", "model_fidelity",
-               "decomposition_p"],
-              [[r.mu0, r.tau, r.fidelity, r.fidelity_balanced, r.threshold.fidelity,
-                r.decomposition.p_value] for r in reports])
+    rows = [fidelity_sweep_row(r) for r in reports]
+    write_csv(os.path.join(args.out, "fidelity_sweep.csv"), list(rows[0]),
+              [list(row.values()) for row in rows])
 
     print(f"{args.runs} runs/point, n_stored = 0.61, od_st 2.2 instantaneous "
           "(0.94 effective over 90 us)")

@@ -7,7 +7,8 @@ byte-identical for identical manifests.  Every execution writes a provenance
 sidecar with the resolved config and content hashes of the outputs.
 
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
-failure, 5 I/O failure.
+failure (any other package error while a command runs; a diagnostics file is
+written), 5 I/O failure.
 
 A command starts on `errors`, `models`, argparse and configparser alone: the
 layers its runner runs, and csv, json, hashlib and datetime for the result
@@ -25,7 +26,7 @@ from collections import namedtuple
 from itertools import chain
 
 from . import __version__, models
-from .errors import ConfigError, FitConvergenceError, TransistorError
+from .errors import ConfigError, TransistorError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -293,15 +294,9 @@ def parse_and_validate(argv) -> RunManifest:
     resolved["simulation"]["seed"] = seed
     resolved["simulation"]["runs"] = runs
 
-    options = {}
-    if args.command in ("contrast-scan", "fit-od"):
-        options["mode"] = args.mode
-    if args.command in ("fit-od", "fit-saturation"):
-        options["input"] = args.input
-    if args.command == "fit-od" and args.cap is not None:
-        options["cap"] = args.cap
-    if args.command == "detect" and args.mu0 is not None:
-        options["mu0"] = args.mu0
+    # each subparser defines only its own flags
+    options = {key: getattr(args, key) for key in ("mode", "input", "cap", "mu0")
+               if getattr(args, key, None) is not None}
 
     violations = _validate(resolved, seed, runs, args.command)
     cap = options.get("cap", 1)  # set by fit-od alone
@@ -360,6 +355,19 @@ def _write_json(path, payload, **dump_options) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, **dump_options)
         fh.write("\n")
+
+
+def fidelity_sweep_row(report) -> dict:
+    """The fidelity_sweep columns of one experiments.DetectionReport, in order."""
+    threshold = report.threshold
+    return {"mu0": report.mu0, "tau": report.tau, "fidelity": report.fidelity,
+            "fidelity_balanced": report.fidelity_balanced,
+            "model_fidelity": threshold.fidelity,
+            "p_detect_given_gated": threshold.p_detect_given_gated,
+            "p_reject_given_ungated": threshold.p_reject_given_ungated,
+            "decomposition_p": report.decomposition.p_value,
+            "reference_poissonness_p": report.reference_poissonness_p,
+            "mean_stored": report.mean_stored}
 
 
 def histogram_table(hist):
@@ -644,33 +652,14 @@ def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
         t_int=sim["t_int"],
         eta_det=eta,
     )
-    out.table(
-        "fidelity_sweep",
-        ["mu0", "tau", "fidelity", "fidelity_balanced", "model_fidelity",
-         "p_detect_given_gated", "p_reject_given_ungated",
-         "decomposition_p", "reference_poissonness_p", "mean_stored"],
-        [
-            [r.mu0, r.tau, r.fidelity, r.fidelity_balanced, r.threshold.fidelity,
-             r.threshold.p_detect_given_gated, r.threshold.p_reject_given_ungated,
-             r.decomposition.p_value, r.reference_poissonness_p, r.mean_stored]
-            for r in reports
-        ],
-    )
+    rows = [fidelity_sweep_row(r) for r in reports]
+    out.table("fidelity_sweep", list(rows[0]), [list(row.values()) for row in rows])
     best = max(reports, key=lambda r: r.fidelity)
-    out.record(
-        "detect_report",
-        {
-            "mu0": best.mu0,
-            "tau": best.tau,
-            "fidelity": best.fidelity,
-            "fidelity_balanced": best.fidelity_balanced,
-            "model_fidelity": best.threshold.fidelity,
-            "non_discriminating": best.threshold.non_discriminating,
-            "mean_stored": best.mean_stored,
-            "decomposition_p": best.decomposition.p_value,
-            "reference_poissonness_p": best.reference_poissonness_p,
-        },
-    )
+    # the best run's row, less the two conditional rates, plus the model's flag
+    record = fidelity_sweep_row(best)
+    del record["p_detect_given_gated"], record["p_reject_given_ungated"]
+    record["non_discriminating"] = best.threshold.non_discriminating
+    out.record("detect_report", record)
     out.histogram("gated_histogram", best.gated_hist)
     out.histogram("reference_histogram", best.reference_hist)
     out.csv_table("decomposition", *decomposition_table(best.decomposition))
@@ -693,7 +682,8 @@ _DISPATCH = {
 
 
 def execute(manifest: RunManifest) -> int:
-    """Run the selected pipeline; writes results plus a provenance sidecar."""
+    """Run the selected pipeline, writing results plus a provenance sidecar;
+    every failure of the run ends in its exit code, here alone."""
     runner, planned = _DISPATCH[manifest.command]
     try:
         os.makedirs(manifest.output_dir, exist_ok=True)
@@ -710,7 +700,10 @@ def execute(manifest: RunManifest) -> int:
         out = OutputWriter(manifest)
         runner(manifest, out)
         out.sidecar()
-    except FitConvergenceError as exc:
+    except ConfigError as exc:  # an input file the runner reads
+        _print_violations(exc)
+        return EXIT_CONFIG
+    except TransistorError as exc:
         _write_diagnostics(manifest, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -720,10 +713,10 @@ def execute(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _write_diagnostics(manifest: RunManifest, exc: FitConvergenceError) -> None:
+def _write_diagnostics(manifest: RunManifest, exc: TransistorError) -> None:
     try:
         _write_json(os.path.join(manifest.output_dir, f"{manifest.command}.diagnostics.json"),
-                    {"error": str(exc), "diagnostics": exc.diagnostics,
+                    {"error": str(exc), "diagnostics": getattr(exc, "diagnostics", {}),
                      "manifest": manifest._asdict()}, default=str)
     except OSError:
         pass
@@ -746,14 +739,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; propagate its code
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        return execute(manifest)
-    except ConfigError as exc:
-        _print_violations(exc)
-        return EXIT_CONFIG
-    except TransistorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return execute(manifest)
 
 
 if __name__ == "__main__":

@@ -83,17 +83,21 @@ def _poisson_pmf(n: int, mu: float) -> np.ndarray:
 
 
 def _poisson_cdf(n: int, mu: float) -> np.ndarray:
-    """P(N <= j), j = 0..n: the running sum of the pmf."""
-    return np.cumsum(_poisson_pmf(n, mu))
+    """P(N <= j), j = 0..n: the running sum of the pmf, which stops at the
+    window's top and repeats its last value beyond, as adding zeros would."""
+    _, hi = _poisson_window(mu)
+    return np.pad(np.cumsum(_poisson_pmf(min(n, hi), mu)), (0, max(n - hi, 0)), "edge")
 
 
 def _poisson_sf(n: int, mu: float) -> np.ndarray:
     """P(N > j), j = 0..n, each a direct sum of the pmf above j (never 1 - cdf).
 
-    Each sum runs from the top down and starts at ``_tail_end(n, mu)``.
+    Each sum runs from the top down and starts at ``_tail_end(n, mu)`` or at
+    the window's top, if lower: the terms between are 0.0.
     """
-    pmf = _poisson_pmf(_tail_end(n, mu), mu)
-    return np.cumsum(pmf[:0:-1])[::-1][: n + 1]
+    pmf = _poisson_pmf(min(_tail_end(n, mu), _poisson_window(mu)[1]), mu)
+    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[j] = P(N > j), j < len(tail)
+    return np.pad(tail, (0, max(n + 1 - len(tail), 0)))[: n + 1]
 
 
 def _tail_end(n: int, mu: float) -> int:
@@ -209,10 +213,6 @@ class MixtureModel:
             raise DomainError("mixture means must be non-increasing in k")
 
     @property
-    def cap(self) -> int:
-        return len(self.components) - 1
-
-    @property
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.components])
 
@@ -258,11 +258,9 @@ class DecompositionResult:
     model_total: np.ndarray
     model_gated: np.ndarray
     model_ungated: np.ndarray
-    residuals: np.ndarray
     chi2: float
     dof: int
     p_value: float
-    gated_runs: float  # model-expected number of gated runs
 
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
@@ -303,7 +301,7 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     the gated one sums the k >= 1 components; together they reproduce the
     model-predicted histogram.  The upper tail beyond the covered support is
     folded into the last bin so the expected counts sum to the run total.
-    Also reports per-bin residuals and a pooled chi-square goodness of fit.
+    Also reports a pooled chi-square goodness of fit.
     """
     if observed.total == 0:
         raise InsufficientDataError("cannot decompose an empty histogram")
@@ -332,11 +330,9 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
         model_total=model_total,
         model_gated=gated,
         model_ungated=ungated,
-        residuals=obs - model_total,
         chi2=chi2,
         dof=dof,
         p_value=p_value,
-        gated_runs=total * model.w_gated,
     )
 
 
@@ -347,14 +343,13 @@ class ThresholdResult:
     A run is declared "excitation present" iff its detected counts are <= tau
     (gated runs are attenuated).  tau = -1 encodes the degenerate classifier
     that never declares presence.  ``fidelity`` is the prior-weighted success
-    probability; ``fidelity_balanced`` weighs both conditions equally.
+    probability.
     """
 
     tau: int
     fidelity: float
     p_detect_given_gated: float
     p_reject_given_ungated: float
-    fidelity_balanced: float
     non_discriminating: bool = False
 
 
@@ -404,36 +399,25 @@ def optimal_threshold(model: MixtureModel) -> ThresholdResult:
     tau_max = _poisson_ppf(THRESHOLD_TAIL_QUANTILE, float(mus.max()))
 
     if float(mus.max() - mus.min()) <= 1e-12 * max(float(mus.max()), 1.0):
-        # all components identical: no threshold beats trivial guessing
-        if w0 >= w_gated:
-            return ThresholdResult(
-                tau=-1,
-                fidelity=w0,
-                p_detect_given_gated=0.0,
-                p_reject_given_ungated=1.0,
-                fidelity_balanced=0.5,
-                non_discriminating=True,
-            )
+        # all components identical: no threshold beats trivial guessing, so
+        # declare presence never (tau = -1) or always (tau = tau_max)
+        never = w0 >= w_gated
         return ThresholdResult(
-            tau=tau_max,
-            fidelity=w_gated,
-            p_detect_given_gated=1.0,
-            p_reject_given_ungated=0.0,
-            fidelity_balanced=0.5,
+            tau=-1 if never else tau_max,
+            fidelity=max(w0, w_gated),
+            p_detect_given_gated=float(not never),
+            p_reject_given_ungated=float(never),
             non_discriminating=True,
         )
 
     fidelities, p_detects, p_rejects = _threshold_scores(model, tau_max)
     best = int(np.argmax(fidelities))  # the first maximum: ties go to the smaller tau
     fidelity = float(fidelities[best])
-    p_detect = float(p_detects[best])
-    p_reject = float(p_rejects[best])
     return ThresholdResult(
         tau=best - 1,
         fidelity=fidelity,
-        p_detect_given_gated=p_detect,
-        p_reject_given_ungated=p_reject,
-        fidelity_balanced=0.5 * (p_detect + p_reject),
+        p_detect_given_gated=float(p_detects[best]),
+        p_reject_given_ungated=float(p_rejects[best]),
         non_discriminating=fidelity <= max(w0, w_gated) + 1e-12,
     )
 
@@ -445,7 +429,6 @@ class DispersionResult:
     index: float
     p_value: float
     passed: bool
-    n_null: int
 
 
 def poissonness_test(
@@ -477,7 +460,7 @@ def poissonness_test(
         )
     mean = hist.mean()
     if mean == 0.0:
-        return DispersionResult(index=0.0, p_value=1.0, passed=True, n_null=0)
+        return DispersionResult(index=0.0, p_value=1.0, passed=True)
     index = hist.variance() / mean
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed,))))
@@ -489,7 +472,6 @@ def poissonness_test(
         index=float(index),
         p_value=float(p_value),
         passed=p_value >= 0.05,
-        n_null=n_null,
     )
 
 
@@ -499,10 +481,10 @@ def _null_indices(
     """Indices of dispersion of ``n_null`` samples of ``total`` Poisson(mean)
     draws: the null of ``poissonness_test``, drawn as its docstring says."""
     lo, _ = _poisson_window(mean)
-    values = np.arange(lo, _tail_end(0, mean) + 1.0)
+    pmf = _poisson_pmf(_tail_end(0, mean), mean)[lo:]
+    values = np.arange(lo, lo + len(pmf), dtype=float)
     by_counts = len(values) < total
     if by_counts:
-        pmf = _poisson_pmf(_tail_end(0, mean), mean)[lo:]
         pmf /= pmf.sum()
     rows = max(1, NULL_CHUNK_COUNTS // min(len(values), total))
     null_index = np.empty(n_null)

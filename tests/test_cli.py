@@ -8,11 +8,15 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydberg_transistor import cli, experiments, fitting, models, montecarlo
 from rydberg_transistor.cli import (
@@ -657,6 +661,35 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     assert diag["diagnostics"]["sse"] == 1.0
 
 
+@pytest.mark.parametrize("command, config, points, message", [
+    ("fit-saturation", "", [(1.0, 2.0), (1.0, 2.1), (2.0, 3.0), (2.0, 3.2)],
+     "need at least 3 distinct x values for a 2-parameter fit, got 2"),
+    ("contrast-scan", "[simulation]\nsource_rate = 0\n", None,
+     "zero-gate reference transmitted nothing"),
+    ("fit-od", "", [(0.5, 0.8), (1.0, 0.6)],
+     "bootstrap needs more than 2 points and 2 distinct x values, got 2 with 2"),
+], ids=["fit-saturation", "contrast-scan", "fit-od"])
+def test_every_numerical_failure_writes_diagnostics(command, config, points, message,
+                                                    tmp_path, capsys):
+    # a TransistorError other than FitConvergenceError carries no diagnostics,
+    # and still exits 4 with a diagnostics file
+    cfg, data, out = tmp_path / "c.cfg", tmp_path / "d.csv", tmp_path / "o"
+    cfg.write_text(config, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--runs", "50", "--output", str(out)]
+    if points is not None:
+        write_csv(data, ["x", "y", "sigma"], [(x, y, 0.1) for x, y in points])
+        argv += ["--input", str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fit-od warns that od is unbounded first
+        assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+    diag = json.loads((out / f"{command}.diagnostics.json").read_text(encoding="utf-8"))
+    assert diag["error"].startswith(message)
+    assert diag["diagnostics"] == {}
+    assert diag["manifest"]["command"] == command
+    assert os.listdir(out) == [f"{command}.diagnostics.json"]
+
+
 @dataclass(frozen=True)
 class DataclassManifest:
     """cli.RunManifest as the frozen dataclass it was up to version 0.8.0."""
@@ -954,3 +987,83 @@ def test_fit_commands_add_only_fitting(command, tmp_path):
     }
     # np.unique and np.percentile import numpy.ma; the fitters use neither
     assert "numpy.ma" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every input ends in a documented exit code
+
+
+# config edges of every schema kind: zero, the smallest subnormal, a tiny
+# normal, NaN, infinity, a negative, empty (an empty list), not a boolean
+FUZZ_VALUES = ["1", "2.5", "0", "5e-324", "1e-300", "nan", "inf", "-1", "", "maybe"]
+FUZZ_INPUTS = [
+    "x,y,sigma\n0.5,0.7,0.05\n1,0.5,0.05\n2,0.3,0.05\n3,0.2,0.05\n",
+    "x,y\n0.5,0.8\n1,0.6\n",
+    "x,y,sigma\n",
+    "x,y,sigma\n1,2,0.1\n",
+    "1,2,3\n4,5,6\n",
+    "x\n1\n2\n",
+    "x,y,sigma\n1,abc,0.1\n2,3,0.1\n",
+    "x,y,sigma\n1,nan,0.1\n2,3,0.1\n3,4,0.1\n",
+]
+# one CLI call in a fresh interpreter whose address space is capped, so that
+# a runaway allocation fails the case and not the machine
+FUZZ_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from rydberg_transistor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv without --config and --output, config text, --input text or None)."""
+    command = draw(st.sampled_from(sorted(cli._DISPATCH)))
+    section = draw(st.sampled_from(sorted(cli.CONFIG_SCHEMA)))
+    values = draw(st.dictionaries(st.sampled_from(sorted(cli.CONFIG_SCHEMA[section])),
+                                  st.sampled_from(FUZZ_VALUES), max_size=2))
+    text = f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
+    argv = [command, "--runs", draw(st.sampled_from(["5", "40", "1", "0"])),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["7", "0", "-1", str(2**64), "x"]))]
+    if command == "detect" and draw(st.booleans()):
+        argv += ["--mu0", draw(st.sampled_from(["25", "3", "0.01", "1e-300", "0", "2e6",
+                                                "nan", "inf"]))]
+    if command == "fit-od" and draw(st.booleans()):
+        argv += ["--cap", draw(st.sampled_from(["4", "1", "0", "101", "x"]))]
+    data = None
+    if command in ("fit-od", "fit-saturation"):
+        data = draw(st.sampled_from(FUZZ_INPUTS))
+    return argv, text, data
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(case=cli_cases())
+def test_fuzzed_cli_calls_end_in_a_documented_exit(case):
+    argv, text, data = case
+    command = argv[0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        out = work / "out"
+        (work / "c.cfg").write_text(text, encoding="utf-8")
+        argv = [*argv, "--config", str(work / "c.cfg"), "--output", str(out)]
+        if data is not None:
+            (work / "d.csv").write_text(data, encoding="utf-8")
+            argv += ["--input", str(work / "d.csv")]
+        proc = subprocess.run([sys.executable, "-c", FUZZ_CHILD, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO), (
+            argv, text, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, text, proc.stderr)
+        if proc.returncode == EXIT_OK:
+            planned = cli._DISPATCH[command][1](parse_and_validate(argv))
+            sidecar = json.loads((out / f"{command}.provenance.json").read_text(encoding="utf-8"))
+            assert sorted(sidecar["outputs"]) == sorted(planned)
+            assert sorted(os.listdir(out)) == sorted([*planned, f"{command}.provenance.json"])
+        if proc.returncode == EXIT_NUMERIC:
+            assert (out / f"{command}.diagnostics.json").is_file(), (argv, text)

@@ -157,6 +157,31 @@ def test_decompose_and_threshold_evaluate_only_the_window(monkeypatch):
     assert min(integer) == lo + 1
 
 
+def test_running_sums_stop_at_each_component_window(monkeypatch):
+    # at mu0 = 1e6 and cap 100 the count range is about 1e6 wide, while most
+    # of the 101 component means lie far below 1: each cdf and tail sum runs
+    # over its own component's window, never past its top
+    model = mixture_from_params(0.61, 100, 0.94, 1e6)
+    hist = CountHistogram(np.bincount(np.random.default_rng(2).poisson(1e6, 300)))
+    means, sums = [], []
+    real_pmf, real_cumsum = detection._poisson_pmf, np.cumsum
+
+    def recording_pmf(n, mu):
+        means.append(mu)
+        return real_pmf(n, mu)
+
+    def recording_cumsum(a):  # every running sum is over the pmf made last
+        sums.append((len(a), detection._poisson_window(means[-1])[1] + 1))
+        return real_cumsum(a)
+
+    monkeypatch.setattr(detection, "_poisson_pmf", recording_pmf)
+    monkeypatch.setattr(np, "cumsum", recording_cumsum)
+    decompose(hist, model)
+    optimal_threshold(model)
+    assert len(sums) >= 2 * len(model.components)
+    assert all(length <= top for length, top in sums), max(sums)
+
+
 # ---------------------------------------------------------------------------
 # CountHistogram
 
@@ -280,7 +305,6 @@ def test_decompose_bins_sum_to_total():
     assert np.allclose(deco.model_gated + deco.model_ungated, deco.model_total, rtol=1e-12)
     assert np.array_equal(deco.observed[:len(res.histogram.runs)], res.histogram.runs)
     assert not deco.observed[len(res.histogram.runs):].any()
-    assert np.allclose(deco.residuals, deco.observed - deco.model_total)
 
 
 def test_decompose_empty_histogram_errors():
@@ -296,8 +320,10 @@ def test_decompose_gated_mass_against_simulation_truth():
     model = mixture_from_params(0.61, 3, 0.94, 20.0)
     deco = decompose(res.histogram, model)
     true_gated = int(res.joint[1:].sum())
+    gated_runs = n_runs * model.w_gated  # model-expected number of gated runs
+    assert np.sum(deco.model_gated) == pytest.approx(gated_runs, rel=1e-9)
     sigma = math.sqrt(n_runs * model.w_gated * (1.0 - model.w_gated))
-    assert abs(deco.gated_runs - true_gated) <= 3 * sigma
+    assert abs(gated_runs - true_gated) <= 3 * sigma
 
 
 def test_decompose_csv_columns(tmp_path):
@@ -334,13 +360,12 @@ def test_decomposition_rows_stream_in_chunks(monkeypatch, tmp_path):
     # zero cells are written as str(0) and repr(0.0), and -0.0 and the
     # smallest subnormal with repr too; rows are converted from the columns in
     # chunks, and the chunk size does not show in the bytes
-    zeros = np.zeros(5)
     deco = detection.DecompositionResult(
         events=np.arange(5), observed=np.array([0, 2, 0, 0, 1]),
         model_total=np.array([0.0, 2.5, 1e-300, 5e-324, 0.0]),
         model_gated=np.array([0.0, -0.0, 0.0, 0.0, 0.0]),
-        model_ungated=np.array([0.0, 2.5, 1e-300, 5e-324, 0.0]), residuals=zeros,
-        chi2=0.0, dof=0, p_value=1.0, gated_runs=0.0)
+        model_ungated=np.array([0.0, 2.5, 1e-300, 5e-324, 0.0]),
+        chi2=0.0, dof=0, p_value=1.0)
     expected = ("events,observed,model_total,model_gated,model_ungated\n"
                 "0,0,0.0,0.0,0.0\n1,2,2.5,-0.0,2.5\n2,0,1e-300,0.0,1e-300\n"
                 "3,0,5e-324,0.0,5e-324\n4,1,0.0,0.0,0.0\n")

@@ -177,12 +177,16 @@ class CountHistogram:
 
     def variance(self) -> float:
         """Sample variance (ddof=1); 0 for fewer than two runs.  Summed bin by
-        bin in ascending order, as one sequential float sum."""
+        bin in ascending order, as one sequential float sum: a loop, since the
+        builtin ``sum`` compensates from Python 3.12."""
         total = self.total
         if total < 2:
             return 0.0
         m = self.mean()
-        return sum(v * (k - m) ** 2 for k, v in self.bins()) / (total - 1)
+        squares = 0.0
+        for k, v in self.bins():
+            squares += v * (k - m) ** 2
+        return squares / (total - 1)
 
 
 @dataclass(frozen=True)

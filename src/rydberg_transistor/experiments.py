@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .detection import (
     CountHistogram,
     DecompositionResult,
@@ -117,12 +115,8 @@ def transfer_dataset(points: list[TransferPoint], label: str = "transfer") -> Da
     """No-gate transfer points as a DataSet ready for fit_saturation."""
     from .fitting import DataSet
 
-    return DataSet(
-        x=np.array([p.n_source_in for p in points]),
-        y=np.array([p.no_gate_out for p in points]),
-        sigma=np.array([max(p.no_gate_sigma, 1e-12) for p in points]),
-        label=label,
-    )
+    return DataSet([p.n_source_in for p in points], [p.no_gate_out for p in points],
+                   [max(p.no_gate_sigma, 1e-12) for p in points], label=label)
 
 
 @dataclass(frozen=True)

@@ -3,30 +3,23 @@
 fit_od inverts the blockade-capped contrast model for the optical depth per
 gate photon/excitation; fit_saturation recovers the (a, b) of the
 self-blockade transfer curve, solving a in closed form (variable projection).
-Both are bounded Brent searches in one variable, written as row fitters: one
-lockstep search fits every row of an index matrix into the data.  The point
-fit is the single row arange(n), searched as row 0 of a case-resampling
-bootstrap (percentile 68% intervals, deterministic under a seed) that fits
-all its resamples at once.
+Both are bounded Brent searches in one variable, written as row fitters over
+rows of indices into the data: the point fit is the row (0, ..., n-1), then a
+case-resampling bootstrap (percentile 68% intervals, deterministic under a
+seed) fits its resamples.  In plain Python, with numpy's bits: sums in its
+pairwise order (_sum, not the builtin sum, which compensates from Python
+3.12) and resamples from ports of its Philox and bounded-integer draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .models import (
-    FIT_BOOTSTRAP,
-    _math_exp,
-    capped_poisson_weights,
-    child_seed,
-    contrast_curve,
-    contrast_from_weights,
-)
+from .models import FIT_BOOTSTRAP, _seed_sequence_words, capped_poisson_weights, child_seed
 
 __all__ = [
     "DataSet",
@@ -45,34 +38,27 @@ MAXFUN = 500  # objective evaluations per bounded Brent search, as in scipy
 B_SEARCH_RANGE = (1e-3, 1e3)
 
 
-@dataclass(frozen=True, eq=False)
 class DataSet:
-    """(x, y, sigma) observations with strictly positive uncertainties."""
+    """(x, y, sigma) observations with strictly positive uncertainties, taken
+    as arrays or sequences of reals and kept as tuples of floats."""
 
-    x: np.ndarray
-    y: np.ndarray
-    sigma: np.ndarray
-    label: str = ""
+    __slots__ = ("x", "y", "sigma", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+    def __init__(self, x, y, sigma, label: str = ""):
+        self.x, self.y, self.sigma = (tuple(map(float, v)) for v in (x, y, sigma))
+        self.label = label
         n = len(self.x)
         if len(self.y) != n or len(self.sigma) != n:
             raise DomainError("x, y, sigma must have equal length")
         if n < 2:
             raise DomainError(f"need at least 2 points, got {n}")
-        finite = np.isfinite(self.x) & np.isfinite(self.y) & np.isfinite(self.sigma)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise DomainError(
-                f"non-finite value in data row {row + 1}: x={self.x[row]}, "
-                f"y={self.y[row]}, sigma={self.sigma[row]}"
-            )
-        if np.any(self.x < 0):
+        for row, point in enumerate(self.points, 1):
+            if not all(map(math.isfinite, point)):
+                raise DomainError("non-finite value in data row {}: x={}, y={}, sigma={}"
+                                  .format(row, *point))
+        if any(v < 0 for v in self.x):
             raise DomainError("x values must be >= 0")
-        if np.any(self.sigma <= 0):
+        if any(v <= 0 for v in self.sigma):
             raise DomainError("sigma values must be > 0")
 
     def __len__(self) -> int:
@@ -80,207 +66,208 @@ class DataSet:
 
     @property
     def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.x.tolist(), self.y.tolist(), self.sigma.tolist()))
+        return list(zip(self.x, self.y, self.sigma))
 
     @classmethod
     def from_points(cls, points, label: str = "") -> "DataSet":
-        arr = np.asarray(list(points), dtype=float).reshape(-1, 3)
-        return cls(x=arr[:, 0], y=arr[:, 1], sigma=arr[:, 2], label=label)
+        return cls(*(list(zip(*points)) or ((), (), ())), label=label)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Point estimates with weighted SSE and bootstrap 68% intervals.
-
-    ``converged`` is always True: a fit that fails raises
-    FitConvergenceError instead of returning.
-    """
-
-    params: dict[str, float]
-    sse: float
-    ci_68: dict[str, tuple[float, float]]
-    n_boot: int
-    converged: bool
-    flags: tuple[str, ...] = ()
+FitResult = namedtuple("FitResult", "params sse ci_68 n_boot converged flags", defaults=((),))
+FitResult.__doc__ = """Point estimates with weighted SSE and bootstrap 68% intervals.
+``converged`` is always True: a fit that fails raises FitConvergenceError."""
 
 
-def saturation_curve(x, a: float, b: float) -> np.ndarray:
-    """Transfer model a * (1 - exp(-x / b)) on an array of inputs."""
-    return a * -np.expm1(-np.asarray(x, dtype=float) / b)
+def saturation_curve(x, a: float, b: float) -> list[float]:
+    """Transfer model a * (1 - exp(-x / b)) at each of a sequence of inputs."""
+    return [a * -math.expm1(-v / b) for v in x]
 
 
-def _weighted_sse(residuals: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Sum of squared normalized residuals along the last axis."""
-    return np.sum((residuals / sigma) ** 2, axis=-1)
+def _sum(values: list[float]) -> float:
+    """np.sum of a list of floats, bit for bit, in numpy's pairwise order:
+    halves (at a multiple of 8) above 128 terms; from 8 terms, eight running
+    sums combined as a tree, then the rest one by one, as below 8 terms."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    total, end = 0.0, 0 if n < 8 else n - n % 8
+    if end:
+        r = values[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[end:]:
+        total += v
+    return total
 
 
-def _minimize_1d(objective, lo: np.ndarray, hi: np.ndarray):
-    """Argmin of each row's objective on [lo, hi] by bounded Brent to XATOL.
+def _divide(num: float, den: float) -> float:
+    """num / den as numpy divides: by zero to +-inf, or NaN for 0 / 0."""
+    if den:
+        return num / den
+    if num != num or num == 0:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
-    Golden-section search with parabolic steps (Brent 1973, ``fminbound``),
-    ported operation for operation from scipy's bounded ``minimize_scalar``.
-    ``objective`` maps an (m,) array of trial points, one per row, to the
-    rows' (m,) objective values.  The rows run in lockstep: each keeps its
-    own bracket and stops on its own convergence test, after which it is
-    re-evaluated at its frozen point, so every row's iterates and result
-    equal scipy's on that row alone, bit for bit.  All running rows have
-    made as many evaluations as the loop, which stops them at MAXFUN.
-    Returns (argmin, errors): errors[i] is None, or the FitConvergenceError
-    of row i after MAXFUN evaluations or on a NaN or non-finite minimum.
-    """
+
+def _inverse_square(sigma: float) -> float:
+    """sigma ** -2.0, as numpy's inf where Python raises OverflowError."""
+    try:
+        return sigma ** -2.0
+    except OverflowError:
+        return math.inf
+
+
+def _sign(v: float) -> float:
+    """np.sign(v) + (v == 0): 1 for v >= 0, -1 below, NaN for NaN."""
+    return 1.0 if v >= 0 else -1.0 if v < 0 else v
+
+
+def _minimize_1d(objective, lo: float, hi: float):
+    """(argmin, objective there, error) of ``objective`` on [lo, hi] by
+    bounded Brent to XATOL: golden sections with parabolic steps (Brent 1973),
+    scipy's bounded ``minimize_scalar`` operation for operation, so its
+    iterates equal scipy's, bit for bit.  error is None, or the
+    FitConvergenceError after MAXFUN evaluations or at a NaN or non-finite
+    minimum."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a, b = lo, hi
     xf = fulc = nfc = a + golden_mean * (b - a)
-    rat = e = np.zeros_like(xf)
+    rat = e = 0.0
     fx = ffulc = fnfc = objective(xf)
-    fu = np.full_like(xf, math.inf)
-    num = 1
-    maxed = np.zeros(xf.shape, dtype=bool)
-
-    def running():
+    fu, num, message = math.inf, 1, "Solution found."
+    while True:
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + XATOL / 3.0
-        return np.abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a), xm, tol1
-
-    run, xm, tol1 = running()
-    while run.any():
-        with np.errstate(all="ignore"):  # float semantics: inf and NaN pass silently
-            tol2 = 2.0 * tol1
-            # a parabolic step through the three best points, where acceptable
+        tol1 = sqrt_eps * abs(xf) + XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # a parabolic step through the three best points, where acceptable
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
             q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (p > q * (a - xf)) & (p < q * (b - xf)))
-            step = p / q
-            x = xf + step
-            near_edge = ((x - a) < tol2) | ((b - x) < tol2)
-            step = np.where(near_edge, np.where(xm < xf, -tol1, tol1), step)
-            # otherwise a golden-section step into the larger part
-            golden = np.where(xf >= xm, a - xf, b - xf)
-            e = np.where(parabolic, rat, golden)
-            rat = np.where(parabolic, step, golden_mean * golden)
-            # a NaN rat propagates through maximum() into x, as np.sign would
-            x = xf + np.where(rat < 0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
-            x = np.where(run, x, xf)
-        fu = np.where(run, objective(x), fu)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:  # otherwise a golden-section step into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # a NaN rat propagates through max() into x, as through np.maximum
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = objective(x)
         num += 1
-
-        better = run & (fu <= fx)
-        to_a = np.where(better, x >= xf, x < xf)
-        a = np.where(run & to_a, np.where(better, xf, x), a)
-        b = np.where(run & ~to_a, np.where(better, xf, x), b)
-        second = run & ~better & ((fu <= fnfc) | (nfc == xf))
-        third = (run & ~better & ~second
-                 & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc)))
-        fulc = np.where(better | second, nfc, np.where(third, x, fulc))
-        ffulc = np.where(better | second, fnfc, np.where(third, fu, ffulc))
-        nfc = np.where(better, xf, np.where(second, x, nfc))
-        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
-        xf = np.where(better, x, xf)
-        fx = np.where(better, fu, fx)
-
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
         if num >= MAXFUN:
-            maxed = run
+            message = "Maximum number of function calls reached."
             break
-        run, xm, tol1 = running()
 
-    nan = np.isnan(xf) | np.isnan(fx) | np.isnan(fu)
-    errors = [None] * len(xf)
-    for i in np.flatnonzero(maxed | nan | ~np.isfinite(fx)).tolist():
-        message = ("NaN result encountered." if nan[i] else
-                   "Maximum number of function calls reached." if maxed[i] else
-                   "Solution found.")
-        errors[i] = FitConvergenceError(
-            "bounded scalar minimization failed",
-            diagnostics={"message": message, "x": float(xf[i]), "sse": float(fx[i])},
-        )
-    return xf, errors
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        message = "NaN result encountered."
+    elif message == "Solution found." and math.isfinite(fx):
+        return xf, fx, None
+    return xf, fx, FitConvergenceError("bounded scalar minimization failed",
+                                       diagnostics={"message": message, "x": xf, "sse": fx})
 
 
-def _od_rows(data: DataSet, idx: np.ndarray, cap: int):
-    """fit_od's search on every row of the (m, n) index matrix ``idx`` at once."""
-    # od-independent: once per call, one (m, n) matrix per stored number j
-    weights = [w[idx] for w in capped_poisson_weights(data.x, cap)]
-    y, sigma = data.y[idx], data.sigma[idx]
-    od, errors = _minimize_1d(
-        lambda od: _weighted_sse(y - contrast_from_weights(weights, od[:, None]), sigma),
-        np.zeros(len(idx)),
-        np.full(len(idx), OD_SEARCH_MAX),
-    )
-    return {"od": od}, errors
+def _od_sse(data: DataSet, cap: int):
+    """row -> fit_od's weighted SSE on the points ``row`` as a function of od.
+    The od-independent cap+1 weights of each point are computed once."""
+    weights = [capped_poisson_weights(x, cap) for x in data.x]
+
+    def on_row(row):
+        first, *middle, last = zip(*(weights[i] for i in row))
+        y, sigma = [data.y[i] for i in row], [data.sigma[i] for i in row]
+
+        def sse(od: float) -> float:
+            # models.contrast_from_weights per point, in its order, whose j = 0
+            # term adds weight * exp(-0 * od) = weight to 0.0 at a finite od
+            attenuation = first
+            for j, column in enumerate(middle, 1):
+                e = math.exp(-j * od)
+                attenuation = [t + w * e for t, w in zip(attenuation, column)]
+            e = math.exp(-cap * od)
+            return _sum([(r := (v - (1.0 - (t + w * e))) / s) * r
+                         for v, t, w, s in zip(y, attenuation, last, sigma)])
+
+        return sse
+
+    return on_row
 
 
-def _saturation_rows(data: DataSet, idx: np.ndarray):
-    """fit_saturation's search on every row of the index matrix ``idx`` at once.
+def _od_rows(data: DataSet, rows, cap: int):
+    """fit_od's search on each row of indices in ``rows``."""
+    sse = _od_sse(data, cap)
+    found = [_minimize_1d(sse(row), 0.0, OD_SEARCH_MAX) for row in rows]
+    return {"od": [od for od, _, _ in found]}, [error for _, _, error in found]
+
+
+def _saturation_rows(data: DataSet, rows):
+    """fit_saturation's search on each row of indices in ``rows``.
 
     Variable projection: for fixed b the model is linear in a, so the
     weighted least-squares a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b)
     and w = 1 / sigma^2; the profiled SSE is then minimized over log b in
     [1e-3, 1e3] * max(x) of the row.  Needs some x > 0 in every row.
     """
-    x, y, sigma = data.x[idx], data.y[idx], data.sigma[idx]
-    w = sigma ** -2.0
+    found = []
+    for row in rows:
+        x, y, sigma = ([column[i] for i in row] for column in (data.x, data.y, data.sigma))
+        w = [_inverse_square(s) for s in sigma]
+        wy = [p * q for p, q in zip(w, y)]
 
-    def profile(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = -np.expm1(-x / _math_exp(log_b)[:, None])
-        return np.sum(w * y * g, axis=-1) / np.sum(w * g * g, axis=-1), g
+        def profile(log_b: float):
+            b = math.exp(log_b)
+            g = [-math.expm1(-v / b) for v in x]
+            return _divide(_sum([p * q for p, q in zip(wy, g)]),
+                           _sum([p * q * q for p, q in zip(w, g)])), g
 
-    def objective(log_b: np.ndarray) -> np.ndarray:
-        a, g = profile(log_b)
-        return _weighted_sse(y - a[:, None] * g, sigma)
+        def objective(log_b: float) -> float:  # the weighted SSE
+            a, g = profile(log_b)
+            return _sum([(r := (v - a * q) / s) * r for v, q, s in zip(y, g, sigma)])
 
-    x_max = np.max(x, axis=-1).tolist()
-    lo, hi = (np.array([math.log(f * v) for v in x_max]) for f in B_SEARCH_RANGE)
-    log_b, errors = _minimize_1d(objective, lo, hi)
-    return {"a": profile(log_b)[0], "b": _math_exp(log_b)}, errors
-
-
-def _fit_point(rows, data: DataSet) -> dict[str, float]:
-    """The row fitter ``rows`` on the data as they are, alone: the single row
-    arange(n).  The fitters search this row within the bootstrap's search
-    (_fit_result), where it must come out as it does here."""
-    params, (error,) = rows(data, np.arange(len(data))[None, :])
-    if error is not None:
-        raise error
-    return {name: float(values[0]) for name, values in params.items()}
+        lo, hi = (math.log(f * max(x)) for f in B_SEARCH_RANGE)
+        log_b, _, error = _minimize_1d(objective, lo, hi)
+        found.append((profile(log_b)[0], math.exp(log_b), error))
+    return {"a": [a for a, _, _ in found], "b": [b for _, b, _ in found]}, \
+        [error for _, _, error in found]
 
 
 def _fit_result(rows, data, assess, n_boot, seed, min_distinct) -> FitResult:
-    """Fit the point row arange(n) as row 0 of the bootstrap's search.
-
-    ``assess`` maps the point row's {name: value} to the estimate's (params,
-    sse, flags, warning messages).  The order is that of a point fit ahead of
-    the bootstrap: a failed point row raises first, the warnings follow, and
-    the bootstrap's own errors come last.  Each interval, taken in order of
-    ``params``, is widened minimally so that it brackets its point estimate.
+    """Fit the point row (0, ..., n-1) with the row fitter ``rows``, then the
+    bootstrap's rows.  ``assess`` maps the point row's {name: value} to the
+    estimate's (params, sse, flags, warning messages).  A failed point row
+    raises first, the warnings follow, and the bootstrap's errors come last.
+    Each interval, in order of ``params``, is widened to bracket its estimate.
     """
-    n = len(data)
-    found = []  # the point row's assessment, once searched
-
-    def with_point(d: DataSet, idx: np.ndarray):
-        params, errors = rows(d, np.concatenate([np.arange(n)[None, :], idx]))
-        if errors[0] is not None:
-            raise errors[0]
-        found.append(assess({name: float(values[0]) for name, values in params.items()}))
-        return {name: values[1:] for name, values in params.items()}, errors[1:]
-
-    try:
-        ci, n_used = bootstrap_ci(with_point, data, n_boot=n_boot, seed=seed,
-                                  min_distinct=min_distinct)
-    except (DomainError, InsufficientDataError):
-        if not found:  # the bootstrap drew no resamples: the point row alone
-            with_point(data, np.empty((0, n), dtype=np.int64))
-        raise
-    finally:
-        if found:  # the point row was searched: its warnings, ahead of any bootstrap error
-            for message in found[0][3]:
-                warnings.warn(message, stacklevel=3)
-    params, sse, flags, _ = found[0]
+    point, (error,) = rows(data, [tuple(range(len(data)))])
+    if error is not None:
+        raise error
+    params, sse, flags, messages = assess({name: values[0] for name, values in point.items()})
+    for message in messages:
+        warnings.warn(message, stacklevel=3)
+    ci, n_used = bootstrap_ci(rows, data, n_boot=n_boot, seed=seed, min_distinct=min_distinct)
     ci_68 = {name: (min(lo, value), max(hi, value))
              for (name, value), (lo, hi) in zip(params.items(), ci.values())}
     return FitResult(params=params, sse=sse, ci_68=ci_68, n_boot=n_used, converged=True,
@@ -312,15 +299,11 @@ def fit_od(
     """
     if mode not in ("incoming", "stored"):
         raise DomainError(f"mode must be 'incoming' or 'stored', got {mode!r}")
-    if np.any(data.y <= -1) or np.any(data.y > 1):
+    if any(v <= -1 or v > 1 for v in data.y):
         raise DomainError("contrast values must lie in (-1, 1]")
     name = "od_sp" if mode == "incoming" else "od_st"
 
-    def rows(d: DataSet, idx: np.ndarray):
-        return _od_rows(d, idx, cap)
-
-    def sse_at(od: float) -> float:
-        return float(_weighted_sse(data.y - contrast_curve(data.x, od, cap), data.sigma))
+    sse_at = _od_sse(data, cap)(range(len(data)))
 
     def assess(point: dict[str, float]):
         od_hat = point["od"]
@@ -334,12 +317,11 @@ def fit_od(
                 "the data do not bound od from above"]
         return {name: od_hat}, sse, [], []
 
-    return _fit_result(rows, data, assess, n_boot, seed, min_distinct=2)
+    return _fit_result(lambda d, rows: _od_rows(d, rows, cap), data, assess, n_boot, seed,
+                       min_distinct=2)
 
 
-def fit_saturation(
-    data: DataSet, n_boot: int = 200, seed: int = 0
-) -> FitResult:
+def fit_saturation(data: DataSet, n_boot: int = 200, seed: int = 0) -> FitResult:
     """Recover (a, b) of the transfer curve a * (1 - exp(-x / b)).
 
     Needs at least 3 distinct x values.  b is searched over
@@ -350,16 +332,16 @@ def fit_saturation(
     warning plus 'linear_regime'/'b_ci_unbounded' flags instead of an error.
     A failed search raises FitConvergenceError.
     """
-    n_distinct = len(set(data.x.tolist()))  # np.unique would import numpy.ma
+    n_distinct = len(set(data.x))
     if n_distinct < 3:
         raise InsufficientDataError(
             f"need at least 3 distinct x values for a 2-parameter fit, got {n_distinct}"
         )
 
     def assess(params: dict[str, float]):
-        sse = float(_weighted_sse(data.y - saturation_curve(data.x, params["a"], params["b"]),
-                                  data.sigma))
-        if params["b"] >= float(np.max(data.x)):
+        model = saturation_curve(data.x, params["a"], params["b"])
+        sse = _sum([(r := (v - m) / s) * r for v, m, s in zip(data.y, model, data.sigma)])
+        if params["b"] >= max(data.x):
             return params, sse, ["linear_regime", "b_ci_unbounded"], [
                 "saturation scale b is not reached by the data; "
                 "only the initial slope a/b is identified"]
@@ -368,56 +350,88 @@ def fit_saturation(
     return _fit_result(_saturation_rows, data, assess, n_boot, seed, min_distinct=3)
 
 
-def bootstrap_ci(
-    fit,
-    data: DataSet,
-    n_boot: int = 200,
-    seed: int = 0,
-    min_distinct: int = 2,
-) -> tuple[dict[str, tuple[float, float]], int]:
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+
+
+def _philox_uint32(seed: int):
+    """The uint32 stream of ``Generator(Philox(SeedSequence((seed,))))``:
+    Philox4x64-10 blocks (Salmon et al. 2011) at counters 1, 2, ... (below
+    2**64: numpy's 256-bit counter never carries here), keyed by
+    ``SeedSequence((seed,)).generate_state(2, np.uint64)``, each uint64 low half first."""
+    w = _seed_sequence_words((seed,), 4)
+    key = (w[0] | w[1] << 32, w[2] | w[3] << 32)
+    for counter in itertools.count(1):
+        c0, c1, c2, c3, (k0, k1) = counter, 0, 0, 0, key
+        for i in range(10):
+            if i:  # the key's Weyl sequence, then one round with the two multipliers
+                k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ k0, p1 & _MASK64, p0 >> 64 ^ c3 ^ k1, p0 & _MASK64
+        for v in (c0, c1, c2, c3):
+            yield v & _MASK32
+            yield v >> 32
+
+
+def _integers(stream, n: int, size: int) -> list[int]:
+    """``Generator.integers(0, n, size)`` for 2 <= n < 2**32 from the uint32
+    ``stream``: Lemire's multiply-shift with numpy's rejection threshold
+    2**32 mod n, one uint32 per try."""
+    threshold = (2**32 - n) % n
+    out = []
+    for _ in range(size):
+        m = next(stream) * n
+        while m & _MASK32 < threshold:
+            m = next(stream) * n
+        out.append(m >> 32)
+    return out
+
+
+def bootstrap_ci(fit, data: DataSet, n_boot: int = 200, seed: int = 0,
+                 min_distinct: int = 2) -> tuple[dict[str, tuple[float, float]], int]:
     """Case-resampling bootstrap, percentile 16/84 intervals per parameter.
 
-    ``fit`` is a row fitter: ``fit(data, idx)``, with ``idx`` an (m, n) matrix
-    of indices into ``data``, returns ({name: (m,) array}, errors), where
-    errors[i] is None when row i converged.  The (n_boot, n) index matrix is
-    drawn at once from the stream ``child_seed(seed, FIT_BOOTSTRAP, 0)``.  A
-    resample with fewer than ``min_distinct`` distinct x values cannot be
-    fitted: it is skipped and replaced by the next draw.  Data with no other
-    fittable resample than a reordering of themselves raise, as do failed
-    fits of more than 10% of the resamples.  Returns (intervals, resamples used).
+    ``fit`` is a row fitter: ``fit(data, rows)``, with ``rows`` a list of
+    index tuples into ``data``, returns ({name: one value per row}, errors),
+    errors[i] None when row i converged.  The rows are drawn n_boot at a time
+    as ``integers(0, n, (n_boot, n))`` from the stream ``child_seed(seed,
+    FIT_BOOTSTRAP, 0)``; one with fewer than ``min_distinct`` distinct x values
+    is replaced by the next.  Data with no other such resample than their own
+    reorderings raise, as do failed fits of over 10% of the resamples.
+    Returns (intervals, resamples used).
     """
     if n_boot < 100:
         raise DomainError(f"n_boot must be >= 100, got {n_boot}")
-    n, n_distinct = len(data), len(set(data.x.tolist()))
+    n, n_distinct = len(data), len(set(data.x))
     if n_distinct < min_distinct or n <= min_distinct:
         raise InsufficientDataError(
             f"bootstrap needs more than {min_distinct} points and {min_distinct} distinct "
             f"x values, got {n} with {n_distinct}: every resample would be skipped for "
             "too few distinct x values or would only reorder the data"
         )
-    stream = np.random.SeedSequence((child_seed(seed, FIT_BOOTSTRAP, 0),))
-    rng = np.random.Generator(np.random.Philox(stream))
-    idx = np.empty((0, n), dtype=np.int64)
-    while len(idx) < n_boot:
-        draw = rng.integers(0, n, (n_boot, n))
-        distinct = 1 + np.count_nonzero(np.diff(np.sort(data.x[draw], axis=-1)), axis=-1)
-        idx = np.concatenate([idx, draw[distinct >= min_distinct]])
-    params, errors = fit(data, idx[:n_boot])
-    used = np.array([error is None for error in errors], dtype=bool)
-    failed = n_boot - int(used.sum())
+    stream = _philox_uint32(child_seed(seed, FIT_BOOTSTRAP, 0))
+    rows = []
+    while len(rows) < n_boot:
+        draw = _integers(stream, n, n_boot * n)
+        for start in range(0, len(draw), n):
+            row = tuple(draw[start:start + n])
+            if len({data.x[i] for i in row}) >= min_distinct:
+                rows.append(row)
+    params, errors = fit(data, rows[:n_boot])
+    failed = n_boot - errors.count(None)
     if failed > 0.1 * n_boot:
         raise InsufficientDataError(
             f"bootstrap skipped {failed}/{n_boot} resamples whose fit failed (>10%)"
         )
-    ci = {name: _percentiles(values[used], (16.0, 84.0)) for name, values in params.items()}
+    ci = {name: _percentiles([v for v, error in zip(values, errors) if error is None],
+                             (16.0, 84.0))
+          for name, values in params.items()}
     return ci, n_boot - failed
 
 
-def _percentiles(values: np.ndarray, qs) -> tuple[float, ...]:
+def _percentiles(values: list[float], qs) -> tuple[float, ...]:
     """np.percentile(values, qs) of finite values, by its default linear
-    method step for step (Hyndman & Fan 1996, type 7).  np.percentile calls
-    np.unique, which imports numpy.ma."""
-    v = np.sort(values).tolist()
+    method step for step (Hyndman & Fan 1996, type 7)."""
+    v = sorted(values)
     out = []
     for q in qs:
         h = (len(v) - 1) * (q / 100)

@@ -6,19 +6,20 @@ the self-blockade saturation transfer function.  All contrasts are
 dimensionless reals in (-inf, 1]; percent formatting is left to callers.
 
 The capped Poisson law P(min(k, cap) = j) is computed in one place,
-capped_poisson_weights; the contrast models here and the detection mixture
-are sums over it.  It and contrast_from_weights evaluate a real number in
-plain `math` and fit_od's arrays of means by the same lines of code.
+capped_poisson_weights; the contrast models here, fit_od and the detection
+mixture are sums over it.  It and contrast_from_weights evaluate a real number
+in plain `math` and an array of means by the same lines of code.
 
-The module imports no numpy, so parsing, validation, every rejected input and
-`gain-scan` run without it.  The commands that draw or fit (simulate,
-contrast-scan, transfer-scan, detect, fit-od, fit-saturation) load numpy with
-their runners; `child_seed` imports it when it is called.  Nor does it import
+The module imports no numpy, so parsing, validation, every rejected input,
+`gain-scan`, `fit-od` and `fit-saturation` run without it; the commands that
+draw (simulate, contrast-scan, transfer-scan, detect) load it with their
+runners.  `child_seed` hashes with a port of numpy's `SeedSequence`, which
+keys the fit bootstrap's Philox stream too.  Nor does the module import
 `dataclasses`, whose `inspect` costs a short command more than the rest of
 its start: the parameter records are namedtuples that validate in `__new__`.
 The numpy layers keep their dataclasses.  numpy already imports `inspect`,
 but creating a frozen dataclass still takes about 1.1-1.3 ms (a namedtuple
-0.1-0.2 ms), some 14 ms for the 11 of a command that loads them all.
+0.1-0.2 ms), some 11 ms for the 9 of a command that loads them all.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
@@ -30,6 +31,7 @@ detection code.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import warnings
@@ -99,12 +101,37 @@ def child_seed(seed: int, tag: int, i: int) -> int:
 
     The first 64-bit word of the state of ``SeedSequence((seed, tag, i))``.
     Unlike ``seed + i``, it gives master seeds s and s + 1 disjoint streams.
-    Every caller draws with numpy, so it is imported here, not with the module.
     """
-    import numpy as np
+    low, high = _seed_sequence_words((seed, tag, i), 2)
+    return low | high << 32
 
-    state = np.random.SeedSequence((seed, tag, i)).generate_state(1, np.uint64)
-    return int(state[0])
+
+def _seed_sequence_words(entropy, n_words: int) -> list[int]:
+    """``numpy.random.SeedSequence(entropy).generate_state(n_words)`` in plain
+    Python: n_words uint32 words (a uint64 is two, low word first) from a tuple
+    of integers >= 0, each entering the 4-word pool as its uint32 words, low
+    word first."""
+    mask, hash_const = 2**32 - 1, 0x43B0D7E5
+    words = [v >> s & mask for v in entropy for s in range(0, max(v.bit_length(), 1), 32)]
+
+    def hashmix(value, multiplier=0x931E8875):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * multiplier & mask
+        value = value * hash_const & mask
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src, i_dst in itertools.permutations(range(4), 2):
+        pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word, i_dst in itertools.product(words[4:], range(4)):  # entropy past the pool
+        pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const = 0x8B51F9DD  # the output hash: a second constant and multiplier
+    return [hashmix(pool[i % 4], 0x58F38DED) for i in range(n_words)]
 
 
 def failed_checks(checks) -> list[str]:

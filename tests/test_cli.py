@@ -591,6 +591,33 @@ def test_fit_od_missing_input_is_config_error(tmp_path):
                  "--output", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), (" 1.5 ", 1.5), ("\uff11", 1.0),
+                                         ("-0", -0.0), ("1e-400", 0.0)])
+def test_dataset_cells_read_as_python_floats(cell, value, tmp_path):
+    # the loader's cells are Python float() literals, as numpy's float cast of
+    # a string is: underscores, blanks around the number and Unicode digits too
+    path = tmp_path / "cells.csv"
+    path.write_text(f"x,y,sigma\n{cell},0.5,0.1\n2.0,{cell},0.1\n", encoding="utf-8")
+    data = cli._load_dataset(str(path))
+    assert data.x[0] == data.y[1] == value
+    assert math.copysign(1.0, data.x[0]) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("cell, violation", [
+    ("1e400", "non-finite value in data row 1: x=inf, y=0.5, sigma=0.1"),
+    ("", "line 2: could not convert string to float: ''"),
+    ("0x10", "line 2: could not convert string to float: '0x10'"),
+])
+def test_dataset_cells_that_are_not_finite_floats_exit_3(cell, violation, tmp_path, capsys):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"x,y,sigma\n{cell},0.5,0.1\n2.0,0.6,0.1\n3.0,0.7,0.1\n",
+                    encoding="utf-8")
+    for command in ("fit-od", "fit-saturation"):
+        assert main([command, "--input", str(path),
+                     "--output", str(tmp_path / command)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config validation failed:\n  - {path}: {violation}\n"
+
+
 def test_fit_od_malformed_input_is_config_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y,sigma\n1.0,0.5,0.0\n2.0,0.6,0.1\n", encoding="utf-8")
@@ -985,8 +1012,9 @@ def test_fit_commands_add_only_fitting(command, tmp_path):
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
         "rydberg_transistor.models", "rydberg_transistor.fitting",
     }
-    # np.unique and np.percentile import numpy.ma; the fitters use neither
-    assert "numpy.ma" not in loaded
+    # the fitters are plain Python, and DataSet and FitResult no dataclasses
+    for name in ("numpy", "dataclasses", "inspect"):
+        assert name not in loaded, name
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,19 @@ def test_histogram_construction_and_stats():
     assert hist.variance() == pytest.approx(np.var(samples, ddof=1), rel=1e-15)
 
 
+def test_histogram_variance_is_one_sequential_sum():
+    # the same bits on every Python: a left-to-right loop, not the builtin
+    # sum, which compensates from 3.12 and here would round differently
+    hist = CountHistogram(np.random.default_rng(0).integers(0, 50, 34))
+    m = hist.mean()
+    terms = [v * (k - m) ** 2 for k, v in hist.bins()]
+    sequential = 0.0
+    for term in terms:
+        sequential += term
+    assert sequential != math.fsum(terms)
+    assert hist.variance() == sequential / (hist.total - 1)
+
+
 def test_histogram_validation():
     with pytest.raises(DomainError):
         CountHistogram(np.array([2, -1]))

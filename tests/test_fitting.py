@@ -20,7 +20,6 @@ from rydberg_transistor.fitting import (
     fit_od,
     fit_saturation,
     saturation_curve,
-    _fit_point,
     _minimize_1d,
     _od_rows,
     _saturation_rows,
@@ -34,8 +33,15 @@ def exact_contrast_data(od, cap=3, sigma=0.04):
     return DataSet(x=GATE_GRID, y=y, sigma=np.full_like(GATE_GRID, sigma))
 
 
+def _fit_point(rows, data):
+    """The row fitter ``rows`` on the point row (0, ..., n-1) alone."""
+    params, (error,) = rows(data, [tuple(range(len(data)))])
+    assert error is None
+    return {name: values[0] for name, values in params.items()}
+
+
 def _fit_od_point(data, cap):
-    return _fit_point(lambda d, idx: _od_rows(d, idx, cap), data)["od"]
+    return _fit_point(lambda d, rows: _od_rows(d, rows, cap), data)["od"]
 
 
 def _fit_saturation_point(data):
@@ -43,13 +49,18 @@ def _fit_saturation_point(data):
     return params["a"], params["b"]
 
 
-def _od_rows_cap3(data, idx):
-    return _od_rows(data, idx, 3)
+def _od_rows_cap3(data, rows):
+    return _od_rows(data, rows, 3)
 
 
 def exact_saturation_data(a=46.0, b=70.0, n=10):
     x = np.linspace(25.0, 250.0, n)
     return DataSet(x=x, y=saturation_curve(x, a, b), sigma=np.ones(n))
+
+
+def _sse(data, model):
+    y, sigma = np.asarray(data.y), np.asarray(data.sigma)
+    return np.sum(((y - model) / sigma) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +77,14 @@ def test_dataset_validation():
     with pytest.raises(DomainError):
         DataSet(x=[1.0, 2.0], y=[1.0], sigma=[1.0, 1.0])
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DomainError, match="row 2"):
+        with pytest.raises(DomainError, match=f"row 2: x=2.0, y={bad}, sigma=1.0$"):
             DataSet(x=[1.0, 2.0, 3.0], y=[1.0, bad, 3.0], sigma=[1.0, 1.0, 1.0])
+    # arrays and lists alike become tuples of Python floats
+    from_array = DataSet(x=np.arange(3.0), y=np.ones(3, np.float32), sigma=[1, 2, 3])
+    assert from_array.x == (0.0, 1.0, 2.0) and from_array.sigma == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in (*from_array.x, *from_array.y, *from_array.sigma))
+    assert len(from_array) == 3
+    assert DataSet.from_points(from_array.points).points == from_array.points
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -221,7 +238,7 @@ def test_fit_saturation_noisy_repeated_study():
     for s in range(10):
         rng = np.random.default_rng(s)
         y = clean.y * (1.0 + 0.05 * rng.standard_normal(len(clean.x)))
-        noisy = DataSet(x=clean.x, y=y, sigma=0.05 * clean.y)
+        noisy = DataSet(x=clean.x, y=y, sigma=0.05 * np.asarray(clean.y))
         a, b = _fit_saturation_point(noisy)
         estimates.append((a, b))
     a_arr = np.array([e[0] for e in estimates])
@@ -253,7 +270,7 @@ def test_fit_saturation_optimality_against_probes_and_grid():
                     sigma=sigma)
 
     def sse(a, b):
-        return np.sum(((noisy.y - saturation_curve(noisy.x, a, b)) / sigma) ** 2)
+        return _sse(noisy, saturation_curve(noisy.x, a, b))
 
     a_hat, b_hat = _fit_saturation_point(noisy)
     best = sse(a_hat, b_hat)
@@ -266,7 +283,7 @@ def test_fit_saturation_optimality_against_probes_and_grid():
     log_grid = np.linspace(np.log(1.0), np.log(1000.0), 2000)
     profile = []
     for log_b in log_grid:
-        g = -np.expm1(-noisy.x / np.exp(log_b))
+        g = -np.expm1(-np.asarray(noisy.x) / np.exp(log_b))
         (a,), *_ = np.linalg.lstsq((g / sigma)[:, None], noisy.y / sigma, rcond=None)
         profile.append(sse(a, np.exp(log_b)))
     argmin = log_grid[int(np.argmin(profile))]
@@ -293,15 +310,17 @@ def _scipy_bounded(objective, lo, hi, maxiter=500):
 
 
 def _port_bounded(objective, lo, hi):
-    """(evaluated points, argmin or FitConvergenceError) of a one-row fitting._minimize_1d."""
+    """(evaluated points, argmin or FitConvergenceError) of fitting._minimize_1d."""
     points = []
 
     def recorded(x):
-        points.append(float(x[0]))
-        return np.array([objective(points[-1])])
+        points.append(x)
+        return objective(x)
 
-    (x,), (error,) = _minimize_1d(recorded, np.array([lo]), np.array([hi]))
-    return points, float(x) if error is None else error
+    x, fx, error = _minimize_1d(recorded, lo, hi)
+    if error is None:
+        assert fx == objective(x)
+    return points, x if error is None else error
 
 
 def _assert_same_search(objective, lo, hi):
@@ -313,6 +332,7 @@ def _assert_same_search(objective, lo, hi):
     else:
         assert isinstance(out, FitConvergenceError)
         assert out.diagnostics["message"] == res.message
+    return len(points)
 
 
 def _random_objective(rng):
@@ -343,9 +363,11 @@ def test_minimize_1d_matches_scipy_on_random_objectives():
         _assert_same_search(objective, lo, hi)
 
 
-def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
-    # benchmark-shaped data: a contrast scan with 1-2% scatter, and saturated
-    # (x 25-250) and linear-regime (x 2-20) transfer curves with sd 0.1
+def _fit_objective_searches(monkeypatch):
+    """(objective, lo, hi) of every search the row fitters make on benchmark-shaped
+    data: a contrast scan with 1-2% scatter, and saturated (x 25-250) and
+    linear-regime (x 2-20) transfer curves with sd 0.1, each on the data as they
+    are and on resamples."""
     rng = np.random.default_rng(5)
     datasets = []
     for _ in range(5):
@@ -355,23 +377,47 @@ def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
             y = saturation_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10)
             datasets.append(("sat", DataSet(x=x, y=y, sigma=np.full(10, 0.1))))
     searches = []
+    real_minimize = fitting._minimize_1d
 
     def record(f, lo, hi):
-        searches.append((f, float(lo[0]), float(hi[0])))
-        return np.ones(1), [None]
+        searches.append((f, lo, hi))
+        return real_minimize(f, lo, hi)
 
     monkeypatch.setattr(fitting, "_minimize_1d", record)
     for kind, data in datasets:
-        for idx in [np.arange(len(data))] + [rng.integers(0, len(data), len(data))
-                                             for _ in range(3)]:
-            if kind == "od":
-                _od_rows(data, idx[None, :], 3)
-            elif len(np.unique(data.x[idx])) >= 3:
-                _saturation_rows(data, idx[None, :])
+        rows = [tuple(range(len(data)))] + [tuple(rng.integers(0, len(data), len(data)))
+                                            for _ in range(3)]
+        if kind == "od":
+            _od_rows(data, rows, 3)
+        else:
+            _saturation_rows(data, [r for r in rows if len({data.x[i] for i in r}) >= 3])
     monkeypatch.undo()
+    return searches
+
+
+def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
+    searches = _fit_objective_searches(monkeypatch)
     assert len(searches) >= 40
     for objective, lo, hi in searches:
-        _assert_same_search(lambda v: float(objective(np.array([v]))[0]), lo, hi)
+        _assert_same_search(objective, lo, hi)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5])
+def test_od_objective_is_the_numpy_contrast_sum(cap):
+    # fit_od's objective sums models.contrast_from_weights' terms per point in
+    # its order, and the squares as np.sum does: the bits of the array path
+    rng = np.random.default_rng(cap)
+    x = np.sort(rng.uniform(0.0, 4.0, 14))
+    data = DataSet(x=x, y=rng.uniform(-0.5, 1.0, 14), sigma=rng.uniform(0.01, 0.1, 14))
+    sse = fitting._od_sse(data, cap)
+    weights = models.capped_poisson_weights(x, cap)
+    for row in [tuple(range(14)), tuple(rng.integers(0, 14, 14))]:
+        idx = list(row)
+        objective = sse(row)
+        for od in [0.0, 1e-9, 0.75, 2.2, 37.0, fitting.OD_SEARCH_MAX]:
+            contrast = models.contrast_from_weights([w[idx] for w in weights], od)
+            y, sigma = np.asarray(data.y)[idx], np.asarray(data.sigma)[idx]
+            assert objective(od) == float(np.sum(((y - contrast) / sigma) ** 2, axis=-1))
 
 
 def test_minimize_1d_failures_match_scipy(monkeypatch):
@@ -393,66 +439,60 @@ def test_minimize_1d_failures_match_scipy(monkeypatch):
     assert set(out.diagnostics) == {"message", "x", "sse"}
 
 
-def _assert_rows_independent(objectives, lo, hi):
-    """Each row of one lockstep search equals its own one-row search, bit for bit."""
-    points = [[] for _ in objectives]
-
-    def batch(x):
-        for row, v in zip(points, x.tolist()):
-            row.append(v)
-        return np.array([f(v) for f, v in zip(objectives, x.tolist())])
-
-    x, errors = _minimize_1d(batch, np.array(lo), np.array(hi))
-    lengths = []
-    for i, f in enumerate(objectives):
-        alone_points, alone = _port_bounded(f, lo[i], hi[i])
-        lengths.append(len(alone_points))
-        # the row's iterates, then its frozen point until every row stops
-        assert points[i][: len(alone_points)] == alone_points
-        assert len(set(points[i][len(alone_points):])) <= 1
-        if isinstance(alone, FitConvergenceError):
-            assert repr(errors[i].diagnostics) == repr(alone.diagnostics)
-        else:
-            assert errors[i] is None and float(x[i]) == alone
-    return lengths, errors
-
-
-def test_minimize_1d_rows_converging_at_different_iterations():
-    rng = np.random.default_rng(1973)
-    objectives, lo, hi = [], [], []
-    for _ in range(60):
-        objectives.append(_random_objective(rng))
-        lo.append(rng.uniform(-10.0, 10.0))
-        hi.append(lo[-1] + 10.0 ** rng.uniform(-6.0, 3.0))
-    lengths, errors = _assert_rows_independent(objectives, lo, hi)
-    assert len(set(lengths)) > 10
-    assert any(e is None for e in errors) and any(e is not None for e in errors)
+def test_minimize_1d_rows_converging_at_different_iterations(monkeypatch):
+    # a row fitter searches each row on its own: a row comes out as it does
+    # alone, whichever rows share the call and however long they search
+    searches = _fit_objective_searches(monkeypatch)
+    assert len({len(_port_bounded(f, lo, hi)[0]) for f, lo, hi in searches}) > 5
+    contrast, transfer = _noisy_fit_data(4)
+    rng = np.random.default_rng(4)
+    for data, fitter in ((contrast, _od_rows_cap3), (transfer, _saturation_rows)):
+        rows = [tuple(range(len(data)))[::-1]] + [
+            tuple(rng.integers(0, len(data), len(data))) for _ in range(30)]
+        params, errors = fitter(data, rows)
+        assert errors == [None] * len(rows)
+        for i, row in enumerate(rows):
+            alone, _ = fitter(data, [row])
+            assert {name: values[i] for name, values in params.items()} == \
+                {name: values[0] for name, values in alone.items()}
 
 
 def test_minimize_1d_nan_row_beside_normal_rows():
-    # the NaN rows stop long before the cusp row, so they stay frozen for
-    # most of the search, their last NaN evaluation included
-    objectives = [lambda x: (x - 0.3) ** 2, lambda x: math.nan,
-                  lambda x: -x if x < 0.5 else math.nan, lambda x: abs(x - 1.234) ** 0.3]
-    lengths, errors = _assert_rows_independent(objectives, [0.0, 0.0, 0.0, -1e5],
-                                               [1.0, 1.0, 1.0, 1e5])
-    assert errors[0] is None and errors[3] is None
-    assert max(lengths[1:3]) < lengths[3]
-    for e in errors[1:3]:
-        assert e.diagnostics["message"] == "NaN result encountered."
+    # points with sigma = 1e200 have weight 1 / sigma^2 = 0: a row of them
+    # alone profiles a = 0 / 0 = NaN and fails, as numpy's division did,
+    # while the rows beside it fit as they do alone
+    x = [25.0, 50.0, 100.0, 150.0, 250.0, 25.0, 75.0, 200.0]
+    sigma = [1.0] * 5 + [1e200] * 3
+    data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0), sigma=sigma)
+    rows = [(0, 1, 2, 3, 4), (5, 6, 7, 5, 6), (0, 2, 4, 4, 1)]
+    params, errors = _saturation_rows(data, rows)
+    assert errors[0] is None and errors[2] is None
+    assert errors[1].diagnostics["message"] == "NaN result encountered."
+    assert math.isnan(params["a"][1])
+    for i in (0, 2):
+        alone, _ = _saturation_rows(data, [rows[i]])
+        assert (params["a"][i], params["b"][i]) == (alone["a"][0], alone["b"][0])
+    assert abs(params["b"][0] - 70.0) < 1e-3
 
 
 def test_minimize_1d_maxfun_row_beside_normal_rows(monkeypatch):
-    # a parabola converges in a few parabolic steps; an |x|^0.3 cusp over a
-    # wide bracket needs golden sections and runs into the cap
-    monkeypatch.setattr(fitting, "MAXFUN", 12)
-    objectives = [lambda x: (x - 0.3) ** 2, lambda x: abs(x - 1.234) ** 0.3,
-                  lambda x: (x - 7.0) ** 2]
-    lengths, errors = _assert_rows_independent(objectives, [0.0, -500.0, 0.0],
-                                               [1.0, 500.0, 10.0])
-    assert errors[0] is None and errors[2] is None and max(lengths[0], lengths[2]) < 12
-    assert errors[1].diagnostics["message"] == "Maximum number of function calls reached."
-    assert lengths[1] == 12
+    # the evaluation cap holds per row: the rows that need more evaluations
+    # than it fail with scipy's message, the others converge as in scipy
+    contrast, _ = _noisy_fit_data(3)
+    rows = [tuple(range(14))] + [tuple(r) for r in
+                                 np.random.default_rng(3).integers(0, 14, (20, 14))]
+    sse = fitting._od_sse(contrast, 3)
+    lengths = [len(_port_bounded(sse(row), 0.0, fitting.OD_SEARCH_MAX)[0]) for row in rows]
+    cap = max(lengths)  # 19-21 evaluations: the longest searches hit it
+    monkeypatch.setattr(fitting, "MAXFUN", cap)
+    _, errors = _od_rows(contrast, rows, 3)
+    for row, length, error in zip(rows, lengths, errors):
+        _, res = _scipy_bounded(sse(row), 0.0, fitting.OD_SEARCH_MAX, maxiter=cap)
+        assert (error is None) == res.success == (length < cap)
+        if error is not None:
+            assert error.diagnostics["message"] == res.message
+            assert res.message == "Maximum number of function calls reached."
+    assert None in errors and any(e is not None for e in errors)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +520,8 @@ def test_bootstrap_deterministic_under_seed():
 
 
 def test_bootstrap_index_matrix_stream():
-    # the (n_boot, n) index matrix is one draw from the FIT_BOOTSTRAP child
-    # stream, not the stream of a simulate block
+    # the n_boot rows are one (n_boot, n) integers draw from the FIT_BOOTSTRAP
+    # child stream's Philox generator, not the stream of a simulate block
     data = exact_contrast_data(0.75)
     seen = []
 
@@ -493,7 +533,30 @@ def test_bootstrap_index_matrix_stream():
     assert montecarlo.FIT_BOOTSTRAP == montecarlo.POISSONNESS_NULL + 1
     stream = np.random.SeedSequence((montecarlo.child_seed(7, montecarlo.FIT_BOOTSTRAP, 0),))
     expected = np.random.Generator(np.random.Philox(stream)).integers(0, 14, (150, 14))
-    assert len(seen) == 1 and np.array_equal(seen[0], expected)
+    assert seen == [[tuple(row) for row in expected.tolist()]]
+
+
+def test_philox_draws_match_numpy():
+    # Generator(Philox(SeedSequence((s,)))).integers(0, n, (m, n)), call after
+    # call on one generator, as the bootstrap's redraw loop continues its stream
+    for s in (0, 1, 7, 2**32 + 5, 2**64 - 1):
+        for n in range(2, 65):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((s,))))
+            stream = fitting._philox_uint32(s)
+            for m in (1, 3, 200 if n in (2, 3, 14, 64) else 5):
+                expected = rng.integers(0, n, (m, n)).ravel().tolist()
+                assert fitting._integers(stream, n, m * n) == expected, (s, n, m)
+
+
+def test_pairwise_sum_matches_numpy():
+    # np.sum(a, axis=-1) on (m, n) rows, and on one row, bit for bit;
+    # the builtin sum compensates from Python 3.12 and would not
+    rng = np.random.default_rng(18)
+    for n in range(1, 301):
+        a = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, (4, n))
+        expected = np.sum(a, axis=-1).tolist()
+        assert [fitting._sum(row) for row in a.tolist()] == expected, n
+        assert fitting._sum(a[0].tolist()) == float(np.sum(a[0]))
 
 
 def test_bootstrap_skips_degenerate_resamples():
@@ -517,8 +580,8 @@ def test_bootstrap_redraws_unfittable_resamples():
     for seed in range(30):
         assert bootstrap_ci(rows, data, n_boot=200, seed=seed)[1] == 200
     for idx in seen:
-        assert idx.shape == (200, 3)
-        assert all(len(set(row)) >= 2 for row in idx.tolist())
+        assert len(idx) == 200 and {len(row) for row in idx} == {3}
+        assert all(len(set(row)) >= 2 for row in idx)
 
 
 def test_percentiles_match_numpy_bit_for_bit():
@@ -528,7 +591,7 @@ def test_percentiles_match_numpy_bit_for_bit():
                 0.75 + 1e-3 * rng.standard_normal(199)]
     qs = (0.0, 16.0, 50.0, 84.0, 99.9, 100.0)
     for values in samples:
-        got = fitting._percentiles(values, qs)
+        got = fitting._percentiles(values.tolist(), qs)
         assert [repr(v) for v in got] == [repr(float(v)) for v in np.percentile(values, qs)]
 
 
@@ -542,31 +605,30 @@ def _noisy_fit_data(seed):
     return contrast, transfer
 
 
-def test_point_row_joins_the_bootstrap_search(monkeypatch):
-    # one search of n_boot + 1 rows, whose row 0 gives the one-row estimate
-    # and whose other rows give the bootstrap's intervals unchanged
-    searches = []
-    real_minimize = fitting._minimize_1d
-
-    def recording(objective, lo, hi):
-        searches.append(len(lo))
-        return real_minimize(objective, lo, hi)
-
-    monkeypatch.setattr(fitting, "_minimize_1d", recording)
+def test_point_row_runs_before_the_bootstrap_rows(monkeypatch):
+    # the row fitter runs on the point row alone, then on the n_boot rows of
+    # the bootstrap: the estimate is the one-row fit, the intervals are the
+    # bootstrap's, widened to bracket it
+    calls = []
+    for name in ("_od_rows", "_saturation_rows"):
+        real = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda d, idx, *a, real=real:
+                            calls.append(list(idx)) or real(d, idx, *a))
     for seed in (3, 8):
         contrast, transfer = _noisy_fit_data(seed)
-        del searches[:]
+        del calls[:]
         od = fit_od(contrast, cap=3, n_boot=150, seed=seed)
-        assert searches == [151]
+        assert [len(rows) for rows in calls] == [1, 150]
+        assert calls[0] == [tuple(range(14))]
         assert od.params["od_sp"] == _fit_od_point(contrast, 3)
         ci, n_used = bootstrap_ci(_od_rows_cap3, contrast, n_boot=150, seed=seed)
         value = od.params["od_sp"]
         assert od.ci_68["od_sp"] == (min(ci["od"][0], value), max(ci["od"][1], value))
         assert od.n_boot == n_used
 
-        del searches[:]
+        del calls[:]
         sat = fit_saturation(transfer, n_boot=150, seed=seed)
-        assert searches == [151]
+        assert [len(rows) for rows in calls] == [1, 150]
         assert (sat.params["a"], sat.params["b"]) == _fit_saturation_point(transfer)
         ci, n_used = bootstrap_ci(_saturation_rows, transfer, n_boot=150, seed=seed,
                                   min_distinct=3)
@@ -577,11 +639,14 @@ def test_point_row_joins_the_bootstrap_search(monkeypatch):
 
 def test_failed_point_row_raises_before_bootstrap_errors(monkeypatch):
     real_rows = fitting._saturation_rows
+    searched = []
 
     def failing_point(data, idx):
+        searched.append(len(idx))
         params, errors = real_rows(data, idx)
-        return params, [FitConvergenceError("point failed", diagnostics={"sse": 2.0}),
-                        *errors[1:]]
+        if idx == [tuple(range(len(data)))]:
+            errors = [FitConvergenceError("point failed", diagnostics={"sse": 2.0})]
+        return params, errors
 
     monkeypatch.setattr(fitting, "_saturation_rows", failing_point)
     three = DataSet(x=[25.0, 100.0, 250.0], y=saturation_curve([25.0, 100.0, 250.0], 46.0, 70.0),
@@ -589,8 +654,10 @@ def test_failed_point_row_raises_before_bootstrap_errors(monkeypatch):
     # the bootstrap runs; it has too few points; it has too few resamples
     for data, n_boot in ((exact_saturation_data(), 200), (three, 200),
                          (exact_saturation_data(), 50)):
+        del searched[:]
         with pytest.raises(FitConvergenceError, match="point failed"):
             fit_saturation(data, n_boot=n_boot)
+        assert searched == [1]  # no resample is searched after the point row failed
     monkeypatch.undo()
     with pytest.raises(InsufficientDataError, match="bootstrap needs more than 3 points"):
         fit_saturation(three)
@@ -610,7 +677,9 @@ def test_point_warnings_come_before_bootstrap_errors(monkeypatch):
 
     def failing_resamples(data, idx):
         params, errors = real_rows(data, idx)
-        return params, errors[:1] + [FitConvergenceError("resample failed")] * (len(idx) - 1)
+        if idx == [tuple(range(len(data)))]:
+            return params, errors
+        return params, [FitConvergenceError("resample failed")] * len(idx)
 
     monkeypatch.setattr(fitting, "_saturation_rows", failing_resamples)
     x = np.linspace(2.0, 20.0, 10)

@@ -178,7 +178,7 @@ def test_capped_poisson_weights_against_scipy(cap):
     assert len(stacked) == cap + 1
     assert all(term.shape == means.shape for term in stacked)
     ods = np.array([0.0, 0.75, 2.2, 40.0])
-    # fit_od's lockstep form: the terms indexed to (m, n), od a column of m
+    # the broadcast form: the terms indexed to (m, n), od a column of m
     lockstep = models.contrast_from_weights([term[None, :] for term in stacked], ods[:, None])
     for i, mean in enumerate(means.tolist()):
         weights = models.capped_poisson_weights(mean, cap)

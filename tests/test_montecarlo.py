@@ -286,6 +286,23 @@ def test_child_seed():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+def test_seed_sequence_port_matches_numpy():
+    # entropy of 1-5 integers, each 0, below 2**32, at or above 2**32 (two
+    # words) or 2**64 (three), so the pool of 4 words is under- and overfull
+    rng = np.random.default_rng(64)
+    values = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3]
+    for _ in range(400):
+        entropy = tuple(int(rng.choice(values)) if rng.random() < 0.5
+                        else int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63))
+                        for _ in range(rng.integers(1, 6)))
+        n_words = int(rng.integers(1, 9))
+        expected = np.random.SeedSequence(entropy).generate_state(n_words).tolist()
+        assert models._seed_sequence_words(entropy, n_words) == expected, entropy
+        if len(entropy) == 3 and max(entropy) < 2**64:
+            state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
+            assert child_seed(*entropy) == int(state[0])
+
+
 # ---------------------------------------------------------------------------
 # stored-excitation draws (the gate chain of simulate_ensemble)
 

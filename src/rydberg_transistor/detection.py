@@ -14,7 +14,7 @@ where its terms can be nonzero; the module needs no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -131,7 +131,6 @@ def _chi2_sf(s: float, dof: int) -> float:
     return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
 
 
-@dataclass(frozen=True)
 class CountHistogram:
     """Integer-binned detection events over repeated runs.
 
@@ -140,15 +139,18 @@ class CountHistogram:
     largest event seen.  ``total`` is the run count.
     """
 
-    runs: np.ndarray
+    __slots__ = ("runs",)
 
-    def __post_init__(self):
-        runs = np.asarray(self.runs)
+    def __init__(self, runs):
+        runs = np.asarray(runs)
         if runs.ndim != 1 or runs.dtype.kind not in "iu" or np.any(runs < 0):
             raise DomainError(f"histogram runs must be a 1-D integer row >= 0, got {runs!r}")
         runs = np.trim_zeros(runs.astype(np.int64), "b")  # astype copies: no caller can write it
         runs.flags.writeable = False
-        object.__setattr__(self, "runs", runs)
+        self.runs = runs
+
+    def __repr__(self):
+        return f"CountHistogram(runs={self.runs!r})"
 
     def __eq__(self, other):
         if not isinstance(other, CountHistogram):
@@ -189,8 +191,7 @@ class CountHistogram:
         return squares / (total - 1)
 
 
-@dataclass(frozen=True)
-class MixtureModel:
+class MixtureModel(namedtuple("MixtureModel", "components")):
     """Poisson mixture over stored-excitation number k = 0..cap.
 
     ``components[k]`` is the (weight, mean-detected-counts) pair for runs with
@@ -198,13 +199,12 @@ class MixtureModel:
     Weights sum to one; means are non-increasing in k (attenuation ordering).
     """
 
-    components: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) < 1:
+    def __new__(cls, components):
+        if len(components) < 1:
             raise DomainError("mixture needs at least one component")
-        comps = tuple((float(w), float(m)) for w, m in self.components)
-        object.__setattr__(self, "components", comps)
+        comps = tuple((float(w), float(m)) for w, m in components)
         wsum = math.fsum(w for w, _ in comps)
         if any(w < 0 for w, _ in comps):
             raise DomainError("mixture weights must be >= 0")
@@ -215,6 +215,11 @@ class MixtureModel:
         means = [m for _, m in comps]
         if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
             raise DomainError("mixture means must be non-increasing in k")
+        return super().__new__(cls, comps)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's, used by _replace, skips __new__
+        return cls(*iterable)
 
     @property
     def weights(self) -> np.ndarray:
@@ -252,19 +257,10 @@ def mixture_from_params(
     return MixtureModel(components=tuple(zip(weights, means)))
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Expected gated/ungated run counts per bin for an observed histogram:
-    column arrays over the bins ``events`` = 0..n_max."""
-
-    events: np.ndarray
-    observed: np.ndarray
-    model_total: np.ndarray
-    model_gated: np.ndarray
-    model_ungated: np.ndarray
-    chi2: float
-    dof: int
-    p_value: float
+DecompositionResult = namedtuple(
+    "DecompositionResult", "events observed model_total model_gated model_ungated chi2 dof p_value")
+DecompositionResult.__doc__ = """Expected gated/ungated run counts per bin for an observed histogram:
+column arrays over the bins ``events`` = 0..n_max."""
 
 
 def _pooled_chi2(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
@@ -340,21 +336,15 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     )
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Optimal discrimination threshold and its fidelity.
+ThresholdResult = namedtuple(
+    "ThresholdResult", "tau fidelity p_detect_given_gated p_reject_given_ungated non_discriminating",
+    defaults=(False,))
+ThresholdResult.__doc__ = """Optimal discrimination threshold and its fidelity.
 
-    A run is declared "excitation present" iff its detected counts are <= tau
-    (gated runs are attenuated).  tau = -1 encodes the degenerate classifier
-    that never declares presence.  ``fidelity`` is the prior-weighted success
-    probability.
-    """
-
-    tau: int
-    fidelity: float
-    p_detect_given_gated: float
-    p_reject_given_ungated: float
-    non_discriminating: bool = False
+A run is declared "excitation present" iff its detected counts are <= tau
+(gated runs are attenuated).  tau = -1 encodes the degenerate classifier
+that never declares presence.  ``fidelity`` is the prior-weighted success
+probability."""
 
 
 def _threshold_scores(
@@ -426,13 +416,8 @@ def optimal_threshold(model: MixtureModel) -> ThresholdResult:
     )
 
 
-@dataclass(frozen=True)
-class DispersionResult:
-    """Index-of-dispersion test outcome against a Poisson null."""
-
-    index: float
-    p_value: float
-    passed: bool
+DispersionResult = namedtuple("DispersionResult", "index p_value passed")
+DispersionResult.__doc__ = "Index-of-dispersion test outcome against a Poisson null."
 
 
 def poissonness_test(

@@ -9,13 +9,11 @@ single-shot detection fidelity sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .detection import (
     CountHistogram,
-    DecompositionResult,
-    ThresholdResult,
     decompose,
     mixture_from_params,
     optimal_threshold,
@@ -57,18 +55,12 @@ def incoming_scan_config(base: SimConfig) -> SimConfig:
     the incoming-photon contrast model directly.
     """
     params = base.params._replace(a_ge=0.0, od_st=base.params.od_sp)
-    return replace(base, params=params, p_store=1.0)
+    return base._replace(params=params, p_store=1.0)
 
 
-@dataclass(frozen=True)
-class TransferPoint:
-    """One source-input setting of the simulated transfer measurement."""
-
-    n_source_in: float
-    no_gate_out: float
-    no_gate_sigma: float
-    with_gate_out: float
-    with_gate_sigma: float
+TransferPoint = namedtuple(
+    "TransferPoint", "n_source_in no_gate_out no_gate_sigma with_gate_out with_gate_sigma")
+TransferPoint.__doc__ = "One source-input setting of the simulated transfer measurement."
 
 
 def transfer_scan(
@@ -88,9 +80,9 @@ def transfer_scan(
         if n_in <= 0:
             raise DomainError("transfer scan needs source inputs > 0")
         rate = float(n_in) / base.t_int
-        cfg_ref = replace(base, n_gate_in=0.0, source_rate=rate,
-                          seed=child_seed(base.seed, TRANSFER_REF, i))
-        cfg_gate = replace(base, source_rate=rate, seed=child_seed(base.seed, TRANSFER_GATE, i))
+        cfg_ref = base._replace(n_gate_in=0.0, source_rate=rate,
+                                seed=child_seed(base.seed, TRANSFER_REF, i))
+        cfg_gate = base._replace(source_rate=rate, seed=child_seed(base.seed, TRANSFER_GATE, i))
         ref = simulate_ensemble(cfg_ref, n_runs)
         gate = simulate_ensemble(cfg_gate, n_runs)
         points.append(
@@ -119,8 +111,9 @@ def transfer_dataset(points: list[TransferPoint], label: str = "transfer") -> Da
                    [max(p.no_gate_sigma, 1e-12) for p in points], label=label)
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(namedtuple(
+        "DetectionReport", "mu0 threshold fidelity fidelity_balanced gated_hist reference_hist "
+        "decomposition reference_poissonness_p mean_stored")):
     """Outcome of one simulate -> decompose -> threshold detection run.
 
     ``fidelity`` is the ground-truth fraction of simulated runs classified
@@ -129,15 +122,7 @@ class DetectionReport:
     value, which ignores mid-window fly-away and is therefore optimistic.
     """
 
-    mu0: float
-    threshold: ThresholdResult
-    fidelity: float
-    fidelity_balanced: float
-    gated_hist: CountHistogram
-    reference_hist: CountHistogram
-    decomposition: DecompositionResult
-    reference_poissonness_p: float
-    mean_stored: float
+    __slots__ = ()
 
     @property
     def tau(self) -> int:
@@ -177,7 +162,7 @@ def detection_experiment(
     gated_cfg = SimConfig(n_gate_in=n_stored, p_store=1.0, params=params,
                           source_rate=mu0 / (eta_det * t_int), t_int=t_int,
                           retention_tau=retention_tau, seed=seed)
-    ref_cfg = replace(gated_cfg, n_gate_in=0.0, seed=child_seed(seed, DETECTION_REF, 0))
+    ref_cfg = gated_cfg._replace(n_gate_in=0.0, seed=child_seed(seed, DETECTION_REF, 0))
 
     gated = simulate_ensemble(gated_cfg, n_runs)
     ref = simulate_ensemble(ref_cfg, n_runs)

@@ -229,7 +229,8 @@ def _saturation_rows(data: DataSet, rows):
     Variable projection: for fixed b the model is linear in a, so the
     weighted least-squares a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b)
     and w = 1 / sigma^2; the profiled SSE is then minimized over log b in
-    [1e-3, 1e3] * max(x) of the row.  Needs some x > 0 in every row.
+    [1e-3, 1e3] * max(x) of the row.  A row whose lower edge underflows to 0
+    (max(x) below about 2.5e-321) fails its search.
     """
     found = []
     for row in rows:
@@ -247,8 +248,12 @@ def _saturation_rows(data: DataSet, rows):
             a, g = profile(log_b)
             return _sum([(r := (v - a * q) / s) * r for v, q, s in zip(y, g, sigma)])
 
-        lo, hi = (math.log(f * max(x)) for f in B_SEARCH_RANGE)
-        log_b, _, error = _minimize_1d(objective, lo, hi)
+        b_range = [f * max(x) for f in B_SEARCH_RANGE]
+        if not b_range[0] > 0:
+            found.append((math.nan, math.nan, FitConvergenceError(
+                f"b search range {b_range} of max(x) = {max(x)!r} underflows to 0")))
+            continue
+        log_b, _, error = _minimize_1d(objective, *map(math.log, b_range))
         found.append((profile(log_b)[0], math.exp(log_b), error))
     return {"a": [a for a, _, _ in found], "b": [b for _, b, _ in found]}, \
         [error for _, _, error in found]

@@ -14,12 +14,10 @@ The module imports no numpy, so parsing, validation, every rejected input,
 `gain-scan`, `fit-od` and `fit-saturation` run without it; the commands that
 draw (simulate, contrast-scan, transfer-scan, detect) load it with their
 runners.  `child_seed` hashes with a port of numpy's `SeedSequence`, which
-keys the fit bootstrap's Philox stream too.  Nor does the module import
-`dataclasses`, whose `inspect` costs a short command more than the rest of
-its start: the parameter records are namedtuples that validate in `__new__`.
-The numpy layers keep their dataclasses.  numpy already imports `inspect`,
-but creating a frozen dataclass still takes about 1.1-1.3 ms (a namedtuple
-0.1-0.2 ms), some 11 ms for the 9 of a command that loads them all.
+keys the fit bootstrap's Philox stream too.  The package's records are
+namedtuples or `__slots__` classes, whose definitions load no `inspect`,
+which costs a short command more than the rest of its start; the parameter
+records (SimConfig's too) validate in `__new__`, through `_Record`.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
@@ -183,7 +181,8 @@ def detected_mean_violations(source_rate, t_int, eta_det, sat=None) -> list[str]
 
 class _Record:
     """A namedtuple that raises one DomainError naming every violated invariant
-    when built, also by ``_make`` and ``_replace`` (namedtuple's skip ``__new__``)."""
+    its ``violations`` lists when built, also by ``_make`` and ``_replace``
+    (namedtuple's skip ``__new__``)."""
 
     __slots__ = ()
 

@@ -21,8 +21,7 @@ given (config, n_runs).  Seeds derived from a master seed come from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,11 +42,10 @@ from .models import (
     SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
-    SaturationParams,
     TransistorParams,
+    _Record,
     child_seed,
     detected_mean_violations,
-    raise_violations,
     saturation_thinning,
     seed_violations,
     simulation_violations,
@@ -134,8 +132,10 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
 DEFAULT_RETENTION_TAU = calibrate_retention_tau(2.2, 0.94, 90.0)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record, namedtuple(
+        "SimConfig", "n_gate_in p_store params sat source_rate t_int retention_tau seed",
+        defaults=(0.75, DEFAULT_P_STORE, TransistorParams(), None, 0.69, 30.0,
+                  DEFAULT_RETENTION_TAU, 0))):
     """Inputs of one Monte Carlo experiment.
 
     n_gate_in : mean gate photons per pulse
@@ -153,23 +153,15 @@ class SimConfig:
     or the seed invariant raises one DomainError naming each.
     """
 
-    n_gate_in: float = 0.75
-    p_store: float = DEFAULT_P_STORE
-    params: TransistorParams = field(default_factory=TransistorParams)
-    sat: SaturationParams | None = None
-    source_rate: float = 0.69
-    t_int: float = 30.0
-    retention_tau: float = DEFAULT_RETENTION_TAU
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        raise_violations(self, [
-            *simulation_violations(self.n_gate_in, self.p_store, self.source_rate,
-                                   self.t_int, self.retention_tau),
-            *detected_mean_violations(self.source_rate, self.t_int, self.params.eta_det,
-                                      self.sat),
-            *seed_violations(self.seed),
-        ])
+    @staticmethod
+    def violations(n_gate_in, p_store, params, sat, source_rate, t_int, retention_tau,
+                   seed) -> list[str]:
+        """Names of the invariants these field values violate."""
+        return [*simulation_violations(n_gate_in, p_store, source_rate, t_int, retention_tau),
+                *detected_mean_violations(source_rate, t_int, params.eta_det, sat),
+                *seed_violations(seed)]
 
     @property
     def n_source_in(self) -> float:
@@ -180,19 +172,14 @@ class SimConfig:
         return saturation_thinning(self.n_source_in, self.sat)
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
+class EnsembleResult(namedtuple("EnsembleResult", "n_runs joint mean_gate_detected histogram")):
     """Counts of n_runs independent runs: ``joint[k, n]`` runs stored k excitations
-    and detected n source photons (read-only; a row per k up to the largest drawn <= cap)."""
+    and detected n source photons (read-only; a row per k up to the largest drawn <= cap),
+    and ``histogram``, its detected-count marginal.  Compares by identity: a
+    tuple of arrays has no truth value to compare by."""
 
-    n_runs: int
-    joint: np.ndarray
-    mean_gate_detected: float
-
-    @cached_property
-    def histogram(self) -> CountHistogram:
-        """The detected-count marginal of ``joint``."""
-        return CountHistogram(self.joint.sum(axis=0))
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def mean_source_detected(self) -> float:
@@ -253,7 +240,8 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
         gate_sum += (int(high.sum()) << 32) + int(low.sum())
 
     joint.flags.writeable = False
-    return EnsembleResult(n_runs=n_runs, joint=joint, mean_gate_detected=gate_sum / n_runs)
+    return EnsembleResult(n_runs=n_runs, joint=joint, mean_gate_detected=gate_sum / n_runs,
+                          histogram=CountHistogram(joint.sum(axis=0)))
 
 
 def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
@@ -264,7 +252,7 @@ def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
     """
     values = [0.0] + [float(v) for v in gate_values]
     return [
-        replace(base, n_gate_in=v, seed=child_seed(base.seed, SCAN_POINT, i))
+        base._replace(n_gate_in=v, seed=child_seed(base.seed, SCAN_POINT, i))
         for i, v in enumerate(values)
     ]
 

@@ -6,7 +6,6 @@ lines.  Tolerances are pinned here and nowhere else.
 
 import math
 import os
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -123,8 +122,7 @@ def test_criterion_6_monte_carlo_analytic_equivalence():
     ok = True
     details = []
     for i, (od_st, n_mean) in enumerate([(0.94, 0.61), (2.2, 1.0), (0.5, 3.0)]):
-        cfg = replace(
-            base,
+        cfg = base._replace(
             n_gate_in=n_mean,
             params=models.TransistorParams(
                 od_sp=od_st, od_st=od_st, cap=3, a_ge=0.0, eta_det=1.0

@@ -10,12 +10,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydberg_transistor import cli, experiments, fitting, models, montecarlo
@@ -258,8 +258,8 @@ def transfer_scan_builds(resolved) -> bool:
         base = cli._sim_config(resolved, "transfer-scan")
         for value in resolved["scan"]["source_values"]:
             rate = float(value) / base.t_int
-            replace(base, n_gate_in=0.0, source_rate=rate)
-            replace(base, source_rate=rate)
+            base._replace(n_gate_in=0.0, source_rate=rate)
+            base._replace(source_rate=rate)
     except DomainError:
         return False
     return True
@@ -695,7 +695,9 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
      "zero-gate reference transmitted nothing"),
     ("fit-od", "", [(0.5, 0.8), (1.0, 0.6)],
      "bootstrap needs more than 2 points and 2 distinct x values, got 2 with 2"),
-], ids=["fit-saturation", "contrast-scan", "fit-od"])
+    ("fit-saturation", "", [(1e-322, 1.0), (2e-322, 2.0), (3e-322, 3.0), (4e-322, 4.0)],
+     "b search range [0.0, 4.00193e-319] of max(x) = 4e-322 underflows to 0"),
+], ids=["fit-saturation", "contrast-scan", "fit-od", "fit-saturation-subnormal-x"])
 def test_every_numerical_failure_writes_diagnostics(command, config, points, message,
                                                     tmp_path, capsys):
     # a TransistorError other than FitConvergenceError carries no diagnostics,
@@ -715,6 +717,16 @@ def test_every_numerical_failure_writes_diagnostics(command, config, points, mes
     assert diag["diagnostics"] == {}
     assert diag["manifest"]["command"] == command
     assert os.listdir(out) == [f"{command}.diagnostics.json"]
+
+
+def test_subnormal_only_resamples_are_failed_resamples(tmp_path):
+    # 1e-3 * max(x) underflows to 0 in a resample that drew only the three
+    # subnormal x values: its search fails and is skipped under the 10% rule
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    data.write_text("x,y,sigma\n1e-322,0.1,0.1\n2e-322,0.2,0.1\n3e-322,0.3,0.1\n"
+                    "1,1,0.1\n2,1.5,0.1\n3,1.8,0.1\n", encoding="utf-8")
+    assert main(["fit-saturation", "--input", str(data), "--output", str(out)]) == EXIT_OK
+    assert read_record(out / "fit_saturation.csv")["n_boot"] == "199"
 
 
 @dataclass(frozen=True)
@@ -959,7 +971,10 @@ def test_no_command_loads_scipy(small_cfg, tmp_path):
     argvs += [["fit-od", "--input", str(contrast), "--output", str(tmp_path / "fo")],
               ["fit-saturation", "--input", str(transfer), "--output", str(tmp_path / "fs")],
               ["detect", *common, "--mu0", "15", "--output", str(tmp_path / "detect")]]
-    assert [m for m in modules_after(argvs) if m.split(".")[0] == "scipy"] == []
+    loaded = modules_after(argvs)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    # nor dataclasses: every record is a namedtuple or a plain class
+    assert "dataclasses" not in loaded
 
 
 def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
@@ -1033,6 +1048,7 @@ FUZZ_INPUTS = [
     "x\n1\n2\n",
     "x,y,sigma\n1,abc,0.1\n2,3,0.1\n",
     "x,y,sigma\n1,nan,0.1\n2,3,0.1\n3,4,0.1\n",
+    "x,y,sigma\n1e-322,1,0.1\n2e-322,2,0.1\n3e-322,3,0.1\n4e-322,4,0.1\n",
 ]
 # one CLI call in a fresh interpreter whose address space is capped, so that
 # a runaway allocation fails the case and not the machine
@@ -1069,6 +1085,8 @@ def cli_cases(draw):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(case=cli_cases())
+@example(case=(["fit-saturation", "--runs", "5", "--format", "csv"], "[transistor]\n",
+               FUZZ_INPUTS[-1]))  # subnormal x, which the 20 drawn cases miss
 def test_fuzzed_cli_calls_end_in_a_documented_exit(case):
     argv, text, data = case
     command = argv[0]

@@ -3,7 +3,6 @@
 import inspect
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,6 +435,15 @@ def test_records_validate_on_construction_and_on_every_replace():
         with pytest.raises(DomainError, match=r"^SaturationParams violates a >= 0; b > 0: "
                                               r"SaturationParams\(a=-1.0, b=0.0\)$"):
             build()
+    from rydberg_transistor.montecarlo import SimConfig
+
+    cfg = SimConfig()
+    for build in (lambda: SimConfig(p_store=1.5, seed=-1),
+                  lambda: cfg._replace(p_store=1.5, seed=-1),
+                  lambda: SimConfig._make([*cfg[:1], 1.5, *cfg[2:7], -1])):
+        with pytest.raises(DomainError, match=r"^SimConfig violates p_store in \[0, 1\]; seed is "
+                                              r"an unsigned 64-bit integer: SimConfig\(n_gate_in="):
+            build()
     # a replaced record keeps the fields it was not given
     assert good._replace(a_ge=0.0) == models.TransistorParams(a_ge=0.0)
     with pytest.raises(ValueError, match="unexpected field"):
@@ -443,21 +451,21 @@ def test_records_validate_on_construction_and_on_every_replace():
 
 
 def test_simconfig_replace_validates_with_its_record():
-    # dataclasses.replace on a SimConfig that holds the records: its checks
+    # _replace on a SimConfig that holds the records: its checks
     # read the records' fields, and a bad record never reaches it
     from rydberg_transistor.montecarlo import SimConfig
 
     cfg = SimConfig(params=models.TransistorParams(eta_det=0.5))
     with pytest.raises(DomainError) as err:
-        replace(cfg, source_rate=1e12, seed=-1)
+        cfg._replace(source_rate=1e12, seed=-1)
     assert str(err.value).startswith(
         "SimConfig violates source_rate * t_int * eta_det <= 1e+06; "
         "seed is an unsigned 64-bit integer: SimConfig(n_gate_in=0.75, p_store=")
     assert "params=TransistorParams(od_sp=0.75, od_st=2.2, cap=3, a_ge=0.15, eta_det=0.5)" \
         in str(err.value)
-    assert replace(cfg, params=cfg.params._replace(eta_det=0.31)).params.eta_det == 0.31
+    assert cfg._replace(params=cfg.params._replace(eta_det=0.31)).params.eta_det == 0.31
     with pytest.raises(DomainError) as err:
-        replace(cfg, params=cfg.params._replace(od_sp=-1.0, cap=0.5, eta_det=0.0))
+        cfg._replace(params=cfg.params._replace(od_sp=-1.0, cap=0.5, eta_det=0.0))
     assert str(err.value).startswith("TransistorParams violates od_sp >= 0; cap >= 1")
 
 

@@ -1,7 +1,6 @@
 """Monte Carlo engine tests: distribution oracles, determinism, calibration."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -275,7 +274,7 @@ def test_block_streams():
     # block 0 draws the same runs whatever blocks follow it
     head = longer.histogram.runs[:len(one_block.histogram.runs)]
     assert np.all(head >= one_block.histogram.runs)
-    assert not np.array_equal(simulate_ensemble(replace(cfg, seed=43), BLOCK_RUNS).joint,
+    assert not np.array_equal(simulate_ensemble(cfg._replace(seed=43), BLOCK_RUNS).joint,
                               one_block.joint)
 
 
@@ -385,7 +384,7 @@ def test_simulate_run_single_excitation_thinning_oracle():
 
 
 def test_simulate_run_zero_window_returns_zero_counts():
-    cfg = replace(lossless_config(0.5, od_st=1.0), source_rate=0.0)
+    cfg = lossless_config(0.5, od_st=1.0)._replace(source_rate=0.0)
     res = simulate_ensemble(cfg, 50)
     assert res.histogram.runs.tolist() == [50]
     assert res.mean_stored > 0
@@ -526,11 +525,10 @@ def test_increasing_od_stochastically_decreases_counts():
 
 
 def test_flyaway_halving_retention_increases_transmission():
-    base = replace(
-        lossless_config(50.0, od_st=2.2, cap=1, t_int=90.0, seed=17),
+    base = lossless_config(50.0, od_st=2.2, cap=1, t_int=90.0, seed=17)._replace(
         retention_tau=44.0,
     )
-    halved = replace(base, retention_tau=22.0)
+    halved = base._replace(retention_tau=22.0)
     full = simulate_ensemble(base, 5000)
     half = simulate_ensemble(halved, 5000)
     assert half.mean_source_detected > full.mean_source_detected
@@ -614,7 +612,7 @@ def test_contrast_scan_requires_reference():
 
 
 def test_contrast_scan_reference_zero_rate():
-    cfgs = scan_configs(replace(lossless_config(0.0, od_st=0.75), source_rate=0.0), [0.5])
+    cfgs = scan_configs(lossless_config(0.0, od_st=0.75)._replace(source_rate=0.0), [0.5])
     with pytest.raises(UndefinedContrastError):
         contrast_scan(cfgs, 50)
 

@@ -516,7 +516,7 @@ def _load_dataset(path: str):
         if len(header) < 2:
             raise ConfigError([f"{path}: need at least 2 columns, got {header}"])
         points = [row[:3] if len(row) >= 3 else [row[0], row[1], 1.0] for row in rows]
-        return DataSet.from_points(points, label=os.path.basename(path))
+        return DataSet.from_points(points)
     except ConfigError:
         raise
     except (OSError, ValueError, TransistorError) as exc:

@@ -206,11 +206,12 @@ class MixtureModel(namedtuple("MixtureModel", "components")):
             raise DomainError("mixture needs at least one component")
         comps = tuple((float(w), float(m)) for w, m in components)
         wsum = math.fsum(w for w, _ in comps)
-        if any(w < 0 for w, _ in comps):
+        # each check written so that NaN fails it
+        if not all(w >= 0 for w, _ in comps):
             raise DomainError("mixture weights must be >= 0")
-        if abs(wsum - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(wsum - 1.0) <= WEIGHT_SUM_TOL:
             raise DomainError(f"mixture weights sum to {wsum}, expected 1")
-        if any(m < 0 for _, m in comps):
+        if not all(m >= 0 for _, m in comps):
             raise DomainError("mixture means must be >= 0")
         means = [m for _, m in comps]
         if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
@@ -248,7 +249,7 @@ def mixture_from_params(
     the cap component; component means attenuate the no-gate mean ``mu0`` by
     exp(-k * od_st).
     """
-    if od_st < 0:
+    if not od_st >= 0:  # NaN fails too
         raise DomainError(f"od_st must be >= 0, got {od_st}")
     if not 0 < mu0 <= MU0_MAX:
         raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")

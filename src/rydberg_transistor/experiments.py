@@ -103,12 +103,12 @@ def _mean_se(hist: CountHistogram) -> float:
     return math.sqrt(hist.variance() / hist.total)
 
 
-def transfer_dataset(points: list[TransferPoint], label: str = "transfer") -> DataSet:
+def transfer_dataset(points: list[TransferPoint]) -> DataSet:
     """No-gate transfer points as a DataSet ready for fit_saturation."""
     from .fitting import DataSet
 
     return DataSet([p.n_source_in for p in points], [p.no_gate_out for p in points],
-                   [max(p.no_gate_sigma, 1e-12) for p in points], label=label)
+                   [max(p.no_gate_sigma, 1e-12) for p in points])
 
 
 class DetectionReport(namedtuple(

@@ -42,11 +42,10 @@ class DataSet:
     """(x, y, sigma) observations with strictly positive uncertainties, taken
     as arrays or sequences of reals and kept as tuples of floats."""
 
-    __slots__ = ("x", "y", "sigma", "label")
+    __slots__ = ("x", "y", "sigma")
 
-    def __init__(self, x, y, sigma, label: str = ""):
+    def __init__(self, x, y, sigma):
         self.x, self.y, self.sigma = (tuple(map(float, v)) for v in (x, y, sigma))
-        self.label = label
         n = len(self.x)
         if len(self.y) != n or len(self.sigma) != n:
             raise DomainError("x, y, sigma must have equal length")
@@ -69,8 +68,8 @@ class DataSet:
         return list(zip(self.x, self.y, self.sigma))
 
     @classmethod
-    def from_points(cls, points, label: str = "") -> "DataSet":
-        return cls(*(list(zip(*points)) or ((), (), ())), label=label)
+    def from_points(cls, points) -> "DataSet":
+        return cls(*(list(zip(*points)) or ((), (), ())))
 
 
 FitResult = namedtuple("FitResult", "params sse ci_68 n_boot converged flags", defaults=((),))
@@ -201,8 +200,7 @@ def _od_sse(data: DataSet, cap: int):
         y, sigma = [data.y[i] for i in row], [data.sigma[i] for i in row]
 
         def sse(od: float) -> float:
-            # models.contrast_from_weights per point, in its order, whose j = 0
-            # term adds weight * exp(-0 * od) = weight to 0.0 at a finite od
+            # models.contrast_from_weights per point, in its order
             attenuation = first
             for j, column in enumerate(middle, 1):
                 e = math.exp(-j * od)

@@ -7,8 +7,9 @@ dimensionless reals in (-inf, 1]; percent formatting is left to callers.
 
 The capped Poisson law P(min(k, cap) = j) is computed in one place,
 capped_poisson_weights; the contrast models here, fit_od and the detection
-mixture are sums over it.  It and contrast_from_weights evaluate a real number
-in plain `math` and an array of means by the same lines of code.
+mixture are sums over it.  Every closed form takes real numbers and computes
+in plain `math`; contrast_curve maps a sequence of means to a list, one mean
+at a time.  Each domain check is written so that NaN fails it.
 
 The module imports no numpy, so parsing, validation, every rejected input,
 `gain-scan`, `fit-od` and `fit-saturation` run without it; the commands that
@@ -276,7 +277,7 @@ def coherent_limit(n_gate: float) -> float:
     A perfect switch still transmits fully whenever the Poissonian pulse
     contains zero photons, which happens with probability exp(-n_gate).
     """
-    if n_gate < 0:
+    if not n_gate >= 0:  # NaN fails too
         raise DomainError(f"mean photon number must be >= 0, got {n_gate}")
     return -math.expm1(-n_gate)
 
@@ -287,88 +288,60 @@ def _checked_cap(cap: int) -> int:
     return int(cap)
 
 
-def _real_or_array(values):
-    """A real number as a float, anything else as a float ndarray: the two
-    forms the closed forms below take.  Only an array imports numpy."""
-    if isinstance(values, numbers.Real):
-        return float(values)
-    import numpy as np
-
-    return np.asarray(values, dtype=float)
-
-
-def _any_negative(values) -> bool:
-    return values < 0 if isinstance(values, numbers.Real) else bool((values < 0).any())
-
-
 def _check_od(od) -> None:
-    if _any_negative(od):
+    if not od >= 0:  # NaN fails too
         raise DomainError(f"optical depth must be >= 0, got {od}")
 
 
-def _math_exp(values):
-    """exp by math.exp, per element for an array, not by np.exp: numpy's SIMD
-    exp differs from the C library's in the last bit for a few percent of
-    inputs, which would move the closed-form outputs."""
-    if isinstance(values, numbers.Real):
-        return math.exp(values)
-    import numpy as np
+def capped_poisson_weights(mean: float, cap: int) -> tuple[float, ...]:
+    """P(min(k, cap) = j) for k ~ Poisson(mean), j = 0..cap, exactly.
 
-    flat = np.fromiter(map(math.exp, values.ravel().tolist()), float, values.size)
-    return flat.reshape(values.shape)
-
-
-def capped_poisson_weights(means, cap: int) -> tuple:
-    """P(min(k, cap) = j) for k ~ Poisson(means), j = 0..cap, exactly.
-
-    The result is a tuple of the cap+1 terms j = 0..cap, each a float for a
-    real ``means`` and an array of its shape otherwise.  Photon-number states
+    The result is a tuple of the cap+1 terms j = 0..cap.  Photon-number states
     k >= cap are all blockaded alike, so the cap leading Poisson terms come
     from the pmf recurrence and the last is the closed-form tail mass 1 - sum
     of the others.
     """
-    means = _real_or_array(means)
-    if _any_negative(means):
-        raise DomainError("mean photon numbers must be >= 0")
+    if not 0 <= mean < math.inf:  # NaN fails too
+        raise DomainError(f"mean photon number must be finite and >= 0, got {mean}")
     cap = _checked_cap(cap)
+    mean = float(mean)
     weights = []
-    pmf = _math_exp(-means)  # k = 0 term, underflowing harmlessly for huge means
+    pmf = math.exp(-mean)  # k = 0 term, underflowing harmlessly for huge means
     cum = 0.0
     for k in range(cap):
         weights.append(pmf)
-        cum = cum + pmf
-        pmf = pmf * (means / (k + 1))
-    tail = 1.0 - cum
-    weights.append(max(tail, 0.0) if isinstance(tail, float) else tail.clip(0.0))
+        cum += pmf
+        pmf *= mean / (k + 1)
+    weights.append(max(1.0 - cum, 0.0))
     return tuple(weights)
 
 
-def contrast_from_weights(weights, od):
+def contrast_from_weights(weights, od: float) -> float:
     """Contrast 1 - E[exp(-j * od)] over the capped-Poisson ``weights`` terms.
 
-    Lets a caller that evaluates many optical depths at fixed means compute
-    :func:`capped_poisson_weights` once.  ``od`` is a float or an array that
-    broadcasts against the weight terms.
+    Lets a caller that evaluates many optical depths at a fixed mean compute
+    :func:`capped_poisson_weights` once.  The sum starts from the j = 0 weight
+    itself, so an infinite ``od`` leaves exactly that weight.
     """
-    od = _real_or_array(od)
     _check_od(od)
-    # summed left to right rather than by a BLAS dot, whose order depends on
-    # the build, so the closed-form outputs keep their last digits
-    attenuation = 0.0
-    for j, weight in enumerate(weights):
-        attenuation = attenuation + weight * _math_exp(-j * od)
+    first, *rest = weights
+    attenuation = first
+    for j, weight in enumerate(rest, 1):
+        attenuation += weight * math.exp(-j * od)
     return 1.0 - attenuation
 
 
 def contrast_curve(means, od: float, cap: int = 3):
-    """Expected contrast at a Poissonian mean photon number, or over an array
-    of them.
+    """Expected contrast at a Poissonian mean photon number, or a list of them
+    over a sequence of means, each by the same scalar code.
 
     Averages the Fock-state attenuation exp(-min(k, cap) * od) over the
     photon-number distribution; monotone increasing in both the mean and
     ``od`` and bounded by ``coherent_limit``.
     """
-    return contrast_from_weights(capped_poisson_weights(means, cap), od)
+    if isinstance(means, numbers.Real):
+        return contrast_from_weights(capped_poisson_weights(means, cap), od)
+    return [contrast_from_weights(capped_poisson_weights(m, cap), od) for m in means]
 
 
 def expected_contrast_incoming(n_gate: float, od: float, cap: int = 3) -> float:
@@ -377,7 +350,7 @@ def expected_contrast_incoming(n_gate: float, od: float, cap: int = 3) -> float:
     ``od`` is the optical depth caused by one incoming gate photon; see
     :func:`contrast_curve`.
     """
-    return float(contrast_curve(n_gate, od, cap))
+    return contrast_from_weights(capped_poisson_weights(n_gate, cap), od)
 
 
 def expected_contrast_stored(n_stored: float, od: float, cap: int = 3) -> float:
@@ -390,16 +363,18 @@ def expected_contrast_stored(n_stored: float, od: float, cap: int = 3) -> float:
 
 
 def fock_contrast(k: int, od: float, cap: int = 3) -> float:
-    """Contrast caused by exactly ``k`` gate photons: 1 - exp(-min(k, cap) * od)."""
-    if int(k) != k or k < 0:
+    """Contrast caused by exactly ``k`` gate photons: 1 - exp(-min(k, cap) * od),
+    +0.0 for k = 0 at every od."""
+    if not (k >= 0 and k % 1 == 0):  # NaN and inf fail too
         raise DomainError(f"photon number must be an integer >= 0, got {k}")
     _check_od(od)
-    return -math.expm1(-min(int(k), _checked_cap(cap)) * od)
+    blockaded = min(int(k), _checked_cap(cap))
+    return -math.expm1(-blockaded * od) if blockaded else 0.0
 
 
 def transfer(n_source_in: float, sat: SaturationParams) -> float:
     """Transmitted source photons a * (1 - exp(-n_in / b)) under self-blockade."""
-    if n_source_in < 0:
+    if not n_source_in >= 0:  # NaN fails too
         raise DomainError(f"mean photon number must be >= 0, got {n_source_in}")
     return sat.a * -math.expm1(-n_source_in / sat.b)
 

@@ -306,4 +306,4 @@ def contrast_scan(
         xs.append(config.n_gate_in)
         ys.append(contrast)
         sigmas.append(max(sigma, 1e-12))
-    return DataSet(x=xs, y=ys, sigma=sigmas, label="contrast-scan")
+    return DataSet(x=xs, y=ys, sigma=sigmas)

@@ -2,7 +2,11 @@
 
 import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from rydberg_transistor import models
+from rydberg_transistor.detection import MixtureModel, mixture_from_params
 from rydberg_transistor.errors import DomainError, UndefinedContrastError
 
 
@@ -164,40 +169,114 @@ def test_contrast_monotone_in_mean_and_od(n, dn, od, dod, cap):
 def test_contrast_curve_matches_scalar():
     ns = np.array([0.0, 0.3, 1.04, 5.0, 17.0])
     curve = models.contrast_curve(ns, 0.75, 3)
+    assert type(curve) is list and len(curve) == len(ns)
     for n, c in zip(ns, curve):
-        assert c == pytest.approx(
-            models.expected_contrast_incoming(float(n), 0.75, 3), abs=1e-14
-        )
+        assert type(c) is float
+        assert c == models.expected_contrast_incoming(float(n), 0.75, 3)
 
 
 @pytest.mark.parametrize("cap", range(1, 7))
 def test_capped_poisson_weights_against_scipy(cap):
-    means = np.array([0.0, 1e-12, 0.61, 50.0, 1e3])
-    stacked = models.capped_poisson_weights(means, cap)
-    assert len(stacked) == cap + 1
-    assert all(term.shape == means.shape for term in stacked)
-    ods = np.array([0.0, 0.75, 2.2, 40.0])
-    # the broadcast form: the terms indexed to (m, n), od a column of m
-    lockstep = models.contrast_from_weights([term[None, :] for term in stacked], ods[:, None])
-    for i, mean in enumerate(means.tolist()):
+    means = [0.0, 1e-12, 0.61, 50.0, 1e3]
+    ods = [0.0, 0.75, 2.2, 40.0]
+    curves = [models.contrast_curve(means, od, cap) for od in ods]
+    for i, mean in enumerate(means):
         weights = models.capped_poisson_weights(mean, cap)
+        assert len(weights) == cap + 1
         assert all(type(w) is float for w in weights)
-        # the scalar path and the array path are one recurrence and one sum
-        assert list(weights) == [term[i] for term in stacked]
-        for j, od in enumerate(ods.tolist()):
-            contrast = models.contrast_from_weights(weights, od)
-            assert type(contrast) is float
-            assert contrast == lockstep[j, i] == models.contrast_curve(means, od, cap)[i]
         oracle = np.append(poisson.pmf(np.arange(cap), mean), poisson.sf(cap - 1, mean))
         np.testing.assert_allclose(weights, oracle, rtol=1e-12, atol=1e-15)
         assert weights[-1] >= 0
         assert abs(sum(weights) - 1.0) <= 1e-12
+        for j, od in enumerate(ods):
+            contrast = models.contrast_from_weights(weights, od)
+            assert type(contrast) is float
+            # one recurrence and one sum, for a mean alone or in a sequence
+            assert contrast == models.contrast_curve(mean, od, cap) == curves[j][i]
+            attenuation = np.dot(oracle, np.exp(-od * np.arange(cap + 1)))
+            assert contrast == pytest.approx(1.0 - attenuation, abs=1e-12)
     with pytest.raises(DomainError):
-        models.capped_poisson_weights([0.5, -1e-9], cap)
+        models.contrast_curve([0.5, -1e-9], 0.75, cap)
     with pytest.raises(DomainError):
         models.capped_poisson_weights(-1e-9, cap)
     with pytest.raises(DomainError):
         models.capped_poisson_weights(0.5, cap + 0.5)
+
+
+# every closed form, in an interpreter where importing numpy fails
+CLOSED_FORMS_WITHOUT_NUMPY = """
+import math, sys
+sys.modules["numpy"] = None
+from rydberg_transistor import models
+params, sat = models.TransistorParams(), models.SaturationParams()
+weights = models.capped_poisson_weights(0.61, 3)
+values = [
+    models.switch_contrast(0.6, 1.0), models.coherent_limit(1.0),
+    models.expected_contrast_incoming(0.75, 0.75), models.expected_contrast_stored(0.61, 0.94),
+    *weights, models.contrast_from_weights(weights, 0.94), models.contrast_curve(1.0, 0.75),
+    *models.contrast_curve([0.25, 1.0, 3.5], 0.75), *models.contrast_curve((0.5,), 2.2, 1),
+    models.fock_contrast(1, 0.75), models.transfer(25.0, sat), models.gain(46.0, 36.0),
+    models.saturation_thinning(25.0, sat),
+    *(v for row in models.gain_scan_rows(params, sat, 0.75, [25.0, 250.0]) for v in row.values()),
+]
+assert all(type(v) is float and math.isfinite(v) for v in values), values
+assert models.simulation_violations(0.75, 0.5, 1.0, 1.0, math.inf) == []
+assert models.detected_mean_violations(1.0, 1.0, 0.5, sat) == []
+assert models.child_seed(7, models.SCAN_POINT, 0) == models.child_seed(7, 0, 0)
+assert sys.modules["numpy"] is None
+"""
+
+
+def test_closed_forms_load_no_numpy():
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CLOSED_FORMS_WITHOUT_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n", [0.0, 1e-9, 0.61, 1.0, 4.0, 800.0])
+def test_infinite_od_reaches_the_coherent_limit(n):
+    # only the j = 0 weight, the photon-free pulse, transmits
+    limit = models.coherent_limit(n)
+    for cap in (1, 3, 100):
+        assert models.contrast_curve(n, math.inf, cap) == pytest.approx(limit, abs=1e-15)
+        assert models.contrast_curve([n], math.inf, cap)[0] == pytest.approx(limit, abs=1e-15)
+    assert models.expected_contrast_incoming(n, math.inf) == pytest.approx(limit, abs=1e-15)
+    assert models.expected_contrast_stored(n, math.inf) == pytest.approx(limit, abs=1e-15)
+
+
+def test_fock_contrast_at_zero_photons_and_infinite_od():
+    for od in (0.0, 0.75, math.inf):
+        zero = models.fock_contrast(0, od, 3)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    for k in (1, 2, 3, 30):
+        assert models.fock_contrast(k, math.inf, 3) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: models.capped_poisson_weights(math.nan, 3),
+    lambda: models.capped_poisson_weights(math.inf, 3),
+    lambda: models.contrast_curve(math.nan, 0.75),
+    lambda: models.contrast_curve(1.0, math.nan),
+    lambda: models.contrast_from_weights((0.5, 0.5), math.nan),
+    lambda: models.coherent_limit(math.nan),
+    lambda: models.fock_contrast(math.nan, 0.75),
+    lambda: models.fock_contrast(math.inf, 0.75),
+    lambda: models.fock_contrast(1, math.nan),
+    lambda: models.transfer(math.nan, models.SaturationParams()),
+    lambda: mixture_from_params(math.nan, 3, 0.94, 20.0),
+    lambda: mixture_from_params(0.61, 3, math.nan, 20.0),
+    lambda: MixtureModel(((0.5, 20.0), (math.nan, 5.0))),
+    lambda: MixtureModel(((1.0, math.nan),)),
+], ids=["weights-nan-mean", "weights-inf-mean", "curve-nan-mean", "curve-nan-od",
+        "from-weights-nan-od", "coherent-nan", "fock-nan-k", "fock-inf-k", "fock-nan-od",
+        "transfer-nan", "mixture-nan-mean", "mixture-nan-od", "mixture-nan-weight",
+        "mixture-nan-component-mean"])
+def test_nan_fails_every_domain_check(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +306,6 @@ def test_fock_contrast_cap_saturation(k, od, cap):
 def test_cap_is_bounded_by_cap_max():
     # one bound for the records and the closed forms, and through them for the
     # engine, the contrast fit and the detection mixture
-    from rydberg_transistor.detection import mixture_from_params
     from rydberg_transistor.fitting import DataSet, fit_od
 
     cap_max = models.CAP_MAX

@@ -4,7 +4,8 @@ Subcommands: contrast-scan, gain-scan, transfer-scan, simulate, fit-od,
 fit-saturation, detect.  Behavior is driven by an INI config file (merged
 with flag overrides, flags win) and a master seed; result files are
 byte-identical for identical manifests.  Every execution writes a provenance
-sidecar with the resolved config and content hashes of the outputs.
+sidecar with the resolved config and content hashes of the input file, if
+any, and of the outputs.
 
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
 failure (any other package error while a command runs; a diagnostics file is
@@ -399,22 +400,34 @@ def _cells(column):
     return cells.tolist()
 
 
+def _sha256(path: str) -> str:
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class OutputWriter:
-    """Deterministic result-file writer that records content hashes; every
-    result file goes through ``write_csv`` or ``_write_json``."""
+    """Deterministic result-file writer that records content hashes, of the
+    files a run reads and of those it writes; every result file goes through
+    ``write_csv`` or ``_write_json``."""
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
+        self.inputs: dict[str, str] = {}
         self.written: dict[str, str] = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.manifest.output_dir, name)
 
     def register(self, name: str) -> None:
-        import hashlib
+        self.written[name] = _sha256(self.path(name))
 
-        with open(self.path(name), "rb") as fh:
-            self.written[name] = hashlib.sha256(fh.read()).hexdigest()
+    def load_dataset(self, path: str):
+        """The --input CSV at ``path`` as a fitting.DataSet, its hash recorded."""
+        ds = _load_dataset(path)
+        self.inputs[path] = _sha256(path)
+        return ds
 
     def table(self, stem: str, header: list[str], rows) -> str:
         if self.manifest.format == "json":
@@ -458,6 +471,7 @@ class OutputWriter:
             "config_path": self.manifest.config_path,
             "options": self.manifest.options,
             "resolved_config": self.manifest.resolved,
+            "inputs": self.inputs,
             "outputs": self.written,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
@@ -617,7 +631,7 @@ def _fit_record(result) -> dict:
 def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
     from .fitting import fit_od
 
-    ds = _load_dataset(manifest.options["input"])
+    ds = out.load_dataset(manifest.options["input"])
     cap = manifest.options.get("cap", manifest.resolved["transistor"]["cap"])
     result = fit_od(ds, cap=cap, mode=manifest.options["mode"], seed=manifest.seed)
     record = _fit_record(result)
@@ -629,7 +643,7 @@ def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
 def _cmd_fit_saturation(manifest: RunManifest, out: OutputWriter) -> None:
     from .fitting import fit_saturation
 
-    ds = _load_dataset(manifest.options["input"])
+    ds = out.load_dataset(manifest.options["input"])
     result = fit_saturation(ds, seed=manifest.seed)
     out.record("fit_saturation", _fit_record(result))
 

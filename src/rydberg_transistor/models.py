@@ -172,9 +172,12 @@ def detected_mean_violations(source_rate, t_int, eta_det, sat=None) -> list[str]
     form the detection analysis builds its configs in, source_rate = mu0 /
     (eta_det * t_int), so that no mu0 <= MU0_MAX fails by rounding.  A
     non-positive eta_det or t_int, which other invariants reject, does not
-    fail it."""
+    fail it.  The values come unchecked, so a negative or NaN source_rate *
+    t_int, which simulation_violations names, is left unthinned: the list is
+    returned, never raised."""
     scale = eta_det * t_int
-    rate = source_rate * saturation_thinning(source_rate * t_int, sat)
+    n_in = source_rate * t_int
+    rate = source_rate * (saturation_thinning(n_in, sat) if n_in >= 0 else 1.0)
     thinned = "" if sat is None else " * saturation_thinning"
     return failed_checks([(f"source_rate * t_int * eta_det{thinned} <= {MU0_MAX:g}",
                            scale <= 0 or rate <= MU0_MAX / scale)])
@@ -262,7 +265,7 @@ def switch_contrast(with_gate: float, no_gate: float) -> float:
     -------
     Contrast in (-inf, 1]; 0 iff the two means are equal, 1 at full extinction.
     """
-    if with_gate < 0 or no_gate < 0:
+    if not (with_gate >= 0 and no_gate >= 0):  # NaN fails too
         raise DomainError(
             f"photon numbers must be >= 0, got with={with_gate} no={no_gate}"
         )
@@ -384,14 +387,16 @@ def saturation_thinning(n_source_in: float, sat: SaturationParams | None) -> flo
     self-blockade ``sat``: source photons thinned by it put the runs without
     stored excitations on the transfer curve.  1 without self-blockade (sat
     None) or without source photons."""
-    if sat is None or not n_source_in > 0:
+    if not n_source_in >= 0:  # NaN fails too
+        raise DomainError(f"mean photon number must be >= 0, got {n_source_in}")
+    if sat is None or n_source_in == 0:
         return 1.0
     return min(transfer(n_source_in, sat) / n_source_in, 1.0)
 
 
 def gain(no_gate_out: float, with_gate_out: float) -> float:
     """Optical gain: source photons removed by the gate, no_gate - with_gate."""
-    if no_gate_out < 0 or with_gate_out < 0:
+    if not (no_gate_out >= 0 and with_gate_out >= 0):  # NaN fails too
         raise DomainError(
             f"photon numbers must be >= 0, got no={no_gate_out} with={with_gate_out}"
         )

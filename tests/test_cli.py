@@ -184,6 +184,28 @@ def test_empty_list_or_huge_cap_is_config_error(command, line, violation, tmp_pa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, line, violation", [
+    ("transfer-scan", "[simulation]\nsource_rate = -1", "simulation.source_rate >= 0"),
+    ("simulate", "[simulation]\nsource_rate = -1\nself_blockade = true",
+     "simulation.source_rate >= 0"),
+    ("transfer-scan", "[scan]\nsource_values = -1 2",
+     f"scan.source_values all in (0, {models.POISSON_LAM_MAX:g}]"),
+])
+def test_negative_source_is_named_once_under_self_blockade(command, line, violation, tmp_path,
+                                                           capsys):
+    # saturation_thinning rejects a negative source, but the detected-mean
+    # check sees the value unchecked: it leaves it unthinned and lets its own
+    # invariant name it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config validation failed:\n  - {violation}\n"
+    sat = models.SaturationParams()
+    assert models.detected_mean_violations(-1.0, 90.0, 0.5, sat) == []
+    assert models.detected_mean_violations(math.nan, 90.0, 0.5, sat) != []
+
+
 def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
     # every [transistor], [saturation] and [simulation] value out of its domain
     bad = {
@@ -426,6 +448,23 @@ def test_simulate_writes_outputs_and_sidecar(small_cfg, tmp_path):
     for name, digest in side["outputs"].items():
         with open(out / name, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scan, fit", [("contrast-scan", "fit-od"),
+                                       ("transfer-scan", "fit-saturation")])
+def test_fit_sidecar_pins_the_input_it_fitted(scan, fit, tmp_path):
+    # the fit's sidecar lists --input, as typed, with the hash under which the
+    # scan's sidecar lists the file it wrote
+    scan_out, fit_out = tmp_path / "scan", tmp_path / "fit"
+    assert main([scan, "--config", "paper90us", "--runs", "200",
+                 "--output", str(scan_out)]) == EXIT_OK
+    name = f"{scan.replace('-', '_')}.csv"
+    assert main([fit, "--input", str(scan_out / name), "--output", str(fit_out)]) == EXIT_OK
+    scan_side = json.loads((scan_out / f"{scan}.provenance.json").read_text(encoding="utf-8"))
+    fit_side = json.loads((fit_out / f"{fit}.provenance.json").read_text(encoding="utf-8"))
+    assert scan_side["inputs"] == {}
+    assert fit_side["inputs"] == {str(scan_out / name): scan_side["outputs"][name]}
+    assert fit_side["options"]["input"] == str(scan_out / name)
 
 
 def test_simulate_byte_identical_across_runs(small_cfg, tmp_path):

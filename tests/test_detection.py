@@ -1,8 +1,10 @@
 """Detection analysis tests: mixtures, decomposition, thresholds, dispersion."""
 
 import csv
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -635,11 +637,11 @@ def _two_sided_p(null_index, index):
     return min(1.0, 2.0 * min(n_low + 1, n_high + 1) / (len(null_index) + 1))
 
 
-@pytest.mark.parametrize("chunk_counts", [1, 2**16])
+@pytest.mark.parametrize("chunk_counts", [1, 2**13, 2**16])
 def test_poissonness_chunked_null_matches_one_shot_matrix(chunk_counts, monkeypatch):
     # the per-sample path: at mean 1e4 the pmf window (8129 bins) is wider
-    # than the 2000 runs; 1: one null row per chunk; 2**16: 32 rows per chunk,
-    # the last one partial
+    # than the 2000 runs; 1: one null row per chunk; 2**13 (the default): 4
+    # rows per chunk; 2**16: 32 rows per chunk, the last one partial
     monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
     hist = CountHistogram(np.bincount(np.random.default_rng(5).poisson(1e4, 2000)))
     res = poissonness_test(hist, n_null=200, seed=4)
@@ -649,11 +651,11 @@ def test_poissonness_chunked_null_matches_one_shot_matrix(chunk_counts, monkeypa
     assert res.p_value == _two_sided_p(null_index, hist.variance() / hist.mean())
 
 
-@pytest.mark.parametrize("chunk_counts", [1, 2**16])
+@pytest.mark.parametrize("chunk_counts", [1, 2**13, 2**16])
 def test_poissonness_chunked_histogram_null_matches_one_shot_matrix(chunk_counts, monkeypatch):
     # the value-count path: at mean 12 the pmf window (0..215) is narrower
-    # than the 2000 runs; 1: one null row per chunk; 2**16: 303 rows per
-    # chunk, the last one partial
+    # than the 2000 runs; 1: one null row per chunk; 2**13 (the default): 37
+    # rows per chunk; 2**16: 303 rows per chunk; the last one partial
     monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
     hist = CountHistogram(np.bincount(np.random.default_rng(5).poisson(12, 2000)))
     mean = hist.mean()
@@ -666,6 +668,55 @@ def test_poissonness_chunked_histogram_null_matches_one_shot_matrix(chunk_counts
     samples = [np.repeat(values, row) for row in counts]
     null_index = np.array([x.var(ddof=1) / x.mean() for x in samples])
     assert res.p_value == _two_sided_p(null_index, hist.variance() / mean)
+
+
+def _one_shot_null_indices(mean, total, n_null, rng):
+    """The null as one n_null-row matrix, in the unchunked formulas of 0.15.0."""
+    lo, _ = detection._poisson_window(mean)
+    pmf = detection._poisson_pmf(detection._tail_end(0, mean), mean)[lo:]
+    values = np.arange(lo, lo + len(pmf), dtype=float)
+    by_counts = len(values) < total
+    if by_counts:
+        counts = rng.multinomial(total, pmf / pmf.sum(), size=n_null)
+        m = counts @ values / total
+        v = np.sum(counts * (values - m[:, None]) ** 2, axis=1) / (total - 1)
+    else:
+        draws = rng.poisson(mean, size=(n_null, total))
+        m, v = draws.mean(axis=1), draws.var(axis=1, ddof=1)
+    return by_counts, np.where(m > 0, v / np.where(m > 0, m, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("chunk_counts", [1, None, 2**16], ids=["1", "default", "2**16"])
+def test_null_indices_bit_identical_to_one_shot_formula(chunk_counts, monkeypatch):
+    # chunking and the in-place variance change no bit of any null index, on
+    # both paths; the default block is at most 64 KB of int64
+    if chunk_counts is None:
+        assert detection.NULL_CHUNK_COUNTS * np.dtype(np.int64).itemsize <= 2**16
+    else:
+        monkeypatch.setattr(detection, "NULL_CHUNK_COUNTS", chunk_counts)
+    branches = set()
+    for mean, total, seed in itertools.product(
+            (0.05, 1.3, 12.0, 40.0, 1e3, 1e4), (30, 200, 3000), (0, 1)):
+        by_counts, ref = _one_shot_null_indices(mean, total, 61, _philox(seed))
+        got = detection._null_indices(mean, total, 61, _philox(seed))
+        assert got.tobytes() == ref.tobytes(), (mean, total, seed)
+        branches.add(by_counts)
+    assert branches == {True, False}
+
+
+@pytest.mark.parametrize("mean", [40.0, 1e4], ids=["value-counts", "per-run"])
+def test_poissonness_test_peak_memory_is_bounded(mean):
+    # one test on a 3000-run histogram allocates under 0.6 MiB at its peak:
+    # 64 KB null blocks, not 512 KB ones (which peaked at 1.1 and 1.2 MiB)
+    hist = CountHistogram(np.bincount(np.random.default_rng(3).poisson(mean, 3000)))
+    poissonness_test(hist, seed=1)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        poissonness_test(hist, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
 
 
 def test_poissonness_histogram_null_matches_per_sample_null():

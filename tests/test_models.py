@@ -266,13 +266,18 @@ def test_fock_contrast_at_zero_photons_and_infinite_od():
     lambda: models.fock_contrast(math.inf, 0.75),
     lambda: models.fock_contrast(1, math.nan),
     lambda: models.transfer(math.nan, models.SaturationParams()),
+    lambda: models.saturation_thinning(math.nan, models.SaturationParams()),
+    lambda: models.switch_contrast(math.nan, 1.0),
+    lambda: models.switch_contrast(1.0, math.nan),
+    lambda: models.gain(math.nan, 1.0),
     lambda: mixture_from_params(math.nan, 3, 0.94, 20.0),
     lambda: mixture_from_params(0.61, 3, math.nan, 20.0),
     lambda: MixtureModel(((0.5, 20.0), (math.nan, 5.0))),
     lambda: MixtureModel(((1.0, math.nan),)),
 ], ids=["weights-nan-mean", "weights-inf-mean", "curve-nan-mean", "curve-nan-od",
         "from-weights-nan-od", "coherent-nan", "fock-nan-k", "fock-inf-k", "fock-nan-od",
-        "transfer-nan", "mixture-nan-mean", "mixture-nan-od", "mixture-nan-weight",
+        "transfer-nan", "thinning-nan", "contrast-nan-with", "contrast-nan-no", "gain-nan",
+        "mixture-nan-mean", "mixture-nan-od", "mixture-nan-weight",
         "mixture-nan-component-mean"])
 def test_nan_fails_every_domain_check(call):
     with pytest.raises(DomainError):

@@ -2,8 +2,9 @@
 
 The package splits into five layers: closed-form formulas (`models`), the
 seeded Monte Carlo engine (`montecarlo`), least-squares parameter recovery
-(`fitting`), single-shot detection statistics (`detection`), and experiment
-drivers plus a CLI (`experiments`, `cli`).
+(`fitting`, whose objectives `kernels` writes out), single-shot detection
+statistics (`detection`), and experiment drivers plus a CLI (`experiments`,
+`cli`).
 
 The public names below are loaded lazily (PEP 562): importing the package,
 or `rydberg_transistor.cli`, executes no layer module, and the first access
@@ -13,7 +14,7 @@ only the layers it runs.
 
 import importlib
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

@@ -89,8 +89,11 @@ def _poisson_pmf(n: int, mu: float) -> np.ndarray:
 def _poisson_cdf(n: int, mu: float) -> np.ndarray:
     """P(N <= j), j = 0..n: the running sum of the pmf, which stops at the
     window's top and repeats its last value beyond, as adding zeros would."""
-    _, hi = _poisson_window(mu)
-    return np.pad(np.cumsum(_poisson_pmf(min(n, hi), mu)), (0, max(n - hi, 0)), "edge")
+    top = min(n, _poisson_window(mu)[1])
+    cdf = np.empty(n + 1)
+    cdf[:top + 1] = np.cumsum(_poisson_pmf(top, mu))
+    cdf[top + 1:] = cdf[top]
+    return cdf
 
 
 def _poisson_sf(n: int, mu: float) -> np.ndarray:
@@ -101,7 +104,9 @@ def _poisson_sf(n: int, mu: float) -> np.ndarray:
     """
     pmf = _poisson_pmf(min(_tail_end(n, mu), _poisson_window(mu)[1]), mu)
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[j] = P(N > j), j < len(tail)
-    return np.pad(tail, (0, max(n + 1 - len(tail), 0)))[: n + 1]
+    sf = np.zeros(n + 1)
+    sf[:len(tail)] = tail[:n + 1]
+    return sf
 
 
 def _tail_end(n: int, mu: float) -> int:
@@ -313,7 +318,8 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
     mu_max = float(model.means.max())
     n_max = max(observed.max_event, _poisson_ppf(THRESHOLD_TAIL_QUANTILE, mu_max))
     events = np.arange(n_max + 1)
-    obs = np.pad(observed.runs, (0, n_max + 1 - len(observed.runs)))
+    obs = np.zeros(n_max + 1, dtype=observed.runs.dtype)
+    obs[:len(observed.runs)] = observed.runs
     total = observed.total
 
     # per component: its pmf over 0..n_max, with the tail mass past n_max
@@ -475,12 +481,13 @@ def _null_indices(
     """Indices of dispersion of ``n_null`` samples of ``total`` Poisson(mean)
     draws: the null of ``poissonness_test``, drawn as its docstring says."""
     lo, _ = _poisson_window(mean)
-    pmf = _poisson_pmf(_tail_end(0, mean), mean)[lo:]
-    values = np.arange(lo, lo + len(pmf), dtype=float)
-    by_counts = len(values) < total
-    if by_counts:
+    width = _tail_end(0, mean) + 1 - lo
+    by_counts = width < total
+    if by_counts:  # the pmf over lo.._tail_end(0, mean), below the window's top
+        values = np.arange(lo, lo + width, dtype=float)
+        pmf = _log_space_terms(values, mean)
         pmf /= pmf.sum()
-    rows = max(1, NULL_CHUNK_COUNTS // min(len(values), total))
+    rows = max(1, NULL_CHUNK_COUNTS // min(width, total))
     null_index = np.empty(n_null)
     for start in range(0, n_null, rows):
         size = min(rows, n_null - start)

@@ -7,8 +7,9 @@ Both are bounded Brent searches in one variable, written as row fitters over
 rows of indices into the data: the point fit is the row (0, ..., n-1), then a
 case-resampling bootstrap (percentile 68% intervals, deterministic under a
 seed) fits its resamples.  In plain Python, with numpy's bits: sums in its
-pairwise order (_sum, not the builtin sum, which compensates from Python
-3.12) and resamples from ports of its Philox and bounded-integer draws.
+pairwise order, written out in the straight-line kernels of ``kernels`` (the
+builtin sum compensates from Python 3.12), and resamples from ports of its
+Philox and bounded-integer draws.
 """
 
 from __future__ import annotations
@@ -83,31 +84,10 @@ def saturation_curve(x, a: float, b: float) -> list[float]:
 
 
 def _sum(values: list[float]) -> float:
-    """np.sum of a list of floats, bit for bit, in numpy's pairwise order:
-    halves (at a multiple of 8) above 128 terms; from 8 terms, eight running
-    sums combined as a tree, then the rest one by one, as below 8 terms."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    total, end = 0.0, 0 if n < 8 else n - n % 8
-    if end:
-        r = values[:8]
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[end:]:
-        total += v
-    return total
+    """np.sum of a list of floats, bit for bit."""
+    from .kernels import row_kernel, sum_source
 
-
-def _divide(num: float, den: float) -> float:
-    """num / den as numpy divides: by zero to +-inf, or NaN for 0 / 0."""
-    if den:
-        return num / den
-    if num != num or num == 0:
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+    return row_kernel(sum_source, values, range(len(values)))[0]()
 
 
 def _inverse_square(sigma: float) -> float:
@@ -193,25 +173,10 @@ def _minimize_1d(objective, lo: float, hi: float):
 def _od_sse(data: DataSet, cap: int):
     """row -> fit_od's weighted SSE on the points ``row`` as a function of od.
     The od-independent cap+1 weights of each point are computed once."""
-    weights = [capped_poisson_weights(x, cap) for x in data.x]
+    from .kernels import od_source, row_kernel
 
-    def on_row(row):
-        first, *middle, last = zip(*(weights[i] for i in row))
-        y, sigma = [data.y[i] for i in row], [data.sigma[i] for i in row]
-
-        def sse(od: float) -> float:
-            # models.contrast_from_weights per point, in its order
-            attenuation = first
-            for j, column in enumerate(middle, 1):
-                e = math.exp(-j * od)
-                attenuation = [t + w * e for t, w in zip(attenuation, column)]
-            e = math.exp(-cap * od)
-            return _sum([(r := (v - (1.0 - (t + w * e))) / s) * r
-                         for v, t, w, s in zip(y, attenuation, last, sigma)])
-
-        return sse
-
-    return on_row
+    points = [(*capped_poisson_weights(x, cap), y, s) for x, y, s in data.points]
+    return lambda row: row_kernel(od_source, points, row, len(points[0]) - 3)[0]
 
 
 def _od_rows(data: DataSet, rows, cap: int):
@@ -225,34 +190,28 @@ def _saturation_rows(data: DataSet, rows):
     """fit_saturation's search on each row of indices in ``rows``.
 
     Variable projection: for fixed b the model is linear in a, so the
-    weighted least-squares a = sum(w y g) / sum(w g^2) with g = 1 - exp(-x / b)
-    and w = 1 / sigma^2; the profiled SSE is then minimized over log b in
-    [1e-3, 1e3] * max(x) of the row.  A row whose lower edge underflows to 0
-    (max(x) below about 2.5e-321) fails its search.
+    weighted least-squares a = num / den, with num = sum(w y g), den =
+    sum(w g^2), g = 1 - exp(-x / b) and w = 1 / sigma^2; the profiled SSE is
+    then minimized over log b in [1e-3, 1e3] * max(x) of the row.  A row
+    whose lower edge underflows to 0 (max(x) below about 2.5e-321) fails its
+    search.
     """
+    from .kernels import divide, row_kernel, saturation_source
+
+    points = [(x, y, s, w, w * y) for x, y, s in data.points for w in [_inverse_square(s)]]
     found = []
     for row in rows:
-        x, y, sigma = ([column[i] for i in row] for column in (data.x, data.y, data.sigma))
-        w = [_inverse_square(s) for s in sigma]
-        wy = [p * q for p, q in zip(w, y)]
-
-        def profile(log_b: float):
-            b = math.exp(log_b)
-            g = [-math.expm1(-v / b) for v in x]
-            return _divide(_sum([p * q for p, q in zip(wy, g)]),
-                           _sum([p * q * q for p, q in zip(w, g)])), g
-
-        def objective(log_b: float) -> float:  # the weighted SSE
-            a, g = profile(log_b)
-            return _sum([(r := (v - a * q) / s) * r for v, q, s in zip(y, g, sigma)])
-
-        b_range = [f * max(x) for f in B_SEARCH_RANGE]
+        x_max = max(data.x[i] for i in row)
+        b_range = [f * x_max for f in B_SEARCH_RANGE]
         if not b_range[0] > 0:
             found.append((math.nan, math.nan, FitConvergenceError(
-                f"b search range {b_range} of max(x) = {max(x)!r} underflows to 0")))
+                f"b search range {b_range} of max(x) = {x_max!r} underflows to 0")))
             continue
+        num, den, sse = row_kernel(saturation_source, points, row)
+        objective = sse if len(row) <= 128 else lambda log_b, num=num, den=den, sse=sse: \
+            sse(log_b, divide(num(log_b), den(log_b)))  # the halves' SSE at the row's a
         log_b, _, error = _minimize_1d(objective, *map(math.log, b_range))
-        found.append((profile(log_b)[0], math.exp(log_b), error))
+        found.append((divide(num(log_b), den(log_b)), math.exp(log_b), error))
     return {"a": [a for a, _, _ in found], "b": [b for _, b, _ in found]}, \
         [error for _, _, error in found]
 

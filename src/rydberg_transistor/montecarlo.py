@@ -233,7 +233,9 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
         k, gate_detected, detected = _simulate_block(config, p_sat, n, block_rng)
         rows = max(joint.shape[0], int(k.max()) + 1)
         width = max(joint.shape[1], int(detected.max()) + 1)
-        joint = np.pad(joint, ((0, rows - joint.shape[0]), (0, width - joint.shape[1])))
+        if joint.shape != (rows, width):
+            joint, old = np.zeros((rows, width), dtype=np.int64), joint
+            joint[:old.shape[0], :old.shape[1]] = old
         joint += np.bincount(k * width + detected, minlength=rows * width).reshape(rows, width)
         # summed exactly by 32-bit halves: one int64 sum wraps at large gate means
         high, low = gate_detected >> 32, gate_detected & 0xFFFFFFFF

@@ -1064,11 +1064,20 @@ def test_fit_commands_add_only_fitting(command, tmp_path):
     loaded = modules_after([[command, "--input", str(data), "--output", str(tmp_path / "o")]])
     assert package_modules(loaded) == {
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
-        "rydberg_transistor.models", "rydberg_transistor.fitting",
+        "rydberg_transistor.models", "rydberg_transistor.fitting", "rydberg_transistor.kernels",
     }
     # the fitters are plain Python, and DataSet and FitResult no dataclasses
     for name in ("numpy", "dataclasses", "inspect"):
         assert name not in loaded, name
+
+
+def test_contrast_scan_compiles_no_fit_kernels(small_cfg, tmp_path):
+    # contrast-scan needs fitting.DataSet alone: the kernels module loads on a
+    # command's first fit, so its compile memory is not part of the scan's peak
+    argv = ["contrast-scan", "--config", small_cfg, "--runs", "40", "--output", str(tmp_path)]
+    loaded = package_modules(modules_after([argv]))
+    assert "rydberg_transistor.fitting" in loaded
+    assert "rydberg_transistor.kernels" not in loaded
 
 
 # ---------------------------------------------------------------------------

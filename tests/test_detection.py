@@ -719,6 +719,20 @@ def test_poissonness_test_peak_memory_is_bounded(mean):
     assert peak < 0.6 * 2**20
 
 
+def test_per_run_null_builds_no_pmf():
+    # at mean 1e4 the pmf window (8129 counts) is wider than 3000 runs, so the
+    # null is drawn run by run and needs no pmf: the null peaks at 0.19 MiB
+    # (0.48 MiB when it built the pmf over 0..14065 and sliced off its window)
+    detection._null_indices(1e4, 3000, 500, _philox(1))
+    tracemalloc.start()
+    try:
+        detection._null_indices(1e4, 3000, 500, _philox(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
+
 def test_poissonness_histogram_null_matches_per_sample_null():
     # 8 x 500 null indices at mean 10, 3000 runs (window 0..201): value-count
     # rows against per-sample Poisson draws, by a two-sample KS test

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_transistor import cli, fitting, models, montecarlo
+from rydberg_transistor import cli, fitting, kernels, models, montecarlo
 from rydberg_transistor.errors import (
     ConfigError,
     DomainError,
@@ -409,19 +409,56 @@ def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 2, 3, 5])
 def test_od_objective_is_the_numpy_contrast_sum(cap):
     # fit_od's objective sums models.contrast_from_weights' terms per point in
-    # its order, and the squares as np.sum does
-    rng = np.random.default_rng(cap)
-    x = np.sort(rng.uniform(0.0, 4.0, 14))
-    data = DataSet(x=x, y=rng.uniform(-0.5, 1.0, 14), sigma=rng.uniform(0.01, 0.1, 14))
-    sse = fitting._od_sse(data, cap)
-    weights = [models.capped_poisson_weights(v, cap) for v in data.x]
-    for row in [tuple(range(14)), tuple(rng.integers(0, 14, 14))]:
-        idx = list(row)
-        objective = sse(row)
-        for od in [0.0, 1e-9, 0.75, 2.2, 37.0, fitting.OD_SEARCH_MAX]:
-            contrast = np.array([models.contrast_from_weights(weights[i], od) for i in idx])
+    # its order, and the squares as np.sum does, also above its 128-term block
+    for n in (14, 129, 300):
+        rng = np.random.default_rng(cap)
+        x = np.sort(rng.uniform(0.0, 4.0, n))
+        data = DataSet(x=x, y=rng.uniform(-0.5, 1.0, n), sigma=rng.uniform(0.01, 0.1, n))
+        sse = fitting._od_sse(data, cap)
+        weights = [models.capped_poisson_weights(v, cap) for v in data.x]
+        for row in [tuple(range(n)), tuple(rng.integers(0, n, n))]:
+            idx = list(row)
+            objective = sse(row)
             y, sigma = np.asarray(data.y)[idx], np.asarray(data.sigma)[idx]
-            assert objective(od) == float(np.sum(((y - contrast) / sigma) ** 2, axis=-1))
+            for od in [0.0, 1e-9, 0.75, 2.2, 37.0, fitting.OD_SEARCH_MAX]:
+                contrast = np.array([models.contrast_from_weights(weights[i], od) for i in idx])
+                assert objective(od) == float(np.sum(((y - contrast) / sigma) ** 2, axis=-1)), n
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 10, 14, 128, 129, 300])
+def test_saturation_objective_is_the_numpy_profile(n):
+    # fit_saturation's objective profiles a = sum(w y g) / sum(w g^2), then
+    # sums the weighted squares, each sum as np.sum makes it; the a it reports
+    # is that profile at the argmin
+    rng = np.random.default_rng(n)
+    x = rng.uniform(1.0, 250.0, n)
+    data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n),
+                   sigma=rng.uniform(0.1, 1.0, n))
+    searched = []  # per row: {log b: objective there}, at probes and at the argmin
+
+    def record(objective, lo, hi):
+        found = _minimize_1d(objective, lo, hi)
+        searched.append({v: objective(v) for v in (found[0], 0.0, 3.7, 4.25, 6.0, lo, hi)})
+        return found
+
+    rows = [tuple(range(n)), tuple(rng.integers(0, n, n))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_minimize_1d", record)
+        params, errors = _saturation_rows(data, rows)
+    assert errors == [None, None]
+    for row, values, a_hat, b_hat in zip(rows, searched, params["a"], params["b"]):
+        idx = list(row)
+        y, sigma = np.asarray(data.y)[idx], np.asarray(data.sigma)[idx]
+        w = np.array([s ** -2.0 for s in sigma])
+
+        def profile(b):
+            g = np.array([-math.expm1(-v / b) for v in np.asarray(data.x)[idx]])
+            return float(np.sum(w * y * g) / np.sum(w * g * g)), g
+
+        for log_b, value in values.items():
+            a, g = profile(math.exp(log_b))
+            assert value == float(np.sum(((y - a * g) / sigma) ** 2)), log_b
+        assert a_hat == profile(b_hat)[0]
 
 
 def test_minimize_1d_failures_match_scipy(monkeypatch):
@@ -554,13 +591,40 @@ def test_philox_draws_match_numpy():
 
 def test_pairwise_sum_matches_numpy():
     # np.sum(a, axis=-1) on (m, n) rows, and on one row, bit for bit;
-    # the builtin sum compensates from Python 3.12 and would not
+    # the builtin sum compensates from Python 3.12 and would not.  _sum runs
+    # the expression kernels.pairwise writes for up to 128 terms, and halves
+    # longer sums over such blocks
     rng = np.random.default_rng(18)
     for n in range(1, 301):
         a = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, (4, n))
         expected = np.sum(a, axis=-1).tolist()
         assert [fitting._sum(row) for row in a.tolist()] == expected, n
         assert fitting._sum(a[0].tolist()) == float(np.sum(a[0]))
+        if n <= 128:
+            expression = kernels.pairwise("v[{0}]", n)
+            assert [eval(expression, {"v": row}) for row in a.tolist()] == expected, n
+
+
+def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
+    # kernels are compiled per block size (and cap) from those integers alone,
+    # never for more than numpy's 128-term pairwise block; rows of the same
+    # length share one kernel whatever their values
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    rng = np.random.default_rng(23)
+    for n in (10, 129, 300, 1000):
+        x = rng.uniform(1.0, 250.0, n)
+        y = saturation_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n)
+        data = DataSet(x=x, y=y, sigma=np.full(n, 0.5))
+        fitting._od_sse(DataSet(x=x / 100.0, y=y / 100.0, sigma=np.full(n, 0.5)), 3)(range(n))
+        _saturation_rows(data, [tuple(range(n)), tuple(rng.integers(0, n, n))])
+        fitting._sum(list(y))
+    keys = list(kernels._KERNELS)
+    assert all(type(v) is int for key in keys for v in key[1:])
+    assert max(key[1] for key in keys) == 128
+    # ten points: one kernel each for fit_od (cap 3), fit_saturation (two rows
+    # of different points) and the plain sum
+    assert sorted((key[0].__name__, key[1:]) for key in keys if key[1] == 10) == [
+        ("od_source", (10, 3)), ("saturation_source", (10,)), ("sum_source", (10,))]
 
 
 def test_bootstrap_skips_degenerate_resamples():

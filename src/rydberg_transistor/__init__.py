@@ -14,7 +14,7 @@ only the layers it runs.
 
 import importlib
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

@@ -514,7 +514,12 @@ def read_record(path) -> dict[str, str]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["key", "value"]:
             raise ConfigError([f"{path}: expected header 'key,value'"])
-        return {row[0]: row[1] for row in reader if row}
+        record = {}
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) == 1:
+                raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
+            record[row[0]] = row[1]
+        return record
 
 
 def _load_dataset(path: str):

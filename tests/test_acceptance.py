@@ -7,9 +7,8 @@ lines.  Tolerances are pinned here and nowhere else.
 import math
 import os
 
-import mpmath
 import numpy as np
-from scipy.stats import poisson
+import pytest
 
 from rydberg_transistor import models
 from rydberg_transistor.cli import main
@@ -38,7 +37,10 @@ def test_criterion_1_single_photon_fock_contrast():
     )
 
 
+@pytest.mark.oracle
 def test_criterion_2_coherent_limit_and_bound():
+    import mpmath
+
     reference = float(1 - mpmath.exp(-1))  # high-precision oracle
     got = models.coherent_limit(1.0)
     value_ok = abs(got - reference) <= 1e-9 and abs(got - 0.63212) < 5e-6
@@ -179,7 +181,10 @@ def test_criterion_7_transfer_function_reproduction():
     )
 
 
+@pytest.mark.oracle
 def test_criterion_8_detection_fidelity_sweep():
+    from scipy.stats import poisson
+
     mu0_grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
     reports = fidelity_sweep(mu0_grid, n_runs=3000, seed=800)
 

@@ -206,7 +206,7 @@ def test_negative_source_is_named_once_under_self_blockade(command, line, violat
     assert models.detected_mean_violations(math.nan, 90.0, 0.5, sat) != []
 
 
-def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
+def test_config_names_are_object_invariant_names_behind_their_section(tmp_path, capsys):
     # every [transistor], [saturation] and [simulation] value out of its domain
     bad = {
         "transistor": {"od_sp": -1.0, "od_st": -1.0, "cap": 0, "a_ge": 1.0, "eta_det": 0.0},
@@ -219,6 +219,9 @@ def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
                            for section, keys in bad.items()), encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         parse_and_validate(["simulate", "--config", str(cfg)])
+    assert main(["simulate", "--config", str(cfg),
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    printed = capsys.readouterr().err
     objects = {  # section: (object, its invariant list, how many it must name)
         "transistor": (models.TransistorParams, models.TransistorParams.violations, 5),
         "saturation": (models.SaturationParams, models.SaturationParams.violations, 2),
@@ -232,6 +235,7 @@ def test_config_names_are_object_invariant_names_behind_their_section(tmp_path):
             cls(**bad[section])
         for name in names:
             assert section + "." + name in err.value.violations
+            assert f"  - {section}.{name}\n" in printed
             assert name in str(obj_err.value)
 
 
@@ -691,6 +695,19 @@ def test_input_without_rows_or_with_a_short_row_is_config_error(command, text, v
     assert capsys.readouterr().err == f"config validation failed:\n  - {bad}: {violation}\n"
 
 
+@pytest.mark.parametrize("reader, text", [
+    (read_table, "x,y,sigma\n1.0,0.2,0.1\n\n2.0\n"),
+    (read_record, "key,value\nseed,7\n\nflags\n"),
+], ids=["table", "record"])
+def test_one_cell_row_is_config_error_naming_its_line(reader, text, tmp_path):
+    # a record's one-cell row ended in an IndexError traceback
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        reader(path)
+    assert err.value.violations == [f"{path}: line 4: need at least 2 cells"]
+
+
 @pytest.mark.parametrize("cap, violation", [("0", "fit-od --cap >= 1"),
                                              ("101", "fit-od --cap <= 100"),
                                              ("1000000000", "fit-od --cap <= 100")])
@@ -1067,7 +1084,7 @@ def test_fit_commands_add_only_fitting(command, tmp_path):
         "rydberg_transistor.models", "rydberg_transistor.fitting", "rydberg_transistor.kernels",
     }
     # the fitters are plain Python, and DataSet and FitResult no dataclasses
-    for name in ("numpy", "dataclasses", "inspect"):
+    for name in ("numpy", *NOT_AT_START):
         assert name not in loaded, name
 
 

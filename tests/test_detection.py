@@ -10,9 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import ks_2samp
-from scipy.stats import poisson
 
 from rydberg_transistor import cli, detection
 from rydberg_transistor.detection import (
@@ -65,11 +62,14 @@ def _assert_rel(mine, ref, rtol):
     assert np.all(mine[~big] <= 1e-290)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("mu, rtol", [
     (0.0, 1e-12), (1e-12, 1e-12), (0.5, 1e-12), (10.0, 1e-12), (40.0, 1e-12),
     (100.0, 1e-12), (300.0, 1e-9), (1e3, 1e-9), (3e3, 1e-9), (1e4, 1e-9),
 ])
 def test_poisson_kernel_against_scipy(mu, rtol):
+    from scipy.stats import poisson
+
     # out to where the sf falls below 1e-300 (k ~ 290 at mu = 10, ~660 at 100)
     n = max(800, math.ceil(mu + 60 * math.sqrt(mu)))
     k = np.arange(n + 1)
@@ -81,13 +81,19 @@ def test_poisson_kernel_against_scipy(mu, rtol):
         assert 0 < sf[poisson.sf(k, mu) > 1e-300].min() < 1e-250
 
 
+@pytest.mark.oracle
 def test_poisson_ppf_against_scipy():
+    from scipy.stats import poisson
+
     mus = np.logspace(-6.0, 4.0, 10_000)
     mine = [detection._poisson_ppf(THRESHOLD_TAIL_QUANTILE, mu) for mu in mus]
     assert np.array_equal(mine, poisson.ppf(THRESHOLD_TAIL_QUANTILE, mus))
 
 
+@pytest.mark.oracle
 def test_chi2_sf_against_scipy():
+    from scipy.stats import chi2 as chi2_dist
+
     for dof in range(1, 501):
         s = np.concatenate([np.linspace(0.0, 3.0 * dof + 100.0, 40),
                             [1490.0, 2000.0, 3000.0, 5000.0, 6.0 * dof]])
@@ -456,7 +462,10 @@ def test_threshold_requires_gated_weight():
         optimal_threshold(mixture_from_params(0.0, 3, 0.94, 20.0))
 
 
+@pytest.mark.oracle
 def test_threshold_exhaustive_optimality():
+    from scipy.stats import poisson
+
     model = mixture_from_params(0.61, 3, 0.94, 20.0)
     thr = optimal_threshold(model)
     tau_max = int(poisson.ppf(0.9999, 20.0))
@@ -473,6 +482,8 @@ def test_threshold_exhaustive_optimality():
 
 def _scipy_threshold_scan(model):
     """The per-tau scipy.stats threshold scan the table replaced."""
+    from scipy.stats import poisson
+
     w, mus = model.weights, model.means
     best = None
     for tau in range(-1, int(poisson.ppf(THRESHOLD_TAIL_QUANTILE, mus.max())) + 1):
@@ -485,7 +496,11 @@ def _scipy_threshold_scan(model):
     return best
 
 
+@pytest.mark.oracle
 def test_threshold_and_decomposition_match_scipy():
+    from scipy.stats import chi2 as chi2_dist
+    from scipy.stats import poisson
+
     rng = np.random.default_rng(72)
     for n_stored, od, mu0 in [(0.61, 0.94, 10.0), (0.61, 0.94, 40.0), (0.61, 2.2, 25.0),
                               (2.5, 0.3, 1e3), (0.05, 5.0, 0.7), (0.61, 0.94, 1e4)]:
@@ -704,6 +719,23 @@ def test_null_indices_bit_identical_to_one_shot_formula(chunk_counts, monkeypatc
     assert branches == {True, False}
 
 
+def test_detect_sweep_draws_every_null_by_value_counts(monkeypatch, tmp_path):
+    # detect at 3000 runs, more than the pmf window of every mean of the
+    # default sweep (at most 358 counts, at mu0 = 40): every point's null is
+    # drawn as value-count rows
+    real_null_indices = detection._null_indices
+    by_counts = []
+
+    def recording(mean, total, n_null, rng):
+        lo, _ = detection._poisson_window(mean)
+        by_counts.append(detection._tail_end(0, mean) + 1 - lo < total)
+        return real_null_indices(mean, total, n_null, rng)
+
+    monkeypatch.setattr(detection, "_null_indices", recording)
+    assert cli.main(["detect", "--runs", "3000", "--output", str(tmp_path)]) == cli.EXIT_OK
+    assert by_counts == [True] * 7
+
+
 @pytest.mark.parametrize("mean", [40.0, 1e4], ids=["value-counts", "per-run"])
 def test_poissonness_test_peak_memory_is_bounded(mean):
     # one test on a 3000-run histogram allocates under 0.6 MiB at its peak:
@@ -733,7 +765,10 @@ def test_per_run_null_builds_no_pmf():
     assert peak < 0.25 * 2**20
 
 
+@pytest.mark.oracle
 def test_poissonness_histogram_null_matches_per_sample_null():
+    from scipy.stats import ks_2samp
+
     # 8 x 500 null indices at mean 10, 3000 runs (window 0..201): value-count
     # rows against per-sample Poisson draws, by a two-sample KS test
     by_counts = np.concatenate(

@@ -358,6 +358,7 @@ def _random_objective(rng):
     return lambda x: (x - c) ** 2 if x < c - phi else math.nan  # min at the NaN edge
 
 
+@pytest.mark.oracle
 def test_minimize_1d_matches_scipy_on_random_objectives():
     rng = np.random.default_rng(20140721)
     for _ in range(400):
@@ -399,6 +400,7 @@ def _fit_objective_searches(monkeypatch):
     return searches
 
 
+@pytest.mark.oracle
 def test_minimize_1d_matches_scipy_on_fit_objectives(monkeypatch):
     searches = _fit_objective_searches(monkeypatch)
     assert len(searches) >= 40
@@ -461,6 +463,7 @@ def test_saturation_objective_is_the_numpy_profile(n):
         assert a_hat == profile(b_hat)[0]
 
 
+@pytest.mark.oracle
 def test_minimize_1d_failures_match_scipy(monkeypatch):
     # NaN everywhere; +inf everywhere; finite minimum but a NaN last evaluation
     for objective in (lambda x: math.nan, lambda x: math.inf,
@@ -516,6 +519,7 @@ def test_minimize_1d_nan_row_beside_normal_rows():
     assert abs(params["b"][0] - 70.0) < 1e-3
 
 
+@pytest.mark.oracle
 def test_minimize_1d_maxfun_row_beside_normal_rows(monkeypatch):
     # the evaluation cap holds per row: the rows that need more evaluations
     # than it fail with scipy's message, the others converge as in scipy

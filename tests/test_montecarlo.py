@@ -5,9 +5,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import poisson
 
 from rydberg_transistor import models, montecarlo
 from rydberg_transistor.detection import mixture_from_params
@@ -153,7 +150,10 @@ def _exact_tau(od_instant, od_effective, t_int):
         return Decimal(t_int) / ((lo + hi) / 2)
 
 
+@pytest.mark.oracle
 def test_calibrate_retention_tau_matches_quadrature():
+    from scipy.integrate import quad
+
     tau = calibrate_retention_tau(2.2, 0.94, 90.0)
     # independent check: window-averaged exponent via numerical quadrature
     integral, _ = quad(lambda t: 2.2 * math.exp(-t / tau), 0.0, 90.0)
@@ -534,7 +534,10 @@ def test_flyaway_halving_retention_increases_transmission():
     assert half.mean_source_detected > full.mean_source_detected
 
 
+@pytest.mark.oracle
 def test_flyaway_matches_per_photon_reference():
+    from scipy.stats import chi2 as chi2_dist
+
     # detection settings: od_st 2.2 decaying to an effective 0.94 over 90 us
     cfg = SimConfig(
         n_gate_in=0.61,
@@ -567,7 +570,11 @@ def test_flyaway_matches_per_photon_reference():
     assert chi2_dist.sf(stat, dof) > 0.01
 
 
+@pytest.mark.oracle
 def test_constant_attenuation_matches_exact_capped_mixture():
+    from scipy.stats import chi2 as chi2_dist
+    from scipy.stats import poisson
+
     # tau = inf: counts follow sum_k w_k Poisson(mu0 e^{-k od_st}) exactly,
     # w_k the capped Poisson weights of the stored number
     sat = models.SaturationParams(46.0, 70.0)

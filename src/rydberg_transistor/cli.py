@@ -371,11 +371,6 @@ def fidelity_sweep_row(report) -> dict:
             "mean_stored": report.mean_stored}
 
 
-def histogram_table(hist):
-    """Header and rows of a detection.CountHistogram: its nonzero bins."""
-    return ["events", "runs"], hist.bins()
-
-
 # decomposition rows converted from numpy to Python at a time
 ROW_CHUNK = 2**16
 
@@ -444,7 +439,7 @@ class OutputWriter:
         ``{"n": runs}`` map of its nonzero bins in JSON."""
         if self.manifest.format == "json":
             return self._json(f"{stem}.json", {str(n): runs for n, runs in hist.bins()})
-        return self.csv_table(stem, *histogram_table(hist))
+        return self.csv_table(stem, ["events", "runs"], hist.bins())
 
     def csv_table(self, stem: str, header: list[str], rows) -> str:
         """A CSV table in either format."""

@@ -1,8 +1,8 @@
-"""High-level experiment drivers used by the CLI and the scripts.
+"""High-level experiment drivers behind the CLI's commands.
 
 These compose the closed-form models, the Monte Carlo engine, the fitters
 and the detection analysis into the scans behind the standard figures:
-contrast vs gate photons, gain/transfer vs source photons, and the
+contrast vs gate photons, transfer vs source photons, and the
 single-shot detection fidelity sweep.
 """
 
@@ -22,14 +22,12 @@ from .detection import (
 from .errors import DomainError
 from .models import (
     DETECTION_REF,
-    MU0_MAX,  # re-exported: the bound mixture_from_params puts on mu0
     POISSONNESS_NULL,
     SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
     TransistorParams,
     child_seed,
-    gain_scan_rows,
 )
 from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
@@ -38,7 +36,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "incoming_scan_config",
-    "gain_scan_rows",
     "transfer_scan",
     "TransferPoint",
     "DetectionReport",

@@ -200,15 +200,18 @@ def _simulate_block(config: SimConfig, p_sat: float, n: int, rng: np.random.Gene
     gate_detected = rng.binomial(survivors - k, p.eta_det)
 
     t = config.t_int
+    # e^{-od_st j} for j = 0..cap active excitations, from math.exp: numpy's
+    # SIMD exp differs from the C library's in the last bit on some CPUs
+    attenuation = np.array([math.exp(-p.od_st * j) for j in range(cap + 1)])
     if math.isinf(config.retention_tau) or p.od_st == 0:
-        window = t * np.exp(-p.od_st * k)
+        window = t * attenuation[k]
     else:
         lifetimes = rng.exponential(config.retention_tau, (n, cap))
         lifetimes[np.arange(cap) >= k[:, None]] = 0.0  # excitations never stored
         edges = np.sort(np.minimum(lifetimes, t), axis=1)
         # between the j-th and (j+1)-th edge, cap - j excitations are still active
         widths = np.diff(edges, axis=1, prepend=0.0, append=t)
-        window = (widths * np.exp(-p.od_st * np.arange(cap, -1, -1))).sum(axis=1)
+        window = (widths * attenuation[::-1]).sum(axis=1)
     detected = rng.poisson(config.source_rate * p_sat * p.eta_det * window)
     return k, gate_detected, detected
 

@@ -11,7 +11,6 @@ from rydberg_transistor.errors import DomainError
 from rydberg_transistor.experiments import (
     detection_experiment,
     fidelity_sweep,
-    gain_scan_rows,
     incoming_scan_config,
     transfer_dataset,
     transfer_scan,
@@ -32,7 +31,7 @@ def test_incoming_scan_config_removes_storage_losses():
 
 def test_gain_scan_rows_against_closed_forms():
     params = models.TransistorParams(od_sp=0.45, od_st=0.94, cap=3)
-    rows = gain_scan_rows(params, SAT, 0.75, [70.0, 3500.0])
+    rows = models.gain_scan_rows(params, SAT, 0.75, [70.0, 3500.0])
     row = rows[0]
     base = models.transfer(70.0, SAT)
     c = models.expected_contrast_incoming(0.75, 0.45, 3)

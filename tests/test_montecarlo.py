@@ -427,6 +427,28 @@ def test_gate_detection_consistent_with_storage_balance():
     assert est == pytest.approx(0.61, abs=0.02)
 
 
+def test_detected_mean_takes_the_c_librarys_exp():
+    # numpy's exp of an array is its own AVX-512 routine on CPUs that have one;
+    # there e^{-0.94 * 3} differs from math.exp's in the last bit
+    class Recorder:
+        def __init__(self, rng):
+            self.rng, self.poisson_means = rng, []
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def poisson(self, lam, size=None):
+            self.poisson_means.append(lam)
+            return self.rng.poisson(lam, size)
+
+    cfg = lossless_config(3.0, od_st=0.94, eta=0.31)
+    rng = Recorder(np.random.Generator(np.random.Philox(np.random.SeedSequence((0, 0)))))
+    k, _, _ = montecarlo._simulate_block(cfg, 1.0, 2000, rng)
+    assert 3 in k.tolist()
+    expected = [0.69 * 1.0 * 0.31 * (30.0 * math.exp(-0.94 * j)) for j in k.tolist()]
+    assert rng.poisson_means[-1].tolist() == expected
+
+
 def test_gate_count_is_summed_exactly_at_large_means():
     # about 2.6e17 detected gate photons per run: an int64 sum of 100 runs wraps
     cfg = SimConfig(n_gate_in=1e18, seed=1)

@@ -56,10 +56,8 @@ def test_shared_constants_have_one_definition():
                  "SWEEP_POINT", "POISSONNESS_NULL", "FIT_BOOTSTRAP"):
         assert getattr(montecarlo, name) is getattr(models, name), name
     assert detection.MU0_MAX is models.MU0_MAX
-    assert experiments.MU0_MAX is models.MU0_MAX
     assert fitting.child_seed is models.child_seed
     assert experiments.child_seed is models.child_seed
-    assert experiments.gain_scan_rows is models.gain_scan_rows
     # tags keep their values, so every derived stream stays where it was
     assert [models.SCAN_POINT, models.BOOTSTRAP, models.TRANSFER_REF, models.TRANSFER_GATE,
             models.DETECTION_REF, models.SWEEP_POINT, models.POISSONNESS_NULL,

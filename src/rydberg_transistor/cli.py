@@ -213,17 +213,6 @@ def load_config(name: str | None) -> tuple[str, dict]:
     return display, resolved
 
 
-def _mu0_checks(name: str, values: list[float], eta_det: float) -> list[tuple[str, bool]]:
-    """Detection no-gate means: within the analysis' MU0_MAX, and the source
-    photon number mu0 / eta_det they need within numpy's Poisson limit."""
-    lam_max, mu0_max = models.POISSON_LAM_MAX, models.MU0_MAX
-    return [
-        (f"{name} in (0, {mu0_max:g}]", all(0 < v <= mu0_max for v in values)),
-        (f"{name} / transistor.eta_det <= {lam_max:g}",
-         all(v <= lam_max * eta_det for v in values)),
-    ]
-
-
 def _self_blockade(command: str, resolved: dict) -> bool:
     """Whether the command simulates with self-blockade; transfer-scan always does."""
     return command == "transfer-scan" or resolved["simulation"]["self_blockade"]
@@ -232,23 +221,22 @@ def _self_blockade(command: str, resolved: dict) -> bool:
 def _validate(resolved: dict, seed: int, runs: int, command: str) -> list[str]:
     """Names of the violated invariants.
 
-    [transistor], [saturation] and [simulation] are checked by the invariant
-    lists their objects raise DomainError on, each name behind its section.
-    The checks here have no object: [detection], mu0, the scan lists, runs and
-    seed.  Each fails on NaN; Poisson means stay within POISSON_LAM_MAX, and
-    detected means, which size the engine's count table, within MU0_MAX.
+    Each section is checked, name behind section, by the invariant lists its
+    runners' objects raise DomainError on: [detection] by the calibration's
+    and mu0's.  Each bound, the scan lists' too, is evaluated as the runner
+    builds, so a validated command builds its objects.  Each fails on NaN.
     """
     sim = resolved["simulation"]
     det = resolved["detection"]
     scan = resolved["scan"]
     eta, t_int = resolved["transistor"]["eta_det"], sim["t_int"]
-    lam_max = models.POISSON_LAM_MAX
-    lam = f"{lam_max:g}"
-    tau_lo = models.RETENTION_TAU_BRACKET[0]  # calibrate_retention_tau's bracket
+    lam = f"{models.POISSON_LAM_MAX:g}"
     objects = {
         "transistor": models.TransistorParams.violations(**resolved["transistor"]),
         "saturation": models.SaturationParams.violations(**resolved["saturation"]),
         "simulation": models.simulation_violations(**{k: sim[k] for k in _SIM_KEYS}),
+        "detection": [*models.retention_violations(det["od_st_instant"], det["od_st_model"]),
+                      *models.mu0_violations("mu0_values all", det["mu0_values"], eta, t_int)],
     }
     # Detected means are bounded as the engine draws them: thinned under
     # self-blockade.  A thinned one needs a valid [saturation]; without it,
@@ -258,27 +246,22 @@ def _validate(resolved: dict, seed: int, runs: int, command: str) -> list[str]:
     if not (thinned and sat is None):
         objects["simulation"] += models.detected_mean_violations(
             sim["source_rate"], t_int, eta, sat if thinned else None)
+    # the rates transfer-scan runs each value at, if t_int is valid (or named)
+    rates = [v / t_int for v in scan["source_values"]] if t_int > 0 else []
     checks = [
-        (f"detection.n_stored in [0, {lam}]", 0 <= det["n_stored"] <= lam_max),
-        ("detection.od_st_model > 0", det["od_st_model"] > 0),
-        ("detection.od_st_instant >= od_st_model",
-         det["od_st_instant"] >= det["od_st_model"]),
-        (f"detection.od_st_model >= {tau_lo:g} * od_st_instant",
-         det["od_st_model"] >= tau_lo * det["od_st_instant"]),
+        (f"detection.n_stored in [0, {lam}]", models.poisson_mean_ok(det["n_stored"])),
         ("detection.mu0_values is not empty", bool(det["mu0_values"])),
-        *_mu0_checks("detection.mu0_values all", det["mu0_values"], eta),
         ("scan.gate_values is not empty", bool(scan["gate_values"])),
         (f"scan.gate_values all in (0, {lam}]",
-         all(0 < v <= lam_max for v in scan["gate_values"])),
+         all(v > 0 and models.poisson_mean_ok(v) for v in scan["gate_values"])),
         ("scan.source_values is not empty", bool(scan["source_values"])),
         (f"scan.source_values all in (0, {lam}]",
-         all(0 < v <= lam_max for v in scan["source_values"])),
-        # as the SimConfig that transfer-scan runs each value with checks it
+         all(v > 0 for v in scan["source_values"])
+         and all(models.source_mean_ok(r, t_int) for r in rates)),
         (f"scan.source_values all * transistor.eta_det * saturation_thinning"
          f" <= {models.MU0_MAX:g}",
-         sat is None or t_int <= 0 or not any(
-             models.detected_mean_violations(v / t_int, t_int, eta, sat)
-             for v in scan["source_values"])),
+         sat is None or not any(models.detected_mean_violations(r, t_int, eta, sat)
+                                for r in rates)),
         ("runs >= 1", runs >= 1),
     ]
     return ([f"{section}.{name}" for section, names in objects.items() for name in names]
@@ -309,8 +292,9 @@ def parse_and_validate(argv) -> RunManifest:
         if not math.isfinite(mu0):
             violations.append(f"detect --mu0: must be finite, got {mu0!r}")
         else:
-            violations += models.failed_checks(
-                _mu0_checks("detect --mu0", [mu0], resolved["transistor"]["eta_det"]))
+            violations += models.mu0_violations("detect --mu0", [mu0],
+                                                resolved["transistor"]["eta_det"],
+                                                resolved["simulation"]["t_int"])
     if violations:
         raise ConfigError(violations)
 

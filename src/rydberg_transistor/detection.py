@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .models import MU0_MAX, capped_poisson_weights
+from .models import MU0_MAX, capped_poisson_weights, mu0_in_range
 
 __all__ = [
     "CountHistogram",
@@ -261,7 +261,7 @@ def mixture_from_params(
     """
     if not od_st >= 0:  # NaN fails too
         raise DomainError(f"od_st must be >= 0, got {od_st}")
-    if not 0 < mu0 <= MU0_MAX:
+    if not mu0_in_range(mu0):
         raise DomainError(f"mu0 must lie in (0, {MU0_MAX:g}], got {mu0}")
     weights = capped_poisson_weights(n_stored, cap)
     means = [mu0 * math.exp(-k * od_st) for k in range(len(weights))]

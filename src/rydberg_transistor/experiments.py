@@ -1,7 +1,7 @@
 """High-level experiment drivers behind the CLI's commands.
 
-These compose the closed-form models, the Monte Carlo engine, the fitters
-and the detection analysis into the scans behind the standard figures:
+These compose the closed-form models, the Monte Carlo engine and the
+detection analysis into the scans behind the standard figures:
 contrast vs gate photons, transfer vs source photons, and the
 single-shot detection fidelity sweep.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .detection import (
     CountHistogram,
@@ -30,9 +29,6 @@ from .models import (
     child_seed,
 )
 from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
-
-if TYPE_CHECKING:
-    from .fitting import DataSet
 
 __all__ = [
     "incoming_scan_config",
@@ -98,14 +94,6 @@ def _mean_se(hist: CountHistogram) -> float:
     if hist.total < 2:
         return 0.0
     return math.sqrt(hist.variance() / hist.total)
-
-
-def transfer_dataset(points: list[TransferPoint]) -> DataSet:
-    """No-gate transfer points as a DataSet ready for fit_saturation."""
-    from .fitting import DataSet
-
-    return DataSet([p.n_source_in for p in points], [p.no_gate_out for p in points],
-                   [max(p.no_gate_sigma, 1e-12) for p in points])
 
 
 class DetectionReport(namedtuple(

@@ -23,9 +23,9 @@ records (SimConfig's too) validate in `__new__`, through `_Record`.
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
 bracket, the default storage probability, the invariant lists of the
-parameter objects (SimConfig's too) and `child_seed` with its tags.  So a
-command that evaluates only closed forms or fits loads no simulation or
-detection code.
+parameter objects (SimConfig's too), of detect's calibration and mu0, and
+`child_seed` with its tags.  So a command that evaluates only closed forms
+or fits loads no simulation or detection code.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ MU0_MAX = 1e6
 # cap times in Python.
 CAP_MAX = 100
 
-# Fly-away times montecarlo.calibrate_retention_tau searches, in units of
-# t_int.  A ratio od_effective / od_instant under the lower edge has its root
-# below it.
+# Fly-away times calibrate_retention_tau searches, in units of t_int; an od
+# ratio under the lower edge has its root below it (retention_violations).
 RETENTION_TAU_BRACKET = (1e-9, 1e9)
 
 # Storage probability that puts the mean stored number at 0.61 for a gate
@@ -151,17 +150,57 @@ def seed_violations(seed) -> list[str]:
     return failed_checks([("seed is an unsigned 64-bit integer", ok)])
 
 
+def poisson_mean_ok(mean) -> bool:
+    """Whether a gate mean, SimConfig's n_gate_in, lies in [0, POISSON_LAM_MAX]."""
+    return 0 <= mean <= POISSON_LAM_MAX
+
+
+def source_mean_ok(source_rate, t_int) -> bool:
+    """Whether SimConfig's source mean, source_rate * t_int, is within POISSON_LAM_MAX."""
+    return source_rate * t_int <= POISSON_LAM_MAX
+
+
 def simulation_violations(n_gate_in, p_store, source_rate, t_int, retention_tau) -> list[str]:
     """Violated invariants of montecarlo.SimConfig's simulation values.  Both
     Poisson means the engine draws with, n_gate_in and at most source_rate *
     t_int, stay within POISSON_LAM_MAX."""
     return failed_checks([
-        (f"n_gate_in in [0, {_LAM}]", 0 <= n_gate_in <= POISSON_LAM_MAX),
+        (f"n_gate_in in [0, {_LAM}]", poisson_mean_ok(n_gate_in)),
         ("p_store in [0, 1]", 0 <= p_store <= 1),
         ("source_rate >= 0", source_rate >= 0),
         ("t_int > 0", t_int > 0),
-        (f"source_rate * t_int <= {_LAM}", source_rate * t_int <= POISSON_LAM_MAX),
+        (f"source_rate * t_int <= {_LAM}", source_mean_ok(source_rate, t_int)),
         ("retention_tau > 0", retention_tau > 0),
+    ])
+
+
+def mu0_in_range(mu0) -> bool:
+    """Whether a detection no-gate mean lies in (0, MU0_MAX]; NaN does not."""
+    return 0 < mu0 <= MU0_MAX
+
+
+def mu0_violations(name, values, eta_det, t_int) -> list[str]:
+    """Violated invariants of detection no-gate means, named after ``name``:
+    each in (0, MU0_MAX], and its source mean, as detection_experiment builds
+    it, within POISSON_LAM_MAX (unchecked where eta_det or t_int is not > 0)."""
+    scale = eta_det * t_int
+    return failed_checks([
+        (f"{name} in (0, {MU0_MAX:g}]", all(map(mu0_in_range, values))),
+        (f"{name} / transistor.eta_det <= {_LAM}",
+         not (eta_det > 0 and t_int > 0)
+         or all(scale > 0 and source_mean_ok(v / scale, t_int) for v in values)),
+    ])
+
+
+def retention_violations(od_st_instant, od_st_model) -> list[str]:
+    """Violated invariants of calibrate_retention_tau's ods: positive, in
+    order, and at a ratio of at least the bracket's lower edge, whatever t_int."""
+    lo = RETENTION_TAU_BRACKET[0]
+    return failed_checks([
+        ("od_st_model > 0", od_st_model > 0),
+        ("od_st_instant >= od_st_model", od_st_instant >= od_st_model),
+        (f"od_st_model >= {lo:g} * od_st_instant",
+         od_st_instant <= 0 or od_st_model / od_st_instant >= lo),
     ])
 
 

@@ -46,6 +46,7 @@ from .models import (
     _Record,
     child_seed,
     detected_mean_violations,
+    retention_violations,
     saturation_thinning,
     seed_violations,
     simulation_violations,
@@ -86,31 +87,19 @@ def calibrate_retention_tau(od_instant: float, od_effective: float, t_int: float
     that expression for tau on RETENTION_TAU_BRACKET = [1e-9, 1e9] * t_int, by
     Newton's method in t / tau.  Returns inf when no decay is needed, which
     includes od_effective / od_instant above about 1 - 5e-10: a fly-away time
-    over 1e9 windows is no decay at this resolution.  Raises DomainError for a
-    ratio below about 1e-9, whose root lies under the bracket, and
-    FitConvergenceError after RETENTION_TAU_MAXITER steps.
+    over 1e9 windows is no decay at this resolution.  Raises DomainError for
+    t_int <= 0 and for ods models.retention_violations names, as a ratio
+    below 1e-9, and FitConvergenceError after RETENTION_TAU_MAXITER steps.
     """
-    if od_instant <= 0 or t_int <= 0:
-        raise DomainError(
-            f"need od_instant > 0 and t_int > 0, got {od_instant}, {t_int}"
-        )
-    if od_effective <= 0 or od_effective > od_instant:
-        raise DomainError(
-            f"od_effective must lie in (0, od_instant], got {od_effective}"
-        )
+    if not t_int > 0:  # NaN fails too
+        raise DomainError(f"need t_int > 0, got {t_int}")
+    if violated := retention_violations(od_instant, od_effective):
+        raise DomainError(f"od_st_instant, od_st_model = {od_instant!r}, {od_effective!r} violate "
+                          f"{'; '.join(violated)}: fly-away times lie in 1e-9 to 1e9 windows")
     ratio = od_effective / od_instant
-
-    def averaged_fraction(tau):
-        return (tau / t_int) * -math.expm1(-t_int / tau) - ratio
-
-    lo, hi = (edge * t_int for edge in RETENTION_TAU_BRACKET)
-    if averaged_fraction(hi) <= 0:
+    hi = RETENTION_TAU_BRACKET[1] * t_int
+    if (hi / t_int) * -math.expm1(-t_int / hi) <= ratio:
         return math.inf
-    if averaged_fraction(lo) > 0:
-        raise DomainError(
-            f"od_effective / od_instant = {ratio!r} needs a fly-away time below "
-            f"1e-9 * t_int"
-        )
     # Newton's method on g(x) = (1 - e^-x) - ratio * x for x = t_int / tau.
     # g is concave and negative at 1 / ratio, beyond the root, where g' < 0:
     # from there the iterates fall monotonically onto the root, so the first

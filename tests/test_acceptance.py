@@ -16,7 +16,6 @@ from rydberg_transistor.detection import mixture_from_params, optimal_threshold
 from rydberg_transistor.detection import _threshold_fidelity
 from rydberg_transistor.experiments import (
     fidelity_sweep,
-    transfer_dataset,
     transfer_scan,
 )
 from rydberg_transistor.fitting import DataSet, fit_od, fit_saturation, saturation_curve
@@ -164,7 +163,9 @@ def test_criterion_7_transfer_function_reproduction():
     n_values = np.linspace(25.0, 250.0, 10)
     points = transfer_scan(base, n_values, n_runs=10_000)
 
-    fit = fit_saturation(transfer_dataset(points), n_boot=100).params
+    no_gate = DataSet([p.n_source_in for p in points], [p.no_gate_out for p in points],
+                      [max(p.no_gate_sigma, 1e-12) for p in points])
+    fit = fit_saturation(no_gate, n_boot=100).params
     fit_ok = abs(fit["a"] - 46.0) / 46.0 < 0.05 and abs(fit["b"] - 70.0) / 70.0 < 0.05
 
     c = models.expected_contrast_stored(0.61, 0.94, 3)

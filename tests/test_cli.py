@@ -331,6 +331,12 @@ def test_scan_source_values_bound_is_the_transfer_scan_configs_bound(tmp_path):
                    f"[scan]\nsource_values = {log(0, 13)!r} {log(0, 13)!r}\n")
              for _ in range(300)]
     assert 30 <= drawn.count(True) <= 270, drawn.count(True)
+    # at numpy's Poisson limit and one double below it, over random t_int:
+    # value / t_int * t_int can round either way
+    limit = models.POISSON_LAM_MAX
+    at_limit = {check(f"[simulation]\nt_int = {log(-1, 3)!r}\n[scan]\nsource_values = {v!r}\n")
+                for v in (limit, math.nextafter(limit, 0)) for _ in range(20)}
+    assert at_limit == {True, False}
 
 
 @pytest.mark.parametrize("mu0, violation", [
@@ -386,6 +392,99 @@ def test_detect_od_ratio_within_5e10_of_one_runs(tmp_path):
     assert main(["detect", "--config", str(cfg), "--runs", "100", "--mu0", "15",
                  "--output", str(tmp_path / "o")]) == EXIT_OK
     assert histogram_total(tmp_path / "o" / "gated_histogram.csv") == 100
+
+
+@pytest.mark.parametrize("argv, text, violation", [
+    # od_st_model / od_st_instant is one ulp under 1e-9, although od_st_model
+    # >= 1e-9 * od_st_instant holds after rounding
+    (["detect"], "[detection]\nod_st_instant = 31.091436033410968\n"
+                 "od_st_model = 3.109143603341097e-08\n",
+     "detection.od_st_model >= 1e-09 * od_st_instant"),
+    # mu0 <= POISSON_LAM_MAX * eta_det, but mu0 / (eta_det * t_int) * t_int is not
+    (["detect", "--mu0", "296064.51630953955"],
+     "[transistor]\neta_det = 3.209937928356163e-14\n[simulation]\nt_int = 87.87795790082309\n",
+     "detect --mu0 / transistor.eta_det <= 9.22337e+18"),
+    # the value is within POISSON_LAM_MAX, but value / t_int * t_int is not
+    (["transfer-scan"], "[simulation]\nt_int = 0.11289428729933203\n"
+                        "[scan]\nsource_values = 9.223372006484771e+18\n",
+     "scan.source_values all in (0, 9.22337e+18]"),
+    # eta_det * t_int underflows to 0: mu0 / 0 is no source rate
+    (["detect"], "[transistor]\neta_det = 1e-300\n[simulation]\nt_int = 1e-30\n",
+     "detection.mu0_values all / transistor.eta_det <= 9.22337e+18"),
+], ids=["od-ratio", "mu0", "source-value", "underflow"])
+def test_config_the_runner_cannot_build_is_config_error(argv, text, violation, tmp_path,
+                                                        capsys):
+    # the first three pass a bound stated in other arithmetic than the
+    # runner's, whose object then raised (exit 4); the last would divide by 0
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([*argv, "--config", str(cfg), "--runs", "50",
+                 "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config validation failed:\n  - {violation}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def detect_builds(resolved, mu0_values) -> bool:
+    """Whether detect builds, at each mu0, the objects detection_experiment
+    builds before it draws: the mixture, the fly-away calibration and the
+    gated SimConfig."""
+    from rydberg_transistor.detection import mixture_from_params
+
+    det, sim, tr = resolved["detection"], resolved["simulation"], resolved["transistor"]
+    eta, t_int = tr["eta_det"], sim["t_int"]
+    params = models.TransistorParams(od_sp=0.0, od_st=det["od_st_instant"], cap=tr["cap"],
+                                     a_ge=0.0, eta_det=eta)
+    try:
+        for mu0 in mu0_values:
+            mixture_from_params(det["n_stored"], tr["cap"], det["od_st_model"], mu0)
+            tau = montecarlo.calibrate_retention_tau(det["od_st_instant"], det["od_st_model"],
+                                                     t_int)
+            montecarlo.SimConfig(n_gate_in=det["n_stored"], p_store=1.0, params=params,
+                                 source_rate=mu0 / (eta * t_int), t_int=t_int,
+                                 retention_tau=tau, seed=sim["seed"])
+    except DomainError:
+        return False
+    return True
+
+
+def test_detect_accepts_exactly_the_configs_it_builds(tmp_path):
+    # od ratios within a few doubles of the calibration bracket's 1e-9, and
+    # mu0 within a few of POISSON_LAM_MAX * eta_det, over random t_int; mu0
+    # by --mu0 or by [detection] mu0_values
+    rng = random.Random(26)
+    cfg = tmp_path / "edge.cfg"
+
+    def near(edge):
+        return edge + rng.randint(-3, 3) * math.ulp(edge)
+
+    def check(text, mu0=None) -> bool:
+        cfg.write_text(text, encoding="utf-8")
+        flags = [] if mu0 is None else ["--mu0", repr(mu0)]
+        try:
+            parse_and_validate(["detect", "--config", str(cfg), *flags])
+            accepted = True
+        except ConfigError:
+            accepted = False
+        resolved = cli.load_config(str(cfg))[1]
+        built = detect_builds(resolved,
+                              resolved["detection"]["mu0_values"] if mu0 is None else [mu0])
+        assert accepted == built, (text, mu0)
+        return accepted
+
+    ratio, mu0 = set(), set()
+    for i in range(200):
+        t_int = f"[simulation]\nt_int = {10 ** rng.uniform(-2, 4)!r}\n"
+        od_instant = 10 ** rng.uniform(-3, 2)
+        od_model = near(models.RETENTION_TAU_BRACKET[0] * od_instant)
+        ratio.add(check(f"{t_int}[detection]\nod_st_instant = {od_instant!r}\n"
+                        f"od_st_model = {od_model!r}\n", 15.0))
+        # eta_det under MU0_MAX / POISSON_LAM_MAX, so mu0 is within MU0_MAX
+        eta = 10 ** rng.uniform(-17, -13.5)
+        value = near(models.POISSON_LAM_MAX * eta)
+        text = f"{t_int}[transistor]\neta_det = {eta!r}\n"
+        mu0.add(check(text, value) if i % 2 else
+                check(f"{text}[detection]\nmu0_values = {value!r}\n"))
+    assert ratio == mu0 == {True, False}
 
 
 def test_unknown_flag_usage_error():

@@ -12,10 +12,9 @@ from rydberg_transistor.experiments import (
     detection_experiment,
     fidelity_sweep,
     incoming_scan_config,
-    transfer_dataset,
     transfer_scan,
 )
-from rydberg_transistor.fitting import fit_saturation
+from rydberg_transistor.fitting import DataSet, fit_saturation
 from rydberg_transistor.montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
 SAT = models.SaturationParams(46.0, 70.0)
@@ -61,8 +60,7 @@ def test_transfer_scan_with_gate_tracks_constant_contrast():
         assert abs(p.no_gate_out - expected) <= 3.5 * p.no_gate_sigma
         sigma = math.sqrt(p.with_gate_sigma**2 + (1 - c) ** 2 * p.no_gate_sigma**2)
         assert abs(p.with_gate_out - (1 - c) * p.no_gate_out) <= 3.5 * sigma
-    ds = transfer_dataset(points)
-    assert np.array_equal(ds.x, [50.0, 150.0, 250.0])
+    assert [p.n_source_in for p in points] == [50.0, 150.0, 250.0]
 
 
 def test_transfer_scan_rejects_zero_input():
@@ -80,7 +78,9 @@ def test_transfer_scan_fit_recovers_saturation_params():
         seed=200,
     )
     points = transfer_scan(base, np.linspace(25, 250, 6), n_runs=4000)
-    result = fit_saturation(transfer_dataset(points), n_boot=100)
+    result = fit_saturation(DataSet([p.n_source_in for p in points],
+                                    [p.no_gate_out for p in points],
+                                    [max(p.no_gate_sigma, 1e-12) for p in points]), n_boot=100)
     assert abs(result.params["a"] - 46.0) / 46.0 < 0.05
     assert abs(result.params["b"] - 70.0) / 70.0 < 0.10
 

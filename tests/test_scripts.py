@@ -15,9 +15,6 @@ from rydberg_transistor import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 NAMES = ["contrast", "gain", "detection"]
-# the files reproduce_detection.py writes, each also a detect result file
-DETECT_FILES = ("fidelity_sweep.csv", "gated_histogram.csv", "reference_histogram.csv",
-                "decomposition.csv")
 
 
 def run_script(name, out, runs="200"):
@@ -88,12 +85,3 @@ def test_script_writes_the_files_of_its_readme_commands(name, tmp_path, monkeypa
     assert script == result_files(tmp_path / "readme")[0]
     assert listed == set(script)  # every file the script wrote has its sidecar
 
-
-def test_detection_script_writes_the_files_of_detect(tmp_path):
-    code, stderr = run_script("detection", tmp_path / "script")
-    assert code == cli.EXIT_OK, stderr
-    assert cli.main(["detect", "--config", "paper90us", "--runs", "200", "--seed", "7",
-                     "--output", str(tmp_path / "detect")]) == cli.EXIT_OK
-    for name in DETECT_FILES:
-        assert ((tmp_path / "script" / name).read_bytes()
-                == (tmp_path / "detect" / name).read_bytes()), name

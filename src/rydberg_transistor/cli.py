@@ -12,8 +12,9 @@ failure (any other package error while a command runs; a diagnostics file is
 written), 5 I/O failure.
 
 A command starts on `errors`, `models`, argparse and configparser alone: the
-layers its runner runs, and csv, json, hashlib and datetime for the result
-files, are imported when first needed.
+layers its runner runs, and csv, json, datetime and a SHA-256 for the result
+files, are imported when first needed.  `main` loads numpy, if a runner needs
+it, with OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise.
 """
 
 from __future__ import annotations
@@ -380,10 +381,24 @@ def _cells(column):
 
 
 def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha256_constructor()(fh.read()).hexdigest()
+
+
+def _sha256_constructor():
+    """hashlib's SHA-256 where OpenSSL is loaded already (numpy.random loads
+    it), else CPython's built-in one: importing hashlib loads libcrypto, 3.4 MB
+    of a numpy-free command's peak RSS.  The built-in one is 5-9x slower, too
+    slow for the 26 MB decomposition of ``detect --mu0 1e6``."""
+    if "_hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):  # Python 3.12+, 3.11 and earlier
+            try:
+                return __import__(name).sha256
+            except ImportError:
+                pass
     import hashlib
 
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256
 
 
 class OutputWriter:
@@ -727,6 +742,12 @@ def _print_violations(exc: ConfigError) -> None:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, as numpy loads it.  Starting its thread
+        # pool takes about 65 ms on a 2-core machine, and no command makes a
+        # BLAS call large enough to use it (the one call is a gemv of at most
+        # 8,192 cells).  A process that has loaded numpy keeps its environment.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -553,6 +553,17 @@ def test_simulate_writes_outputs_and_sidecar(small_cfg, tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
+def test_hashes_are_hashlibs_with_or_without_openssl(tmp_path, monkeypatch):
+    # a command that has not loaded OpenSSL hashes with CPython's own SHA-256
+    path = tmp_path / "data.bin"
+    path.write_bytes(bytes(range(256)) * 1000)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert cli._sha256(str(path)) == digest
+    monkeypatch.delitem(sys.modules, "_hashlib")
+    assert cli._sha256_constructor() is not hashlib.sha256
+    assert cli._sha256(str(path)) == digest
+
+
 @pytest.mark.parametrize("scan, fit", [("contrast-scan", "fit-od"),
                                        ("transfer-scan", "fit-saturation")])
 def test_fit_sidecar_pins_the_input_it_fitted(scan, fit, tmp_path):
@@ -1070,7 +1081,9 @@ def test_sidecar_outputs_are_the_planned_outputs(fmt, small_cfg, tmp_path):
 # Stdlib modules no command loads before its first write: `dataclasses` and
 # its `inspect` (about 14 ms), `importlib.resources`, and the writers' modules.
 NOT_AT_START = ("dataclasses", "inspect", "importlib.resources")
-WRITER_MODULES = ("csv", "json", "hashlib", "datetime")
+WRITER_MODULES = ("csv", "json", "datetime")
+# hashlib's OpenSSL (3.4 MB of RSS), which no numpy-free command loads
+OPENSSL = "_hashlib"
 
 # imports nothing it watches before the commands run: argvs come as a literal
 LOADED_MODULES = """
@@ -1088,9 +1101,9 @@ print(sorted(m for m in sys.modules
 
 
 def modules_after(argvs, code=EXIT_OK):
-    """rydberg_transistor, numpy and scipy modules, and those of NOT_AT_START
-    and WRITER_MODULES, loaded by running ``argvs`` through cli.main in a
-    fresh interpreter, each exiting with ``code``; with ``code`` None, only
+    """rydberg_transistor, numpy and scipy modules, and those of NOT_AT_START,
+    WRITER_MODULES and OPENSSL, loaded by running ``argvs`` through cli.main in
+    a fresh interpreter, each exiting with ``code``; with ``code`` None, only
     parsed and validated, as the benchmark's setup probe does.
 
     The interpreter runs with -S, so that no ``site`` .pth file preloads a
@@ -1100,7 +1113,7 @@ def modules_after(argvs, code=EXIT_OK):
     path = [src, str(Path(np.__file__).resolve().parents[1]),
             *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    arg = repr([argvs, code, [*NOT_AT_START, *WRITER_MODULES]])
+    arg = repr([argvs, code, [*NOT_AT_START, *WRITER_MODULES, OPENSSL]])
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, arg],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -1134,8 +1147,8 @@ def test_no_command_loads_scipy(small_cfg, tmp_path):
 
 def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
     # and no numpy: neither the closed forms nor a rejected config need it;
-    # nor dataclasses, inspect or importlib.resources, and the writer modules
-    # only once a result file is written
+    # nor dataclasses, inspect, importlib.resources or OpenSSL, and the writer
+    # modules only once a result file is written
     package = ["rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
                "rydberg_transistor.models"]
     bad = tmp_path / "bad.cfg"
@@ -1182,8 +1195,9 @@ def test_fit_commands_add_only_fitting(command, tmp_path):
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
         "rydberg_transistor.models", "rydberg_transistor.fitting", "rydberg_transistor.kernels",
     }
-    # the fitters are plain Python, and DataSet and FitResult no dataclasses
-    for name in ("numpy", *NOT_AT_START):
+    # the fitters are plain Python, and DataSet and FitResult no dataclasses;
+    # the hashes need no OpenSSL
+    for name in ("numpy", OPENSSL, *NOT_AT_START):
         assert name not in loaded, name
 
 
@@ -1194,6 +1208,76 @@ def test_contrast_scan_compiles_no_fit_kernels(small_cfg, tmp_path):
     loaded = package_modules(modules_after([argv]))
     assert "rydberg_transistor.fitting" in loaded
     assert "rydberg_transistor.kernels" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS threads: main loads numpy on one, unless the caller says otherwise
+
+
+def child_env(preset=None):
+    """The environment of a fresh interpreter that runs this tree's package,
+    with OPENBLAS_NUM_THREADS set to ``preset``, or unset."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    return env
+
+
+# runs argv through cli.main, after a library module has loaded numpy if
+# `preload`; prints OPENBLAS_NUM_THREADS as numpy began to load, and whether
+# the environment changed
+BLAS_CHILD = """
+import ast, json, os, sys
+argv, preload = ast.literal_eval(sys.argv[1])
+seen = []
+
+class NumpyWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, NumpyWatch())
+before = dict(os.environ)
+if preload:
+    import rydberg_transistor.montecarlo
+from rydberg_transistor import cli
+assert cli.main(argv) == 0, argv
+print(json.dumps({"seen": seen, "changed": dict(os.environ) != before}))
+"""
+
+
+def run_blas_child(argv, preset=None, preload=False):
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, repr([argv, preload])],
+                          env=child_env(preset), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("preset, preload, seen, changed", [
+    (None, False, ["1"], True),  # the CLI's default
+    ("3", False, ["3"], False),  # the caller's value wins
+    (None, True, [None], False),  # numpy loaded already: nothing to set
+], ids=["unset", "preset", "preloaded"])
+@pytest.mark.parametrize("command", [["simulate"], ["detect", "--mu0", "15"]],
+                         ids=["simulate", "detect"])
+def test_main_loads_numpy_with_one_blas_thread_by_default(command, preset, preload, seen,
+                                                          changed, small_cfg, tmp_path):
+    argv = [*command, "--config", small_cfg, "--runs", "40", "--output", str(tmp_path)]
+    assert run_blas_child(argv, preset, preload) == {"seen": seen, "changed": changed}
+
+
+@pytest.mark.parametrize("command", [["detect", "--mu0", "15"], ["contrast-scan"]],
+                         ids=["detect", "contrast-scan"])
+def test_blas_thread_count_changes_no_result_byte(command, tmp_path):
+    outputs = []
+    for preset in (None, "2"):
+        out = tmp_path / str(preset)
+        run_blas_child([*command, "--runs", "200", "--output", str(out)], preset)
+        sidecar = out / f"{command[0]}.provenance.json"
+        outputs.append(json.loads(sidecar.read_text(encoding="utf-8"))["outputs"])
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1265,9 +1349,6 @@ def assert_documented_exit(argv, text, data):
     traceback, after exit 0 with exactly its planned outputs and sidecar, after
     exit 4 with a diagnostics file."""
     command = argv[0]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         out = work / "out"
@@ -1276,7 +1357,7 @@ def assert_documented_exit(argv, text, data):
         if data is not None:
             (work / "d.csv").write_text(data, encoding="utf-8")
             argv += ["--input", str(work / "d.csv")]
-        proc = subprocess.run([sys.executable, "-c", FUZZ_CHILD, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", FUZZ_CHILD, *argv], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode in (EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO), (
             argv, text, proc.stderr)

@@ -418,7 +418,7 @@ class OutputWriter:
         self.written[name] = _sha256(self.path(name))
 
     def load_dataset(self, path: str):
-        """The --input CSV at ``path`` as a fitting.DataSet, its hash recorded."""
+        """The --input CSV at ``path`` as a models.DataSet, its hash recorded."""
         ds = _load_dataset(path)
         self.inputs[path] = _sha256(path)
         return ds
@@ -434,7 +434,7 @@ class OutputWriter:
         return self.table(stem, ["key", "value"], [[key, record[key]] for key in sorted(record)])
 
     def histogram(self, stem: str, hist) -> str:
-        """A detection.CountHistogram: an ``events,runs`` table in CSV, the
+        """A montecarlo.CountHistogram: an ``events,runs`` table in CSV, the
         ``{"n": runs}`` map of its nonzero bins in JSON."""
         if self.manifest.format == "json":
             return self._json(f"{stem}.json", {str(n): runs for n, runs in hist.bins()})
@@ -517,19 +517,17 @@ def read_record(path) -> dict[str, str]:
 
 
 def _load_dataset(path: str):
-    """fitting.DataSet loader tolerant of domain-named columns (first three are
+    """models.DataSet loader tolerant of domain-named columns (first three are
     x,y,sigma).
 
     Two-column files are accepted with the default uncertainty sigma = 1.
     """
-    from .fitting import DataSet
-
     try:
         header, rows = read_table(path)
         if len(header) < 2:
             raise ConfigError([f"{path}: need at least 2 columns, got {header}"])
         points = [row[:3] if len(row) >= 3 else [row[0], row[1], 1.0] for row in rows]
-        return DataSet.from_points(points)
+        return models.DataSet.from_points(points)
     except ConfigError:
         raise
     except (OSError, ValueError, TransistorError) as exc:
@@ -553,8 +551,7 @@ def _sim_config(resolved: dict, command: str):
 
 
 def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
-    from .experiments import incoming_scan_config
-    from .montecarlo import contrast_scan, scan_configs
+    from .montecarlo import contrast_scan, incoming_scan_config, scan_configs
 
     base = _sim_config(manifest.resolved, manifest.command)
     if manifest.options["mode"] == "incoming":
@@ -579,7 +576,7 @@ def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> None:
 
 
 def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
-    from .experiments import transfer_scan
+    from .montecarlo import transfer_scan
 
     base = _sim_config(manifest.resolved, manifest.command)
     points = transfer_scan(

@@ -1,99 +1,26 @@
-"""High-level experiment drivers behind the CLI's commands.
+"""The single-shot detection pipeline behind the CLI's `detect` command.
 
-These compose the closed-form models, the Monte Carlo engine and the
-detection analysis into the scans behind the standard figures:
-contrast vs gate photons, transfer vs source photons, and the
-single-shot detection fidelity sweep.
+`detection_experiment` composes the Monte Carlo engine and the detection
+analysis: it simulates gated and reference ensembles with fly-away, builds
+the Poisson mixture, decomposes the gated histogram, picks the optimal
+threshold and scores it against the simulator's ground truth;
+`fidelity_sweep` runs it over a grid of no-gate means.  The contrast and
+transfer scans live in `montecarlo`, beside the engine they drive.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .detection import (
-    CountHistogram,
-    decompose,
-    mixture_from_params,
-    optimal_threshold,
-    poissonness_test,
-)
-from .errors import DomainError
-from .models import (
-    DETECTION_REF,
-    POISSONNESS_NULL,
-    SWEEP_POINT,
-    TRANSFER_GATE,
-    TRANSFER_REF,
-    TransistorParams,
-    child_seed,
-)
+from .detection import decompose, mixture_from_params, optimal_threshold, poissonness_test
+from .models import DETECTION_REF, POISSONNESS_NULL, SWEEP_POINT, TransistorParams, child_seed
 from .montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
 __all__ = [
-    "incoming_scan_config",
-    "transfer_scan",
-    "TransferPoint",
     "DetectionReport",
     "detection_experiment",
     "fidelity_sweep",
 ]
-
-
-def incoming_scan_config(base: SimConfig) -> SimConfig:
-    """Variant of a config that attenuates per *incoming* gate photon.
-
-    Storage losses and the od_st/od_sp distinction are folded away
-    (a_ge = 0, p_store = 1, od_st := od_sp), so the measured contrast follows
-    the incoming-photon contrast model directly.
-    """
-    params = base.params._replace(a_ge=0.0, od_st=base.params.od_sp)
-    return base._replace(params=params, p_store=1.0)
-
-
-TransferPoint = namedtuple(
-    "TransferPoint", "n_source_in no_gate_out no_gate_sigma with_gate_out with_gate_sigma")
-TransferPoint.__doc__ = "One source-input setting of the simulated transfer measurement."
-
-
-def transfer_scan(
-    base: SimConfig,
-    n_source_values,
-    n_runs: int,
-) -> list[TransferPoint]:
-    """Simulate the source transfer function with and without gate input.
-
-    The source input is swept by scaling source_rate at fixed t_int.  Outputs
-    are medium-exit photon numbers (detected counts corrected by eta_det),
-    with standard errors of the mean.
-    """
-    eta = base.params.eta_det
-    points = []
-    for i, n_in in enumerate(n_source_values):
-        if n_in <= 0:
-            raise DomainError("transfer scan needs source inputs > 0")
-        rate = float(n_in) / base.t_int
-        cfg_ref = base._replace(n_gate_in=0.0, source_rate=rate,
-                                seed=child_seed(base.seed, TRANSFER_REF, i))
-        cfg_gate = base._replace(source_rate=rate, seed=child_seed(base.seed, TRANSFER_GATE, i))
-        ref = simulate_ensemble(cfg_ref, n_runs)
-        gate = simulate_ensemble(cfg_gate, n_runs)
-        points.append(
-            TransferPoint(
-                n_source_in=float(n_in),
-                no_gate_out=ref.mean_source_detected / eta,
-                no_gate_sigma=_mean_se(ref.histogram) / eta,
-                with_gate_out=gate.mean_source_detected / eta,
-                with_gate_sigma=_mean_se(gate.histogram) / eta,
-            )
-        )
-    return points
-
-
-def _mean_se(hist: CountHistogram) -> float:
-    if hist.total < 2:
-        return 0.0
-    return math.sqrt(hist.variance() / hist.total)
 
 
 class DetectionReport(namedtuple(

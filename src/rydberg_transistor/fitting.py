@@ -20,7 +20,9 @@ import warnings
 from collections import namedtuple
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .models import FIT_BOOTSTRAP, _seed_sequence_words, capped_poisson_weights, child_seed
+from .kernels import divide, od_source, row_kernel, saturation_source, sum_source
+from .models import (FIT_BOOTSTRAP, DataSet, _seed_sequence_words, capped_poisson_weights,
+                     child_seed)
 
 __all__ = [
     "DataSet",
@@ -39,40 +41,6 @@ MAXFUN = 500  # objective evaluations per bounded Brent search, as in scipy
 B_SEARCH_RANGE = (1e-3, 1e3)
 
 
-class DataSet:
-    """(x, y, sigma) observations with strictly positive uncertainties, taken
-    as arrays or sequences of reals and kept as tuples of floats."""
-
-    __slots__ = ("x", "y", "sigma")
-
-    def __init__(self, x, y, sigma):
-        self.x, self.y, self.sigma = (tuple(map(float, v)) for v in (x, y, sigma))
-        n = len(self.x)
-        if len(self.y) != n or len(self.sigma) != n:
-            raise DomainError("x, y, sigma must have equal length")
-        if n < 2:
-            raise DomainError(f"need at least 2 points, got {n}")
-        for row, point in enumerate(self.points, 1):
-            if not all(map(math.isfinite, point)):
-                raise DomainError("non-finite value in data row {}: x={}, y={}, sigma={}"
-                                  .format(row, *point))
-        if any(v < 0 for v in self.x):
-            raise DomainError("x values must be >= 0")
-        if any(v <= 0 for v in self.sigma):
-            raise DomainError("sigma values must be > 0")
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.x, self.y, self.sigma))
-
-    @classmethod
-    def from_points(cls, points) -> "DataSet":
-        return cls(*(list(zip(*points)) or ((), (), ())))
-
-
 FitResult = namedtuple("FitResult", "params sse ci_68 n_boot converged flags", defaults=((),))
 FitResult.__doc__ = """Point estimates with weighted SSE and bootstrap 68% intervals.
 ``converged`` is always True: a fit that fails raises FitConvergenceError."""
@@ -85,8 +53,6 @@ def saturation_curve(x, a: float, b: float) -> list[float]:
 
 def _sum(values: list[float]) -> float:
     """np.sum of a list of floats, bit for bit."""
-    from .kernels import row_kernel, sum_source
-
     return row_kernel(sum_source, values, range(len(values)))[0]()
 
 
@@ -173,8 +139,6 @@ def _minimize_1d(objective, lo: float, hi: float):
 def _od_sse(data: DataSet, cap: int):
     """row -> fit_od's weighted SSE on the points ``row`` as a function of od.
     The od-independent cap+1 weights of each point are computed once."""
-    from .kernels import od_source, row_kernel
-
     points = [(*capped_poisson_weights(x, cap), y, s) for x, y, s in data.points]
     return lambda row: row_kernel(od_source, points, row, len(points[0]) - 3)[0]
 
@@ -196,8 +160,6 @@ def _saturation_rows(data: DataSet, rows):
     whose lower edge underflows to 0 (max(x) below about 2.5e-321) fails its
     search.
     """
-    from .kernels import divide, row_kernel, saturation_source
-
     points = [(x, y, s, w, w * y) for x, y, s in data.points for w in [_inverse_square(s)]]
     found = []
     for row in rows:
@@ -319,19 +281,21 @@ def _philox_uint32(seed: int):
     """The uint32 stream of ``Generator(Philox(SeedSequence((seed,))))``:
     Philox4x64-10 blocks (Salmon et al. 2011) at counters 1, 2, ... (below
     2**64: numpy's 256-bit counter never carries here), keyed by
-    ``SeedSequence((seed,)).generate_state(2, np.uint64)``, each uint64 low half first."""
+    ``SeedSequence((seed,)).generate_state(2, np.uint64)``, each uint64 low half first.
+    The ten round keys, the key's Weyl sequence, are the same for every block."""
     w = _seed_sequence_words((seed,), 4)
-    key = (w[0] | w[1] << 32, w[2] | w[3] << 32)
+    k0, k1 = w[0] | w[1] << 32, w[2] | w[3] << 32
+    keys = []
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
     for counter in itertools.count(1):
-        c0, c1, c2, c3, (k0, k1) = counter, 0, 0, 0, key
-        for i in range(10):
-            if i:  # the key's Weyl sequence, then one round with the two multipliers
-                k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        for k0, k1 in keys:  # one round with the two multipliers
             p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
             c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ k0, p1 & _MASK64, p0 >> 64 ^ c3 ^ k1, p0 & _MASK64
-        for v in (c0, c1, c2, c3):
-            yield v & _MASK32
-            yield v >> 32
+        yield from (c0 & _MASK32, c0 >> 32, c1 & _MASK32, c1 >> 32,
+                    c2 & _MASK32, c2 >> 32, c3 & _MASK32, c3 >> 32)
 
 
 def _integers(stream, n: int, size: int) -> list[int]:

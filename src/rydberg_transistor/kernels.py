@@ -7,9 +7,7 @@ alone, compiled once per shape on first use, and bound to the points'
 values, one local each.  numpy's pairwise sum is spelled out as one
 expression, so a kernel does the IEEE operations of the list-and-loop formula
 it replaces in the same order, bit for bit; a row of more than 128 points is
-summed through numpy's halving over such blocks.  ``fitting`` imports this
-module on its first fit, so a command that needs only ``fitting.DataSet``
-compiles none of it.
+summed through numpy's halving over such blocks.
 """
 
 import math

@@ -24,8 +24,10 @@ The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
 bracket, the default storage probability, the invariant lists of the
 parameter objects (SimConfig's too), of detect's calibration and mu0, and
-`child_seed` with its tags.  So a command that evaluates only closed forms
-or fits loads no simulation or detection code.
+`child_seed` with its tags, and `DataSet`, the (x, y, sigma) record that
+`contrast_scan` returns and the fitters take.  So a command that evaluates
+only closed forms or fits loads no simulation or detection code, and one
+that only simulates loads no fitting code.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import DomainError, UndefinedContrastError
 __all__ = [
     "TransistorParams",
     "SaturationParams",
+    "DataSet",
     "switch_contrast",
     "coherent_limit",
     "expected_contrast_incoming",
@@ -290,6 +293,41 @@ class SaturationParams(_Record, namedtuple("SaturationParams", "a b", defaults=(
     def violations(a, b) -> list[str]:
         """Names of the invariants these field values violate."""
         return failed_checks([("a >= 0", a >= 0), ("b > 0", b > 0)])
+
+
+class DataSet:
+    """(x, y, sigma) observations with strictly positive uncertainties, taken
+    as arrays or sequences of reals and kept as tuples of floats: what
+    `montecarlo.contrast_scan` measures and the fitters fit."""
+
+    __slots__ = ("x", "y", "sigma")
+
+    def __init__(self, x, y, sigma):
+        self.x, self.y, self.sigma = (tuple(map(float, v)) for v in (x, y, sigma))
+        n = len(self.x)
+        if len(self.y) != n or len(self.sigma) != n:
+            raise DomainError("x, y, sigma must have equal length")
+        if n < 2:
+            raise DomainError(f"need at least 2 points, got {n}")
+        for row, point in enumerate(self.points, 1):
+            if not all(map(math.isfinite, point)):
+                raise DomainError("non-finite value in data row {}: x={}, y={}, sigma={}"
+                                  .format(row, *point))
+        if any(v < 0 for v in self.x):
+            raise DomainError("x values must be >= 0")
+        if any(v <= 0 for v in self.sigma):
+            raise DomainError("sigma values must be > 0")
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @property
+    def points(self) -> list[tuple[float, float, float]]:
+        return list(zip(self.x, self.y, self.sigma))
+
+    @classmethod
+    def from_points(cls, points) -> "DataSet":
+        return cls(*(list(zip(*points)) or ((), (), ())))
 
 
 def switch_contrast(with_gate: float, no_gate: float) -> float:

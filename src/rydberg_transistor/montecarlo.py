@@ -10,6 +10,13 @@ count is a single Poisson draw with mean
 integral is a sum over the at most cap+1 segments between sorted lifetimes.
 No per-photon arrivals are drawn.
 
+Every histogram of detected counts is a `CountHistogram`, built here.  The
+scans behind two of the figures run here too: `contrast_scan` (switch
+contrast against gate photons, with `scan_configs` and, per incoming photon,
+`incoming_scan_config`) and `transfer_scan` (source transfer with and
+without gate).  Neither needs the detection analysis or the fitters, so the
+commands that run them load `models` and this module alone.
+
 Reproducibility contract: runs are drawn in blocks of ``BLOCK_RUNS`` (the last
 block may be shorter), and block ``b`` of an ensemble draws from a Philox
 counter-based generator keyed by ``SeedSequence((seed, b))``.  All aggregation
@@ -22,11 +29,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detection import CountHistogram
 from .errors import DomainError, FitConvergenceError, UndefinedContrastError
 # The constants, child_seed and its tags live in models, which the CLI loads
 # alone; they are re-exported here, where the streams they key are drawn.
@@ -42,6 +47,7 @@ from .models import (
     SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
+    DataSet,
     TransistorParams,
     _Record,
     child_seed,
@@ -53,10 +59,8 @@ from .models import (
     switch_contrast,
 )
 
-if TYPE_CHECKING:
-    from .fitting import DataSet
-
 __all__ = [
+    "CountHistogram",
     "SimConfig",
     "EnsembleResult",
     "calibrate_retention_tau",
@@ -68,6 +72,9 @@ __all__ = [
     "simulate_ensemble",
     "contrast_scan",
     "scan_configs",
+    "incoming_scan_config",
+    "transfer_scan",
+    "TransferPoint",
 ]
 
 # Runs per random block.  Part of the reproducibility contract: changing it
@@ -161,6 +168,66 @@ class SimConfig(_Record, namedtuple(
         return saturation_thinning(self.n_source_in, self.sat)
 
 
+class CountHistogram:
+    """Integer-binned detection events over repeated runs.
+
+    ``runs[n]`` is the number of runs that detected n events: a read-only
+    int64 row, stored without trailing zeros, so its last index is the
+    largest event seen.  ``total`` is the run count.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs):
+        runs = np.asarray(runs)
+        if runs.ndim != 1 or runs.dtype.kind not in "iu" or np.any(runs < 0):
+            raise DomainError(f"histogram runs must be a 1-D integer row >= 0, got {runs!r}")
+        runs = np.trim_zeros(runs.astype(np.int64), "b")  # astype copies: no caller can write it
+        runs.flags.writeable = False
+        self.runs = runs
+
+    def __repr__(self):
+        return f"CountHistogram(runs={self.runs!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, CountHistogram):
+            return NotImplemented
+        return np.array_equal(self.runs, other.runs)
+
+    @property
+    def total(self) -> int:
+        return int(self.runs.sum())
+
+    @property
+    def max_event(self) -> int:
+        return max(len(self.runs) - 1, 0)
+
+    def bins(self) -> list[tuple[int, int]]:
+        """(events, runs) of each nonzero bin, in ascending order of events."""
+        events = np.flatnonzero(self.runs)
+        return list(zip(events.tolist(), self.runs[events].tolist()))
+
+    def mean(self) -> float:
+        """The exact integer event sum over the run count."""
+        total = self.total
+        if total == 0:
+            return 0.0
+        return int(self.runs @ np.arange(len(self.runs))) / total
+
+    def variance(self) -> float:
+        """Sample variance (ddof=1); 0 for fewer than two runs.  Summed bin by
+        bin in ascending order, as one sequential float sum: a loop, since the
+        builtin ``sum`` compensates from Python 3.12."""
+        total = self.total
+        if total < 2:
+            return 0.0
+        m = self.mean()
+        squares = 0.0
+        for k, v in self.bins():
+            squares += v * (k - m) ** 2
+        return squares / (total - 1)
+
+
 class EnsembleResult(namedtuple("EnsembleResult", "n_runs joint mean_gate_detected histogram")):
     """Counts of n_runs independent runs: ``joint[k, n]`` runs stored k excitations
     and detected n source photons (read-only; a row per k up to the largest drawn <= cap),
@@ -251,6 +318,17 @@ def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
     ]
 
 
+def incoming_scan_config(base: SimConfig) -> SimConfig:
+    """Variant of a config that attenuates per *incoming* gate photon.
+
+    Storage losses and the od_st/od_sp distinction are folded away
+    (a_ge = 0, p_store = 1, od_st := od_sp), so the measured contrast follows
+    the incoming-photon contrast model directly.
+    """
+    params = base.params._replace(a_ge=0.0, od_st=base.params.od_sp)
+    return base._replace(params=params, p_store=1.0)
+
+
 def _resampled_means(runs: np.ndarray, rng: np.random.Generator, n_boot: int):
     """Means of ``n_boot`` case resamples of a dense count row, one multinomial draw."""
     events = np.flatnonzero(runs)
@@ -272,8 +350,6 @@ def contrast_scan(
     reference seed, so the scan is fully deterministic).  Resamples whose
     reference mean is zero are skipped.
     """
-    from .fitting import DataSet
-
     ref_idx = next(
         (i for i, c in enumerate(configs) if c.n_gate_in == 0), None
     )
@@ -301,3 +377,48 @@ def contrast_scan(
         ys.append(contrast)
         sigmas.append(max(sigma, 1e-12))
     return DataSet(x=xs, y=ys, sigma=sigmas)
+
+
+TransferPoint = namedtuple(
+    "TransferPoint", "n_source_in no_gate_out no_gate_sigma with_gate_out with_gate_sigma")
+TransferPoint.__doc__ = "One source-input setting of the simulated transfer measurement."
+
+
+def transfer_scan(
+    base: SimConfig,
+    n_source_values,
+    n_runs: int,
+) -> list[TransferPoint]:
+    """Simulate the source transfer function with and without gate input.
+
+    The source input is swept by scaling source_rate at fixed t_int.  Outputs
+    are medium-exit photon numbers (detected counts corrected by eta_det),
+    with standard errors of the mean.
+    """
+    eta = base.params.eta_det
+    points = []
+    for i, n_in in enumerate(n_source_values):
+        if n_in <= 0:
+            raise DomainError("transfer scan needs source inputs > 0")
+        rate = float(n_in) / base.t_int
+        cfg_ref = base._replace(n_gate_in=0.0, source_rate=rate,
+                                seed=child_seed(base.seed, TRANSFER_REF, i))
+        cfg_gate = base._replace(source_rate=rate, seed=child_seed(base.seed, TRANSFER_GATE, i))
+        ref = simulate_ensemble(cfg_ref, n_runs)
+        gate = simulate_ensemble(cfg_gate, n_runs)
+        points.append(
+            TransferPoint(
+                n_source_in=float(n_in),
+                no_gate_out=ref.mean_source_detected / eta,
+                no_gate_sigma=_mean_se(ref.histogram) / eta,
+                with_gate_out=gate.mean_source_detected / eta,
+                with_gate_sigma=_mean_se(gate.histogram) / eta,
+            )
+        )
+    return points
+
+
+def _mean_se(hist: CountHistogram) -> float:
+    if hist.total < 2:
+        return 0.0
+    return math.sqrt(hist.variance() / hist.total)

@@ -10,16 +10,13 @@ import os
 import numpy as np
 import pytest
 
-from rydberg_transistor import models
+from rydberg_transistor import detection, models
 from rydberg_transistor.cli import main
 from rydberg_transistor.detection import mixture_from_params, optimal_threshold
-from rydberg_transistor.detection import _threshold_fidelity
-from rydberg_transistor.experiments import (
-    fidelity_sweep,
-    transfer_scan,
-)
-from rydberg_transistor.fitting import DataSet, fit_od, fit_saturation, saturation_curve
-from rydberg_transistor.montecarlo import SimConfig, simulate_ensemble
+from rydberg_transistor.experiments import fidelity_sweep
+from rydberg_transistor.fitting import fit_od, fit_saturation, saturation_curve
+from rydberg_transistor.models import DataSet
+from rydberg_transistor.montecarlo import SimConfig, simulate_ensemble, transfer_scan
 
 
 def check(number, description, ok):
@@ -194,9 +191,7 @@ def test_criterion_8_detection_fidelity_sweep():
         model = mixture_from_params(0.61, 3, 0.94, report.mu0)
         thr = optimal_threshold(model)
         tau_max = int(poisson.ppf(0.9999, report.mu0))
-        best = max(
-            _threshold_fidelity(model, tau)[0] for tau in range(-1, tau_max + 1)
-        )
+        best = float(detection._threshold_scores(model, tau_max)[0].max())
         optimality_ok = optimality_ok and thr.fidelity >= best - 1e-12
 
     fidelities = {r.mu0: r.fidelity for r in reports}

@@ -1174,40 +1174,52 @@ def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
         assert modules_after(argvs, code) == loaded, argvs
 
 
-@pytest.mark.parametrize("command", ["simulate", "transfer-scan", "detect"])
-def test_commands_that_never_fit_load_no_fitting(command, small_cfg, tmp_path):
-    argv = [command, "--config", small_cfg, "--runs", "40", "--output", str(tmp_path / "o")]
-    if command == "detect":
-        argv += ["--mu0", "15"]
-    loaded = package_modules(modules_after([argv]))
-    assert "rydberg_transistor.montecarlo" in loaded
-    assert "rydberg_transistor.fitting" not in loaded
+# The package modules each command loads, besides the package itself, `cli`,
+# `errors` and `models`: so no command that never fits loads `fitting` or
+# compiles `kernels`, and only `detect` loads the detection analysis.
+COMMAND_LAYERS = {
+    "gain-scan": (),
+    "fit-od": ("fitting", "kernels"),
+    "fit-saturation": ("fitting", "kernels"),
+    "simulate": ("montecarlo",),
+    "contrast-scan": ("montecarlo",),
+    "transfer-scan": ("montecarlo",),
+    "detect": ("detection", "experiments", "montecarlo"),
+}
 
 
-@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
-def test_fit_commands_add_only_fitting(command, tmp_path):
+def fit_input(tmp_path) -> str:
+    """A contrast curve to fit, written under ``tmp_path``."""
     data = tmp_path / "data.csv"
     x = np.linspace(0.5, 5.0, 10)
     write_dataset(data, DataSet(x=x, y=models.contrast_curve(x, 0.75, 3),
                                 sigma=np.full(10, 0.02)))
-    loaded = modules_after([[command, "--input", str(data), "--output", str(tmp_path / "o")]])
+    return str(data)
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_command_loads_exactly_its_package_modules(command, small_cfg, tmp_path):
+    if command.startswith("fit-"):
+        argv = [command, "--input", fit_input(tmp_path)]
+    else:
+        argv = [command, "--config", small_cfg, "--runs", "40"]
+    if command == "detect":
+        argv += ["--mu0", "15"]
+    loaded = modules_after([[*argv, "--output", str(tmp_path / "o")]])
     assert package_modules(loaded) == {
         "rydberg_transistor", "rydberg_transistor.cli", "rydberg_transistor.errors",
-        "rydberg_transistor.models", "rydberg_transistor.fitting", "rydberg_transistor.kernels",
-    }
-    # the fitters are plain Python, and DataSet and FitResult no dataclasses;
-    # the hashes need no OpenSSL
+        "rydberg_transistor.models",
+        *(f"rydberg_transistor.{layer}" for layer in COMMAND_LAYERS[command])}
+
+
+@pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
+def test_fit_commands_add_only_fitting(command, tmp_path):
+    # beyond the package modules of COMMAND_LAYERS: the fitters are plain
+    # Python, and DataSet and FitResult no dataclasses; the hashes need no OpenSSL
+    loaded = modules_after([[command, "--input", fit_input(tmp_path),
+                             "--output", str(tmp_path / "o")]])
     for name in ("numpy", OPENSSL, *NOT_AT_START):
         assert name not in loaded, name
-
-
-def test_contrast_scan_compiles_no_fit_kernels(small_cfg, tmp_path):
-    # contrast-scan needs fitting.DataSet alone: the kernels module loads on a
-    # command's first fit, so its compile memory is not part of the scan's peak
-    argv = ["contrast-scan", "--config", small_cfg, "--runs", "40", "--output", str(tmp_path)]
-    loaded = package_modules(modules_after([argv]))
-    assert "rydberg_transistor.fitting" in loaded
-    assert "rydberg_transistor.kernels" not in loaded
 
 
 # ---------------------------------------------------------------------------

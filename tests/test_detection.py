@@ -20,7 +20,6 @@ from rydberg_transistor.detection import (
     mixture_from_params,
     optimal_threshold,
     poissonness_test,
-    _threshold_fidelity,
 )
 from rydberg_transistor.errors import DomainError, InsufficientDataError
 from rydberg_transistor.models import TransistorParams
@@ -184,26 +183,36 @@ def test_decompose_and_threshold_evaluate_only_the_window(monkeypatch):
 def test_running_sums_stop_at_each_component_window(monkeypatch):
     # at mu0 = 1e6 and cap 100 the count range is about 1e6 wide, while most
     # of the 101 component means lie far below 1: each cdf and tail sum runs
-    # over its own component's window, never past its top
+    # over its own component's window, never past its top, and no component
+    # gets a pmf table over the whole count range
     model = mixture_from_params(0.61, 100, 0.94, 1e6)
     hist = CountHistogram(np.bincount(np.random.default_rng(2).poisson(1e6, 300)))
-    means, sums = [], []
-    real_pmf, real_cumsum = detection._poisson_pmf, np.cumsum
+    means, sums, tables = [], [], []
+    real_terms, real_pmf, real_cumsum = detection._poisson_terms, detection._poisson_pmf, np.cumsum
+
+    def recording_terms(n, mu, start=0):
+        means.append(mu)
+        return real_terms(n, mu, start)
 
     def recording_pmf(n, mu):
-        means.append(mu)
+        tables.append(mu)
         return real_pmf(n, mu)
 
-    def recording_cumsum(a):  # every running sum is over the pmf made last
+    def recording_cumsum(a):  # every running sum is over the terms made last
         sums.append((len(a), detection._poisson_window(means[-1])[1] + 1))
         return real_cumsum(a)
 
+    monkeypatch.setattr(detection, "_poisson_terms", recording_terms)
     monkeypatch.setattr(detection, "_poisson_pmf", recording_pmf)
     monkeypatch.setattr(np, "cumsum", recording_cumsum)
     decompose(hist, model)
     optimal_threshold(model)
-    assert len(sums) >= 2 * len(model.components)
+    assert set(model.means.tolist()) <= set(means)
+    assert len(sums) >= len(model.components)
     assert all(length <= top for length, top in sums), max(sums)
+    # whole tables only for the quantile's cdf (twice), the ungated tail row
+    # and the chi-square tail, none per component
+    assert len(tables) <= 4, tables
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +494,8 @@ def test_threshold_exhaustive_optimality():
     model = mixture_from_params(0.61, 3, 0.94, 20.0)
     thr = optimal_threshold(model)
     tau_max = int(poisson.ppf(0.9999, 20.0))
-    fidelities = {tau: _threshold_fidelity(model, tau)[0] for tau in range(-1, tau_max + 1)}
+    scores = detection._threshold_scores(model, tau_max)[0]
+    fidelities = {tau: float(scores[tau + 1]) for tau in range(-1, tau_max + 1)}
     assert thr.fidelity == max(fidelities.values())
     best = [tau for tau, f in fidelities.items() if f == thr.fidelity]
     assert thr.tau == min(best)  # ties break toward the smaller threshold
@@ -546,14 +556,12 @@ def test_threshold_and_decomposition_match_scipy():
 
 
 def test_threshold_scores_do_not_depend_on_table_length():
-    # _threshold_fidelity reads the same entries optimal_threshold does
+    # so any table that reaches a threshold scores it as optimal_threshold does
     model = mixture_from_params(0.61, 3, 0.94, 20.0)
     short = detection._threshold_scores(model, 40)
     long = detection._threshold_scores(model, 90)
     for a, b in zip(short, long):
         assert np.array_equal(a, b[:len(a)])
-    assert _threshold_fidelity(model, 95) == tuple(
-        float(score[96]) for score in detection._threshold_scores(model, 95))
 
 
 def test_threshold_ties_break_toward_smaller_tau(monkeypatch):

@@ -8,14 +8,16 @@ import pytest
 
 from rydberg_transistor import models
 from rydberg_transistor.errors import DomainError
-from rydberg_transistor.experiments import (
-    detection_experiment,
-    fidelity_sweep,
+from rydberg_transistor.experiments import detection_experiment, fidelity_sweep
+from rydberg_transistor.fitting import fit_saturation
+from rydberg_transistor.models import DataSet
+from rydberg_transistor.montecarlo import (
+    SimConfig,
+    calibrate_retention_tau,
     incoming_scan_config,
+    simulate_ensemble,
     transfer_scan,
 )
-from rydberg_transistor.fitting import DataSet, fit_saturation
-from rydberg_transistor.montecarlo import SimConfig, calibrate_retention_tau, simulate_ensemble
 
 SAT = models.SaturationParams(46.0, 70.0)
 

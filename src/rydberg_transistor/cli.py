@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: contrast-scan, gain-scan, transfer-scan, simulate, fit-od,
-fit-saturation, detect.  Behavior is driven by an INI config file (merged
-with flag overrides, flags win) and a master seed; result files are
-byte-identical for identical manifests.  Every execution writes a provenance
+fit-saturation, detect, each stated once in ``COMMANDS``: its runner, help,
+own flags (defined in ``_FLAGS``) and result files.  Behavior is driven by an
+INI config file (merged with flag overrides, flags win) and a master seed;
+result files are byte-identical for identical manifests.  A runner computes
+and returns its results; ``execute`` then writes them and a provenance
 sidecar with the resolved config and content hashes of the input file, if
-any, and of the outputs.
+any, and of the outputs.  A failed write removes the command's files, so no
+result file is left without its sidecar.
 
 Exit codes: 0 ok, 2 usage error, 3 config validation failure, 4 numerical
 failure (any other package error while a command runs; a diagnostics file is
@@ -25,6 +28,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from itertools import chain
 
 from . import __version__, models
@@ -59,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photon-transistor simulation and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None,
                        help=f"config file path or builtin name {BUILTIN_CONFIGS}")
         p.add_argument("--seed", type=int, default=None, help="master seed")
@@ -69,30 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-
-    p = sub.add_parser("contrast-scan", help="simulated contrast vs gate photons")
-    add_common(p)
-    p.add_argument("--mode", choices=["incoming", "stored"], default="incoming")
-
-    add_common(sub.add_parser("gain-scan", help="closed-form gain vs source input"))
-    add_common(sub.add_parser("transfer-scan",
-                              help="simulated transfer curve with/without gate"))
-    add_common(sub.add_parser("simulate", help="one ensemble, histogram + summary"))
-
-    p = sub.add_parser("fit-od", help="fit the contrast model to a CSV dataset")
-    add_common(p)
-    p.add_argument("--input", required=True, help="CSV with columns x,y,sigma")
-    p.add_argument("--mode", choices=["incoming", "stored"], default="incoming")
-    p.add_argument("--cap", type=int, default=None, help="blockade cap override")
-
-    p = sub.add_parser("fit-saturation", help="fit the transfer curve to a CSV dataset")
-    add_common(p)
-    p.add_argument("--input", required=True, help="CSV with columns x,y,sigma")
-
-    p = sub.add_parser("detect", help="single-shot detection fidelity pipeline")
-    add_common(p)
-    p.add_argument("--mu0", type=float, default=None,
-                   help="single no-gate mean instead of the configured sweep")
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -279,15 +261,12 @@ def parse_and_validate(argv) -> RunManifest:
     resolved["simulation"]["seed"] = seed
     resolved["simulation"]["runs"] = runs
 
-    # each subparser defines only its own flags
-    options = {key: getattr(args, key) for key in ("mode", "input", "cap", "mu0")
-               if getattr(args, key, None) is not None}
+    options = {flag: getattr(args, flag) for flag in COMMANDS[args.command].flags
+               if getattr(args, flag) is not None}
 
     violations = _validate(resolved, seed, runs, args.command)
-    cap = options.get("cap", 1)  # set by fit-od alone
-    violations += models.failed_checks([("fit-od --cap >= 1", cap >= 1),
-                                        (f"fit-od --cap <= {models.CAP_MAX}",
-                                         cap <= models.CAP_MAX)])
+    if "cap" in options:
+        violations += models.cap_violations("fit-od --cap", options["cap"])
     if "mu0" in options:
         mu0 = options["mu0"]
         if not math.isfinite(mu0):
@@ -410,6 +389,7 @@ class OutputWriter:
         self.manifest = manifest
         self.inputs: dict[str, str] = {}
         self.written: dict[str, str] = {}
+        self.sidecar_name = f"{manifest.command}.provenance.json"
 
     def path(self, name: str) -> str:
         return os.path.join(self.manifest.output_dir, name)
@@ -455,7 +435,7 @@ class OutputWriter:
     def sidecar(self) -> str:
         from datetime import datetime, timezone
 
-        name = f"{self.manifest.command}.provenance.json"
+        name = self.sidecar_name
         payload = {
             "command": self.manifest.command,
             "tool_version": __version__,
@@ -550,7 +530,7 @@ def _sim_config(resolved: dict, command: str):
                      seed=sim["seed"])
 
 
-def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> list:
     from .montecarlo import contrast_scan, incoming_scan_config, scan_configs
 
     base = _sim_config(manifest.resolved, manifest.command)
@@ -558,55 +538,35 @@ def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> None:
         base = incoming_scan_config(base)
     ds = contrast_scan(scan_configs(base, manifest.resolved["scan"]["gate_values"]),
                        manifest.runs)
-    out.table(
-        "contrast_scan",
-        ["n_gate_in", "contrast", "sigma"],
-        [[x, y, s] for x, y, s in ds.points],
-    )
+    return [(["n_gate_in", "contrast", "sigma"], [[x, y, s] for x, y, s in ds.points])]
 
 
-def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> list:
     params, sat = _params(manifest.resolved)
-    rows = models.gain_scan_rows(
-        params, sat, manifest.resolved["simulation"]["n_gate_in"],
-        manifest.resolved["scan"]["source_values"],
-    )
-    header = list(rows[0].keys())
-    out.table("gain_scan", header, [[r[k] for k in header] for r in rows])
+    rows = models.gain_scan_rows(params, sat, manifest.resolved["simulation"]["n_gate_in"],
+                                 manifest.resolved["scan"]["source_values"])
+    return [(list(rows[0]), [list(row.values()) for row in rows])]
 
 
-def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> None:
-    from .montecarlo import transfer_scan
+def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> list:
+    from .montecarlo import TransferPoint, transfer_scan
 
-    base = _sim_config(manifest.resolved, manifest.command)
-    points = transfer_scan(
-        base, manifest.resolved["scan"]["source_values"], manifest.runs
-    )
-    out.table(
-        "transfer_scan",
-        ["n_source_in", "no_gate_out", "no_gate_sigma",
-         "with_gate_out", "with_gate_sigma"],
-        [[p.n_source_in, p.no_gate_out, p.no_gate_sigma,
-          p.with_gate_out, p.with_gate_sigma] for p in points],
-    )
+    points = transfer_scan(_sim_config(manifest.resolved, manifest.command),
+                           manifest.resolved["scan"]["source_values"], manifest.runs)
+    return [(list(TransferPoint._fields), [list(point) for point in points])]
 
 
-def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> list:
     from .montecarlo import simulate_ensemble
 
     config = _sim_config(manifest.resolved, manifest.command)
     result = simulate_ensemble(config, manifest.runs)
-    out.histogram("histogram", result.histogram)
-    out.record(
-        "simulate_summary",
-        {
-            "n_runs": result.n_runs,
-            "mean_source_detected": result.mean_source_detected,
-            "mean_stored": result.mean_stored,
-            "mean_gate_detected": result.mean_gate_detected,
-            "seed": config.seed,
-        },
-    )
+    return [(result.histogram,),
+            ({"n_runs": result.n_runs,
+              "mean_source_detected": result.mean_source_detected,
+              "mean_stored": result.mean_stored,
+              "mean_gate_detected": result.mean_gate_detected,
+              "seed": config.seed},)]
 
 
 def _fit_record(result) -> dict:
@@ -624,7 +584,7 @@ def _fit_record(result) -> dict:
     return record
 
 
-def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> list:
     from .fitting import fit_od
 
     ds = out.load_dataset(manifest.options["input"])
@@ -633,18 +593,17 @@ def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> None:
     record = _fit_record(result)
     record["mode"] = manifest.options["mode"]
     record["cap"] = cap
-    out.record("fit_od", record)
+    return [(record,)]
 
 
-def _cmd_fit_saturation(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_fit_saturation(manifest: RunManifest, out: OutputWriter) -> list:
     from .fitting import fit_saturation
 
     ds = out.load_dataset(manifest.options["input"])
-    result = fit_saturation(ds, seed=manifest.seed)
-    out.record("fit_saturation", _fit_record(result))
+    return [(_fit_record(fit_saturation(ds, seed=manifest.seed)),)]
 
 
-def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
+def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> list:
     from .experiments import fidelity_sweep
 
     det = manifest.resolved["detection"]
@@ -663,52 +622,80 @@ def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> None:
         eta_det=eta,
     )
     rows = [fidelity_sweep_row(r) for r in reports]
-    out.table("fidelity_sweep", list(rows[0]), [list(row.values()) for row in rows])
     best = max(reports, key=lambda r: r.fidelity)
     # the best run's row, less the two conditional rates, plus the model's flag
     record = fidelity_sweep_row(best)
     del record["p_detect_given_gated"], record["p_reject_given_ungated"]
     record["non_discriminating"] = best.threshold.non_discriminating
-    out.record("detect_report", record)
-    out.histogram("gated_histogram", best.gated_hist)
-    out.histogram("reference_histogram", best.reference_hist)
-    out.csv_table("decomposition", *decomposition_table(best.decomposition))
+    return [(list(rows[0]), [list(row.values()) for row in rows]), (record,),
+            (best.gated_hist,), (best.reference_hist,),
+            decomposition_table(best.decomposition)]
 
 
-_DISPATCH = {
-    "contrast-scan": (_cmd_contrast_scan,
-                      lambda m: [f"contrast_scan.{m.format}"]),
-    "gain-scan": (_cmd_gain_scan, lambda m: [f"gain_scan.{m.format}"]),
-    "transfer-scan": (_cmd_transfer_scan, lambda m: [f"transfer_scan.{m.format}"]),
-    "simulate": (_cmd_simulate,
-                 lambda m: [f"histogram.{m.format}", f"simulate_summary.{m.format}"]),
-    "fit-od": (_cmd_fit_od, lambda m: [f"fit_od.{m.format}"]),
-    "fit-saturation": (_cmd_fit_saturation, lambda m: [f"fit_saturation.{m.format}"]),
-    "detect": (_cmd_detect,
-               lambda m: [f"fidelity_sweep.{m.format}", f"detect_report.{m.format}",
-                          f"gated_histogram.{m.format}", f"reference_histogram.{m.format}",
-                          "decomposition.csv"]),
+# A command: its runner, which computes and returns the arguments of each
+# result file; its `-h` help; its own flags (keys of _FLAGS); and its result
+# files, in order, as (OutputWriter method, stem) pairs.
+Command = namedtuple("Command", "runner help flags outputs")
+
+# Each command's own flag, defined once: add_argument's keywords.
+_FLAGS = {
+    "input": {"required": True, "help": "CSV with columns x,y,sigma"},
+    "mode": {"choices": ["incoming", "stored"], "default": "incoming"},
+    "cap": {"type": int, "default": None, "help": "blockade cap override"},
+    "mu0": {"type": float, "default": None,
+            "help": "single no-gate mean instead of the configured sweep"},
+}
+
+COMMANDS = {
+    "contrast-scan": Command(_cmd_contrast_scan, "simulated contrast vs gate photons",
+                             ("mode",), [("table", "contrast_scan")]),
+    "gain-scan": Command(_cmd_gain_scan, "closed-form gain vs source input",
+                         (), [("table", "gain_scan")]),
+    "transfer-scan": Command(_cmd_transfer_scan, "simulated transfer curve with/without gate",
+                             (), [("table", "transfer_scan")]),
+    "simulate": Command(_cmd_simulate, "one ensemble, histogram + summary",
+                        (), [("histogram", "histogram"), ("record", "simulate_summary")]),
+    "fit-od": Command(_cmd_fit_od, "fit the contrast model to a CSV dataset",
+                      ("input", "mode", "cap"), [("record", "fit_od")]),
+    "fit-saturation": Command(_cmd_fit_saturation, "fit the transfer curve to a CSV dataset",
+                              ("input",), [("record", "fit_saturation")]),
+    "detect": Command(_cmd_detect, "single-shot detection fidelity pipeline",
+                      ("mu0",), [("table", "fidelity_sweep"), ("record", "detect_report"),
+                                 ("histogram", "gated_histogram"),
+                                 ("histogram", "reference_histogram"),
+                                 ("csv_table", "decomposition")]),
 }
 
 
+def planned_outputs(manifest: RunManifest) -> list[str]:
+    """The names of the command's result files, in order: each in the
+    manifest's format, a ``csv_table`` in CSV."""
+    return [f"{stem}.{'csv' if method == 'csv_table' else manifest.format}"
+            for method, stem in COMMANDS[manifest.command].outputs]
+
+
 def execute(manifest: RunManifest) -> int:
-    """Run the selected pipeline, writing results plus a provenance sidecar;
-    every failure of the run ends in its exit code, here alone."""
-    runner, planned = _DISPATCH[manifest.command]
+    """Run the selected pipeline, then write its results and a provenance
+    sidecar; every failure of the run ends in its exit code, here alone.
+
+    Nothing is written before the runner returns, so a failed run leaves the
+    files of a previous one as they were; a failed write removes every file
+    the command writes, so no result is left without its sidecar.
+    """
+    command = COMMANDS[manifest.command]
+    out = OutputWriter(manifest)
+    results = None  # set once the runner returns: the write stage
     try:
         os.makedirs(manifest.output_dir, exist_ok=True)
         if not manifest.force:
-            existing = [
-                name for name in planned(manifest)
-                if os.path.exists(os.path.join(manifest.output_dir, name))
-            ]
+            existing = [name for name in planned_outputs(manifest)
+                        if os.path.exists(out.path(name))]
             if existing:
-                print(
-                    f"refusing to overwrite {existing} (pass --force)", file=sys.stderr
-                )
+                print(f"refusing to overwrite {existing} (pass --force)", file=sys.stderr)
                 return EXIT_IO
-        out = OutputWriter(manifest)
-        runner(manifest, out)
+        results = command.runner(manifest, out)
+        for (method, stem), args in zip(command.outputs, results, strict=True):
+            getattr(out, method)(stem, *args)
         out.sidecar()
     except ConfigError as exc:  # an input file the runner reads
         _print_violations(exc)
@@ -718,6 +705,10 @@ def execute(manifest: RunManifest) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
+        if results is not None:  # a write failed: remove the command's files
+            for path in map(out.path, [*planned_outputs(manifest), out.sidecar_name]):
+                with suppress(OSError):  # a directory or a missing file stays
+                    os.remove(path)
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -99,16 +99,6 @@ def _poisson_pmf(n: int, mu: float) -> np.ndarray:
     return pmf
 
 
-def _poisson_cdf(n: int, mu: float) -> np.ndarray:
-    """P(N <= j), j = 0..n: the running sum of the pmf, which stops at the
-    window's top and repeats its last value beyond, as adding zeros would."""
-    top = min(n, _poisson_window(mu)[1])
-    cdf = np.empty(n + 1)
-    cdf[:top + 1] = np.cumsum(_poisson_pmf(top, mu))
-    cdf[top + 1:] = cdf[top]
-    return cdf
-
-
 def _poisson_sf(n: int, mu: float) -> np.ndarray:
     """P(N > j), j = 0..n, each a direct sum of the pmf above j (never 1 - cdf).
 
@@ -141,22 +131,25 @@ def _tail_end(n: int, mu: float) -> int:
 
 
 def _poisson_ppf(q: float, mu: float) -> int:
-    """The first k with P(N <= k) >= q."""
-    cdf = _poisson_cdf(_tail_end(0, mu), mu)
-    return int(np.searchsorted(cdf, q))  # cdf is non-decreasing
+    """The first k with P(N <= k) >= q, for q in (0, 1]: the cdf is 0 below
+    the window, then the running sum of its terms, which is non-decreasing."""
+    lo, terms = _poisson_terms(_tail_end(0, mu), mu)
+    return lo + int(np.searchsorted(np.cumsum(terms), q))
 
 
 def _chi2_sf(s: float, dof: int) -> float:
     """P(X > s) for X ~ chi-square with integer ``dof`` >= 1.
 
-    With x = s/2, an even dof 2m gives the Poisson cdf P(N <= m - 1 | x);
-    an odd dof 2m + 1 gives erfc(sqrt(x)) plus the half-integer terms
+    With x = s/2, an even dof 2m gives the Poisson cdf P(N <= m - 1 | x),
+    the running sum of the pmf terms up to m - 1 (0.0 below the window); an
+    odd dof 2m + 1 gives erfc(sqrt(x)) plus the half-integer terms
     a = 1/2, 3/2, ..., m - 1/2.
     """
     x = 0.5 * s
     m = dof // 2
     if dof % 2 == 0:
-        return float(_poisson_cdf(m - 1, x)[-1])
+        _, terms = _poisson_terms(m - 1, x)
+        return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
     return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
 
 

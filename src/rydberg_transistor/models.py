@@ -153,6 +153,13 @@ def seed_violations(seed) -> list[str]:
     return failed_checks([("seed is an unsigned 64-bit integer", ok)])
 
 
+def cap_violations(name: str, cap) -> list[str]:
+    """The blockade-cap invariants ``cap`` violates, each named behind ``name``:
+    of TransistorParams, of every function that takes a cap, and of the CLI."""
+    return failed_checks([(f"{name} >= 1", cap >= 1), (f"{name} <= {CAP_MAX}", cap <= CAP_MAX),
+                          (f"{name} is an integer", cap % 1 == 0)])
+
+
 def poisson_mean_ok(mean) -> bool:
     """Whether a gate mean, SimConfig's n_gate_in, lies in [0, POISSON_LAM_MAX]."""
     return 0 <= mean <= POISSON_LAM_MAX
@@ -258,15 +265,10 @@ class TransistorParams(_Record, namedtuple("TransistorParams", "od_sp od_st cap 
     @staticmethod
     def violations(od_sp, od_st, cap, a_ge, eta_det) -> list[str]:
         """Names of the invariants these field values violate."""
-        return failed_checks([
-            ("od_sp >= 0", od_sp >= 0),
-            ("od_st >= 0", od_st >= 0),
-            ("cap >= 1", cap >= 1),
-            (f"cap <= {CAP_MAX}", cap <= CAP_MAX),
-            ("cap is an integer", cap % 1 == 0),
-            ("a_ge in [0, 1)", 0 <= a_ge < 1),
-            ("eta_det in (0, 1]", 0 < eta_det <= 1),
-        ])
+        return [*failed_checks([("od_sp >= 0", od_sp >= 0), ("od_st >= 0", od_st >= 0)]),
+                *cap_violations("cap", cap),
+                *failed_checks([("a_ge in [0, 1)", 0 <= a_ge < 1),
+                                ("eta_det in (0, 1]", 0 < eta_det <= 1)])]
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -363,7 +365,7 @@ def coherent_limit(n_gate: float) -> float:
 
 
 def _checked_cap(cap: int) -> int:
-    if not (1 <= cap <= CAP_MAX and cap % 1 == 0):  # NaN fails too
+    if cap_violations("cap", cap):
         raise DomainError(f"cap must be an integer in [1, {CAP_MAX}], got {cap}")
     return int(cap)
 

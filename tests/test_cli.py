@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -492,6 +493,122 @@ def test_unknown_flag_usage_error():
     assert main(["not-a-command"]) == EXIT_USAGE
 
 
+# Every flag as argparse holds it: (dest, default, choices, required, type, help).
+COMMON_FLAGS = [
+    ("config", None, None, False, None, "config file path or builtin name "
+                                        "('paper30us', 'paper90us')"),
+    ("seed", None, None, False, int, "master seed"),
+    ("runs", None, None, False, int, "runs per ensemble"),
+    ("output", "out", None, False, None, "output directory"),
+    ("format", "csv", ["csv", "json"], False, None, None),
+    ("force", False, None, False, None, "overwrite existing output files"),
+]
+MODE_FLAG = ("mode", "incoming", ["incoming", "stored"], False, None, None)
+INPUT_FLAG = ("input", None, None, True, None, "CSV with columns x,y,sigma")
+# command -> (help, its own flags after the common ones), in `-h` order
+COMMAND_FLAGS = {
+    "contrast-scan": ("simulated contrast vs gate photons", [MODE_FLAG]),
+    "gain-scan": ("closed-form gain vs source input", []),
+    "transfer-scan": ("simulated transfer curve with/without gate", []),
+    "simulate": ("one ensemble, histogram + summary", []),
+    "fit-od": ("fit the contrast model to a CSV dataset",
+               [INPUT_FLAG, MODE_FLAG, ("cap", None, None, False, int, "blockade cap override")]),
+    "fit-saturation": ("fit the transfer curve to a CSV dataset", [INPUT_FLAG]),
+    "detect": ("single-shot detection fidelity pipeline",
+               [("mu0", None, None, False, float,
+                 "single no-gate mean instead of the configured sweep")]),
+}
+
+
+def test_each_command_accepts_exactly_its_flags():
+    commands = cli._build_parser()._subparsers._group_actions[0]
+    assert [(a.dest, a.help) for a in commands._choices_actions] == [
+        (command, help) for command, (help, _) in COMMAND_FLAGS.items()]
+    for command, (_, own) in COMMAND_FLAGS.items():
+        actions = [a for a in commands.choices[command]._actions if a.dest != "help"]
+        assert [a.option_strings for a in actions] == [[f"--{a.dest}"] for a in actions]
+        assert [(a.dest, a.default, a.choices and list(a.choices), a.required, a.type, a.help)
+                for a in actions] == COMMON_FLAGS + own, command
+
+
+def readme_command_table():
+    """{command: (help, own flag cells, result files)} of the table in README's
+    CLI section: its rows of the form ``| `command` | help | flags | files |``."""
+    rows = {}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for line in readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].splitlines():
+        cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            command, help, flags, files = cells
+            rows[command.strip("`")] = (help, re.findall(r"`([^`]+)`( \(required\))?", flags),
+                                        re.findall(r"`([^`]+)`", files))
+    return rows
+
+
+def test_readme_command_table_is_the_command_table():
+    rows = readme_command_table()
+    assert list(rows) == list(cli.COMMANDS)
+    for command, (help, flags, files) in rows.items():
+        spec = cli.COMMANDS[command]
+        assert help == spec.help, command
+        assert [cell.split()[0] for cell, _ in flags] == [f"--{flag}" for flag in spec.flags]
+        for (cell, required), flag in zip(flags, spec.flags):
+            choices = cli._FLAGS[flag].get("choices")
+            assert not choices or cell.split()[1] == "|".join(choices), cell
+            assert bool(required) == cli._FLAGS[flag].get("required", False), cell
+        manifest = cli.RunManifest(command, "", 0, 1, "", "<fmt>", False)
+        assert files == cli.planned_outputs(manifest), command
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["contrast-scan"], {"mode": "incoming"}),
+    (["contrast-scan", "--mode", "stored"], {"mode": "stored"}),
+    (["gain-scan"], {}),
+    (["transfer-scan"], {}),
+    (["simulate"], {}),
+    (["fit-od", "--input", "{contrast}"], {"input": "{contrast}", "mode": "incoming"}),
+    (["fit-od", "--input", "{contrast}", "--mode", "stored", "--cap", "4"],
+     {"input": "{contrast}", "mode": "stored", "cap": 4}),
+    (["fit-saturation", "--input", "{transfer}"], {"input": "{transfer}"}),
+    (["detect"], {}),
+    (["detect", "--mu0", "15"], {"mu0": 15.0}),
+])
+def test_options_are_the_set_flags_of_the_command(argv, options, small_cfg, tmp_path):
+    # the manifest and the sidecar record the command's own flags that are
+    # set, and nothing else
+    x = np.linspace(0.5, 5.0, 10)
+    write_dataset(tmp_path / "contrast.csv", DataSet(x=x, y=models.contrast_curve(x, 0.75, 3),
+                                                     sigma=np.full(10, 0.02)))
+    x = np.linspace(25.0, 250.0, 10)
+    write_dataset(tmp_path / "transfer.csv", DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0),
+                                                     sigma=np.full(10, 0.1)))
+    paths = {"contrast": str(tmp_path / "contrast.csv"),
+             "transfer": str(tmp_path / "transfer.csv")}
+    argv = [arg.format(**paths) for arg in argv]
+    options = {key: value.format(**paths) if isinstance(value, str) else value
+               for key, value in options.items()}
+    out = tmp_path / "out"
+    manifest = parse_and_validate([*argv, "--config", small_cfg, "--runs", "40",
+                                   "--output", str(out)])
+    assert manifest.options == options
+    assert cli.execute(manifest) == EXIT_OK
+    sidecar = json.loads((out / f"{argv[0]}.provenance.json").read_text(encoding="utf-8"))
+    assert sidecar["options"] == options
+
+
+def test_overwrite_refusal_comes_before_the_runner(small_cfg, tmp_path, monkeypatch):
+    out = tmp_path / "once"
+    assert main(["simulate", "--config", small_cfg, "--output", str(out)]) == EXIT_OK
+    before = read_bytes_map(out, skip_provenance=False)
+
+    def runner_ran(*args, **kwargs):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setattr(montecarlo, "simulate_ensemble", runner_ran)
+    assert main(["simulate", "--config", small_cfg, "--output", str(out)]) == EXIT_IO
+    assert read_bytes_map(out, skip_provenance=False) == before
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "weird.cfg"
     cfg.write_text("[simulation]\nwarp_factor = 9\n", encoding="utf-8")
@@ -599,6 +716,56 @@ def test_no_silent_overwrite(small_cfg, tmp_path):
     assert read_bytes_map(out) == before
     assert main(["simulate", "--config", small_cfg, "--output", str(out),
                  "--force"]) == EXIT_OK
+
+
+def test_unwritable_sidecar_leaves_no_result_file(small_cfg, tmp_path, capsys):
+    # the sidecar's name taken by a directory: no result without its record
+    out = tmp_path / "out"
+    (out / "gain-scan.provenance.json").mkdir(parents=True)
+    assert main(["gain-scan", "--config", small_cfg, "--output", str(out)]) == EXIT_IO
+    assert "I/O failure" in capsys.readouterr().err
+    assert os.listdir(out) == ["gain-scan.provenance.json"]
+
+
+DETECT_ARGV = ["detect", "--runs", "40", "--mu0", "15"]
+
+
+def test_failed_write_removes_every_file_of_the_command(small_cfg, tmp_path, monkeypatch):
+    # over a complete previous set, a write that fails after the first file
+    # leaves none of the command's files, old or new, and no sidecar
+    out = tmp_path / "out"
+    argv = [*DETECT_ARGV, "--config", small_cfg, "--output", str(out), "--force"]
+    assert main(argv) == EXIT_OK
+    assert len(os.listdir(out)) == 6  # five result files and the sidecar
+    (out / "other.csv").write_text("kept\n", encoding="utf-8")
+    written, real_write = [], cli.write_csv
+
+    def write_one_file(path, header, rows):
+        if written:
+            raise OSError(28, "No space left on device", path)
+        written.append(path)
+        real_write(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", write_one_file)
+    assert main(argv) == EXIT_IO
+    assert len(written) == 1
+    assert os.listdir(out) == ["other.csv"]
+
+
+def test_failed_run_leaves_the_previous_files(small_cfg, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = [*DETECT_ARGV, "--config", small_cfg, "--output", str(out), "--force"]
+    assert main(argv) == EXIT_OK
+    before = read_bytes_map(out, skip_provenance=False)
+
+    def failing_sweep(*args, **kwargs):
+        raise DomainError("no sweep")
+
+    monkeypatch.setattr(experiments, "fidelity_sweep", failing_sweep)
+    assert main(argv) == EXIT_NUMERIC
+    after = read_bytes_map(out, skip_provenance=False)
+    assert b"no sweep" in after.pop("detect.diagnostics.json")
+    assert after == before
 
 
 def test_output_path_collision_is_io_error(small_cfg, tmp_path):
@@ -1063,7 +1230,7 @@ def test_sidecar_outputs_are_the_planned_outputs(fmt, small_cfg, tmp_path):
                                     sigma=np.full(10, 0.1)))
     extra = {"fit-od": ["--input", str(contrast)], "fit-saturation": ["--input", str(transfer)],
              "detect": ["--mu0", "15"]}
-    for command, (_, planned) in cli._DISPATCH.items():
+    for command in cli.COMMANDS:
         out = tmp_path / command
         manifest = parse_and_validate([command, "--config", small_cfg, "--runs", "40",
                                        "--format", fmt, "--output", str(out),
@@ -1071,7 +1238,7 @@ def test_sidecar_outputs_are_the_planned_outputs(fmt, small_cfg, tmp_path):
         assert cli.execute(manifest) == EXIT_OK
         sidecar = f"{command}.provenance.json"
         outputs = json.loads((out / sidecar).read_text(encoding="utf-8"))["outputs"]
-        assert sorted(outputs) == sorted(planned(manifest)), command
+        assert sorted(outputs) == sorted(cli.planned_outputs(manifest)), command
         assert sorted(os.listdir(out)) == sorted([*outputs, sidecar]), command
 
 
@@ -1323,7 +1490,7 @@ sys.exit(main(sys.argv[1:]))
 @st.composite
 def cli_cases(draw):
     """(argv without --config and --output, config text, --input text or None)."""
-    command = draw(st.sampled_from(sorted(cli._DISPATCH)))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     section = draw(st.sampled_from(sorted(cli.CONFIG_SCHEMA)))
     values = draw(st.dictionaries(st.sampled_from(sorted(cli.CONFIG_SCHEMA[section])),
                                   st.sampled_from(FUZZ_VALUES), max_size=2))
@@ -1375,7 +1542,7 @@ def assert_documented_exit(argv, text, data):
             argv, text, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, text, proc.stderr)
         if proc.returncode == EXIT_OK:
-            planned = cli._DISPATCH[command][1](parse_and_validate(argv))
+            planned = cli.planned_outputs(parse_and_validate(argv))
             sidecar = json.loads((out / f"{command}.provenance.json").read_text(encoding="utf-8"))
             assert sorted(sidecar["outputs"]) == sorted(planned)
             assert sorted(os.listdir(out)) == sorted([*planned, f"{command}.provenance.json"])

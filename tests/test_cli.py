@@ -768,6 +768,35 @@ def test_failed_run_leaves_the_previous_files(small_cfg, tmp_path, monkeypatch):
     assert after == before
 
 
+# fit-saturation input on 2 distinct x values: it exits 4
+TWO_DISTINCT_X = [(1.0, 2.0, 0.1), (1.0, 2.1, 0.1), (2.0, 3.0, 0.1), (2.0, 3.2, 0.1)]
+
+
+def write_saturation_curve(path):
+    """Six points on 46 (1 - e^(-x/70)), which fit-saturation fits."""
+    x = np.linspace(25, 250, 6)
+    write_dataset(path, DataSet(x=x, y=46.0 * -np.expm1(-x / 70.0), sigma=np.ones_like(x)))
+
+
+def test_successful_run_removes_the_diagnostics_of_a_failed_one(tmp_path):
+    data, out = tmp_path / "d.csv", tmp_path / "o"
+    argv = ["fit-saturation", "--input", str(data), "--output", str(out)]
+    write_csv(data, ["x", "y", "sigma"], TWO_DISTINCT_X)
+    assert main(argv) == EXIT_NUMERIC
+    assert os.listdir(out) == ["fit-saturation.diagnostics.json"]
+    write_saturation_curve(data)
+    assert main([*argv, "--force"]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["fit-saturation.provenance.json", "fit_saturation.csv"]
+
+
+def test_diagnostics_name_taken_by_a_directory_fails_no_run(small_cfg, tmp_path):
+    out = tmp_path / "o"
+    (out / "gain-scan.diagnostics.json").mkdir(parents=True)
+    assert main(["gain-scan", "--config", small_cfg, "--output", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["gain-scan.diagnostics.json",
+                                       "gain-scan.provenance.json", "gain_scan.csv"]
+
+
 def test_output_path_collision_is_io_error(small_cfg, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
@@ -1457,6 +1486,77 @@ def test_blas_thread_count_changes_no_result_byte(command, tmp_path):
         sidecar = out / f"{command[0]}.provenance.json"
         outputs.append(json.loads(sidecar.read_text(encoding="utf-8"))["outputs"])
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# main as the process: its objects are frozen at exit, and nothing else changes
+
+
+# runs argv through cli.main, as the process (main()) or in process (main(argv)),
+# and prints gc's freeze count from an atexit handler registered before it
+FREEZE_CHILD = """
+import ast, atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count()))  # runs last: LIFO
+argv, as_process = ast.literal_eval(sys.argv[1])
+from rydberg_transistor import cli
+sys.argv = ["rydberg-transistor", *argv]
+assert (cli.main() if as_process else cli.main(argv)) == 0
+"""
+
+
+@pytest.mark.parametrize("as_process", [True, False], ids=["main()", "main(argv)"])
+def test_only_main_as_the_process_freezes_its_objects_at_exit(as_process, small_cfg, tmp_path):
+    argv = ["gain-scan", "--config", small_cfg, "--output", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", FREEZE_CHILD, repr([argv, as_process])],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    frozen = int(proc.stdout.splitlines()[-1])
+    assert frozen > 0 if as_process else frozen == 0
+
+
+def run_module(argv):
+    """``python -m rydberg_transistor`` with ``argv``, in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "rydberg_transistor", *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["detect", "fit-saturation"])
+def test_module_run_writes_the_in_process_outputs(command, small_cfg, tmp_path):
+    # detect loads numpy and OpenSSL, fit-saturation neither
+    if command == "detect":
+        argv = [*DETECT_ARGV, "--config", small_cfg]
+    else:
+        write_saturation_curve(tmp_path / "d.csv")
+        argv = [command, "--input", str(tmp_path / "d.csv")]
+    proc = run_module([*argv, "--output", str(tmp_path / "process")])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main([*argv, "--output", str(tmp_path / "in-process")]) == EXIT_OK
+    outputs = []
+    for out in (tmp_path / "process", tmp_path / "in-process"):
+        side = json.loads((out / f"{command}.provenance.json").read_text(encoding="utf-8"))
+        for name, digest in side["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        outputs.append(side["outputs"])
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_module_run_keeps_each_failure_exit_and_message(tmp_path, capsys):
+    bad_cfg, data, blocker = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "file"
+    bad_cfg.write_text("[transistor]\nod_sp = -1\n", encoding="utf-8")
+    write_csv(data, ["x", "y", "sigma"], TWO_DISTINCT_X)
+    blocker.write_text("x", encoding="utf-8")
+    cases = [(EXIT_USAGE, ["gain-scan", "--no-such-flag"]),
+             (EXIT_CONFIG, ["gain-scan", "--config", str(bad_cfg)]),
+             (EXIT_NUMERIC, ["fit-saturation", "--input", str(data)]),
+             (EXIT_IO, ["gain-scan", "--output", str(blocker)])]
+    for code, argv in cases:
+        if code != EXIT_IO:
+            argv = [*argv, "--output", str(tmp_path / str(code))]
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        proc = run_module(argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stderr == err  # the first line names the failure
 
 
 # ---------------------------------------------------------------------------

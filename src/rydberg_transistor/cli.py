@@ -78,57 +78,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Section -> key -> (parser, default).  The shipped configs override these.
-_F, _I, _B, _LIST = "float", "int", "bool", "floatlist"
-
+# Section -> key -> default; a value is parsed by its default's type (float,
+# int, bool or list of floats).  The shipped configs override these.
 CONFIG_SCHEMA = {
-    "transistor": {
-        "od_sp": (_F, 0.75),
-        "od_st": (_F, 2.2),
-        "cap": (_I, 3),
-        "a_ge": (_F, 0.15),
-        "eta_det": (_F, 0.31),
-    },
-    "saturation": {
-        "a": (_F, 46.0),
-        "b": (_F, 70.0),
-    },
+    "transistor": models.TransistorParams._field_defaults,
+    "saturation": models.SaturationParams._field_defaults,
     "simulation": {
-        "n_gate_in": (_F, 0.75),
-        "p_store": (_F, models.DEFAULT_P_STORE),
-        "source_rate": (_F, 0.69),
-        "t_int": (_F, 30.0),
-        "retention_tau": (_F, math.inf),
-        "self_blockade": (_B, False),
-        "runs": (_I, 250),
-        "seed": (_I, 20140721),
+        "n_gate_in": 0.75,
+        "p_store": models.DEFAULT_P_STORE,
+        "source_rate": 0.69,
+        "t_int": 30.0,
+        "retention_tau": math.inf,
+        "self_blockade": False,
+        "runs": 250,
+        "seed": 20140721,
     },
     "scan": {
-        "gate_values": (_LIST, [0.25 * k for k in range(1, 15)]),
-        "source_values": (_LIST, [25.0 * k for k in range(1, 11)]),
+        "gate_values": [0.25 * k for k in range(1, 15)],
+        "source_values": [25.0 * k for k in range(1, 11)],
     },
     "detection": {
-        "n_stored": (_F, 0.61),
-        "od_st_model": (_F, 0.94),
-        "od_st_instant": (_F, 2.2),
-        "mu0_values": (_LIST, [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]),
+        "n_stored": 0.61,
+        "od_st_model": 0.94,
+        "od_st_instant": 2.2,
+        "mu0_values": [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
     },
 }
 
 
-def _parse_value(kind: str, raw: str):
-    if kind == _F:
-        return float(raw)
-    if kind == _I:
-        return int(raw)
-    if kind == _B:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+_PARSERS = {float: float, int: int, bool: _boolean,
+            list: lambda raw: [float(tok) for tok in raw.replace(",", " ").split()]}
 
 
 # The [simulation] values SimConfig takes and models.simulation_violations checks.
@@ -172,15 +158,16 @@ def load_config(name: str | None) -> tuple[str, dict]:
     resolved = {}
     for section, keys in CONFIG_SCHEMA.items():
         resolved[section] = {}
-        for key, (kind, default) in keys.items():
+        for key, default in keys.items():
+            kind = type(default)
             if cp.has_option(section, key):
                 try:
-                    value = _parse_value(kind, cp.get(section, key))
+                    value = _PARSERS[kind](cp.get(section, key))
                 except ValueError as exc:
                     violations.append(f"{section}.{key}: {exc}")
                     continue
                 resolved[section][key] = value
-                if kind in (_F, _LIST) and not _finite_or_allowed(section, key, value):
+                if kind in (float, list) and not _finite_or_allowed(section, key, value):
                     violations.append(f"{section}.{key}: must be finite, got {value!r}")
             else:
                 resolved[section][key] = default
@@ -381,13 +368,12 @@ def _sha256_constructor():
 
 
 class OutputWriter:
-    """Deterministic result-file writer that records content hashes, of the
-    files a run reads and of those it writes; every result file goes through
-    ``write_csv`` or ``_write_json``."""
+    """Deterministic result-file writer that records the content hash of each
+    file it writes; every result file goes through ``write_csv`` or
+    ``_write_json``."""
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        self.inputs: dict[str, str] = {}
         self.written: dict[str, str] = {}
         self.sidecar_name = f"{manifest.command}.provenance.json"
         self.diagnostics_name = f"{manifest.command}.diagnostics.json"
@@ -397,12 +383,6 @@ class OutputWriter:
 
     def register(self, name: str) -> None:
         self.written[name] = _sha256(self.path(name))
-
-    def load_dataset(self, path: str):
-        """The --input CSV at ``path`` as a models.DataSet, its hash recorded."""
-        ds = _load_dataset(path)
-        self.inputs[path] = _sha256(path)
-        return ds
 
     def table(self, stem: str, header: list[str], rows) -> str:
         if self.manifest.format == "json":
@@ -434,9 +414,12 @@ class OutputWriter:
         return name
 
     def sidecar(self) -> str:
+        """The provenance record, with the hashes of the result files and of
+        the ``--input`` file, if the command has one, hashed as it is now."""
         from datetime import datetime, timezone
 
         name = self.sidecar_name
+        read = [self.manifest.options["input"]] if "input" in self.manifest.options else []
         payload = {
             "command": self.manifest.command,
             "tool_version": __version__,
@@ -446,7 +429,7 @@ class OutputWriter:
             "config_path": self.manifest.config_path,
             "options": self.manifest.options,
             "resolved_config": self.manifest.resolved,
-            "inputs": self.inputs,
+            "inputs": {path: _sha256(path) for path in read},
             "outputs": self.written,
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
@@ -531,7 +514,7 @@ def _sim_config(resolved: dict, command: str):
                      seed=sim["seed"])
 
 
-def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_contrast_scan(manifest: RunManifest) -> list:
     from .montecarlo import contrast_scan, incoming_scan_config, scan_configs
 
     base = _sim_config(manifest.resolved, manifest.command)
@@ -542,14 +525,14 @@ def _cmd_contrast_scan(manifest: RunManifest, out: OutputWriter) -> list:
     return [(["n_gate_in", "contrast", "sigma"], [[x, y, s] for x, y, s in ds.points])]
 
 
-def _cmd_gain_scan(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_gain_scan(manifest: RunManifest) -> list:
     params, sat = _params(manifest.resolved)
     rows = models.gain_scan_rows(params, sat, manifest.resolved["simulation"]["n_gate_in"],
                                  manifest.resolved["scan"]["source_values"])
     return [(list(rows[0]), [list(row.values()) for row in rows])]
 
 
-def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_transfer_scan(manifest: RunManifest) -> list:
     from .montecarlo import TransferPoint, transfer_scan
 
     points = transfer_scan(_sim_config(manifest.resolved, manifest.command),
@@ -557,7 +540,7 @@ def _cmd_transfer_scan(manifest: RunManifest, out: OutputWriter) -> list:
     return [(list(TransferPoint._fields), [list(point) for point in points])]
 
 
-def _cmd_simulate(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_simulate(manifest: RunManifest) -> list:
     from .montecarlo import simulate_ensemble
 
     config = _sim_config(manifest.resolved, manifest.command)
@@ -585,10 +568,10 @@ def _fit_record(result) -> dict:
     return record
 
 
-def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_fit_od(manifest: RunManifest) -> list:
     from .fitting import fit_od
 
-    ds = out.load_dataset(manifest.options["input"])
+    ds = _load_dataset(manifest.options["input"])
     cap = manifest.options.get("cap", manifest.resolved["transistor"]["cap"])
     result = fit_od(ds, cap=cap, mode=manifest.options["mode"], seed=manifest.seed)
     record = _fit_record(result)
@@ -597,14 +580,14 @@ def _cmd_fit_od(manifest: RunManifest, out: OutputWriter) -> list:
     return [(record,)]
 
 
-def _cmd_fit_saturation(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_fit_saturation(manifest: RunManifest) -> list:
     from .fitting import fit_saturation
 
-    ds = out.load_dataset(manifest.options["input"])
+    ds = _load_dataset(manifest.options["input"])
     return [(_fit_record(fit_saturation(ds, seed=manifest.seed)),)]
 
 
-def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> list:
+def _cmd_detect(manifest: RunManifest) -> list:
     from .experiments import fidelity_sweep
 
     det = manifest.resolved["detection"]
@@ -633,9 +616,9 @@ def _cmd_detect(manifest: RunManifest, out: OutputWriter) -> list:
             decomposition_table(best.decomposition)]
 
 
-# A command: its runner, which computes and returns the arguments of each
-# result file; its `-h` help; its own flags (keys of _FLAGS); and its result
-# files, in order, as (OutputWriter method, stem) pairs.
+# A command: its runner, which computes from the manifest alone and returns
+# the arguments of each result file; its `-h` help; its own flags (keys of
+# _FLAGS); and its result files, in order, as (OutputWriter method, stem) pairs.
 Command = namedtuple("Command", "runner help flags outputs")
 
 # Each command's own flag, defined once: add_argument's keywords.
@@ -694,7 +677,7 @@ def execute(manifest: RunManifest) -> int:
             if existing:
                 print(f"refusing to overwrite {existing} (pass --force)", file=sys.stderr)
                 return EXIT_IO
-        results = command.runner(manifest, out)
+        results = command.runner(manifest)
         for (method, stem), args in zip(command.outputs, results, strict=True):
             getattr(out, method)(stem, *args)
         out.sidecar()

@@ -20,7 +20,7 @@ import warnings
 from collections import namedtuple
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .kernels import divide, od_source, row_kernel, saturation_source, sum_source
+from .kernels import divide, od_source, row_kernel, saturation_source
 from .models import (FIT_BOOTSTRAP, DataSet, _seed_sequence_words, capped_poisson_weights,
                      child_seed)
 
@@ -49,11 +49,6 @@ FitResult.__doc__ = """Point estimates with weighted SSE and bootstrap 68% inter
 def saturation_curve(x, a: float, b: float) -> list[float]:
     """Transfer model a * (1 - exp(-x / b)) at each of a sequence of inputs."""
     return [a * -math.expm1(-v / b) for v in x]
-
-
-def _sum(values: list[float]) -> float:
-    """np.sum of a list of floats, bit for bit."""
-    return row_kernel(sum_source, values, range(len(values)))[0]()
 
 
 def _inverse_square(sigma: float) -> float:
@@ -143,11 +138,17 @@ def _od_sse(data: DataSet, cap: int):
     return lambda row: row_kernel(od_source, points, row, len(points[0]) - 3)[0]
 
 
+def _columns(names, found):
+    """A row fitter's (params, sses, errors) from its rows' (*params, sse,
+    error) tuples, the params in the order of ``names``."""
+    return ({name: [row[i] for row in found] for i, name in enumerate(names)},
+            [row[-2] for row in found], [row[-1] for row in found])
+
+
 def _od_rows(data: DataSet, rows, cap: int):
     """fit_od's search on each row of indices in ``rows``."""
     sse = _od_sse(data, cap)
-    found = [_minimize_1d(sse(row), 0.0, OD_SEARCH_MAX) for row in rows]
-    return {"od": [od for od, _, _ in found]}, [error for _, _, error in found]
+    return _columns(["od"], [_minimize_1d(sse(row), 0.0, OD_SEARCH_MAX) for row in rows])
 
 
 def _saturation_rows(data: DataSet, rows):
@@ -166,29 +167,29 @@ def _saturation_rows(data: DataSet, rows):
         x_max = max(data.x[i] for i in row)
         b_range = [f * x_max for f in B_SEARCH_RANGE]
         if not b_range[0] > 0:
-            found.append((math.nan, math.nan, FitConvergenceError(
+            found.append((math.nan, math.nan, math.nan, FitConvergenceError(
                 f"b search range {b_range} of max(x) = {x_max!r} underflows to 0")))
             continue
         num, den, sse = row_kernel(saturation_source, points, row)
         objective = sse if len(row) <= 128 else lambda log_b, num=num, den=den, sse=sse: \
             sse(log_b, divide(num(log_b), den(log_b)))  # the halves' SSE at the row's a
-        log_b, _, error = _minimize_1d(objective, *map(math.log, b_range))
-        found.append((divide(num(log_b), den(log_b)), math.exp(log_b), error))
-    return {"a": [a for a, _, _ in found], "b": [b for _, b, _ in found]}, \
-        [error for _, _, error in found]
+        log_b, row_sse, error = _minimize_1d(objective, *map(math.log, b_range))
+        found.append((divide(num(log_b), den(log_b)), math.exp(log_b), row_sse, error))
+    return _columns(["a", "b"], found)
 
 
 def _fit_result(rows, data, assess, n_boot, seed, min_distinct) -> FitResult:
     """Fit the point row (0, ..., n-1) with the row fitter ``rows``, then the
-    bootstrap's rows.  ``assess`` maps the point row's {name: value} to the
-    estimate's (params, sse, flags, warning messages).  A failed point row
-    raises first, the warnings follow, and the bootstrap's errors come last.
-    Each interval, in order of ``params``, is widened to bracket its estimate.
+    bootstrap's rows.  ``assess`` maps the point row's {name: value} and SSE,
+    the minimum its search found, to the estimate's (params, flags, warning
+    messages).  A failed point row raises first, the warnings follow, and the
+    bootstrap's errors come last.  Each interval, in order of ``params``, is
+    widened to bracket its estimate.
     """
-    point, (error,) = rows(data, [tuple(range(len(data)))])
+    point, (sse,), (error,) = rows(data, [tuple(range(len(data)))])
     if error is not None:
         raise error
-    params, sse, flags, messages = assess({name: values[0] for name, values in point.items()})
+    params, flags, messages = assess({name: values[0] for name, values in point.items()}, sse)
     for message in messages:
         warnings.warn(message, stacklevel=3)
     ci, n_used = bootstrap_ci(rows, data, n_boot=n_boot, seed=seed, min_distinct=min_distinct)
@@ -227,19 +228,15 @@ def fit_od(
         raise DomainError("contrast values must lie in (-1, 1]")
     name = "od_sp" if mode == "incoming" else "od_st"
 
-    sse_at = _od_sse(data, cap)(range(len(data)))
-
-    def assess(point: dict[str, float]):
+    def assess(point: dict[str, float], sse: float):
         od_hat = point["od"]
-        sse = sse_at(od_hat)
         if od_hat <= 1e-6:
-            return {name: od_hat}, sse, ["boundary_od_zero"], [
-                "fitted od sits at the zero boundary"]
-        if sse_at(OD_SEARCH_MAX) <= sse:
-            return {name: od_hat}, sse, ["boundary_od_max"], [
+            return {name: od_hat}, ["boundary_od_zero"], ["fitted od sits at the zero boundary"]
+        if _od_sse(data, cap)(range(len(data)))(OD_SEARCH_MAX) <= sse:
+            return {name: od_hat}, ["boundary_od_max"], [
                 f"fitted od is no better than the boundary od = {OD_SEARCH_MAX:g}: "
                 "the data do not bound od from above"]
-        return {name: od_hat}, sse, [], []
+        return {name: od_hat}, [], []
 
     return _fit_result(lambda d, rows: _od_rows(d, rows, cap), data, assess, n_boot, seed,
                        min_distinct=2)
@@ -262,14 +259,12 @@ def fit_saturation(data: DataSet, n_boot: int = 200, seed: int = 0) -> FitResult
             f"need at least 3 distinct x values for a 2-parameter fit, got {n_distinct}"
         )
 
-    def assess(params: dict[str, float]):
-        model = saturation_curve(data.x, params["a"], params["b"])
-        sse = _sum([(r := (v - m) / s) * r for v, m, s in zip(data.y, model, data.sigma)])
+    def assess(params: dict[str, float], sse: float):
         if params["b"] >= max(data.x):
-            return params, sse, ["linear_regime", "b_ci_unbounded"], [
+            return params, ["linear_regime", "b_ci_unbounded"], [
                 "saturation scale b is not reached by the data; "
                 "only the initial slope a/b is identified"]
-        return params, sse, [], []
+        return params, [], []
 
     return _fit_result(_saturation_rows, data, assess, n_boot, seed, min_distinct=3)
 
@@ -317,8 +312,9 @@ def bootstrap_ci(fit, data: DataSet, n_boot: int = 200, seed: int = 0,
     """Case-resampling bootstrap, percentile 16/84 intervals per parameter.
 
     ``fit`` is a row fitter: ``fit(data, rows)``, with ``rows`` a list of
-    index tuples into ``data``, returns ({name: one value per row}, errors),
-    errors[i] None when row i converged.  The rows are drawn n_boot at a time
+    index tuples into ``data``, returns ({name: one value per row}, sses,
+    errors): sses[i] is row i's weighted SSE at its estimate, errors[i] None
+    when row i converged.  The rows are drawn n_boot at a time
     as ``integers(0, n, (n_boot, n))`` from the stream ``child_seed(seed,
     FIT_BOOTSTRAP, 0)``; one with fewer than ``min_distinct`` distinct x values
     is replaced by the next.  Data with no other such resample than their own
@@ -342,7 +338,7 @@ def bootstrap_ci(fit, data: DataSet, n_boot: int = 200, seed: int = 0,
             row = tuple(draw[start:start + n])
             if len({data.x[i] for i in row}) >= min_distinct:
                 rows.append(row)
-    params, errors = fit(data, rows[:n_boot])
+    params, _, errors = fit(data, rows[:n_boot])
     failed = n_boot - errors.count(None)
     if failed > 0.1 * n_boot:
         raise InsufficientDataError(

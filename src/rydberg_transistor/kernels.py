@@ -1,10 +1,10 @@
 """Straight-line kernels: the fitters' objectives written out per row length.
 
 A kernel is Python source for one block of at most 128 points, numpy's
-pairwise block: fit_od's weighted SSE, fit_saturation's profile sums and
-weighted SSE, or a plain sum.  It is written from the integers n (and cap)
-alone, compiled once per shape on first use, and bound to the points'
-values, one local each.  numpy's pairwise sum is spelled out as one
+pairwise block: fit_od's weighted SSE, or fit_saturation's profile sums and
+weighted SSE.  It is written from the integers n (and cap) alone,
+compiled once per shape on first use, and bound to the points' values,
+one local each.  numpy's pairwise sum is spelled out as one
 expression, so a kernel does the IEEE operations of the list-and-loop formula
 it replaces in the same order, bit for bit; a row of more than 128 points is
 summed through numpy's halving over such blocks.
@@ -58,11 +58,6 @@ def row_kernel(source, points, row, *shape: int) -> tuple:
         exec(f"def kernel(points):\n    [{names}] = points\n{body}", namespace)
         _KERNELS[key] = namespace["kernel"]
     return _KERNELS[key]([points[i] for i in row])
-
-
-def sum_source(n: int):
-    """A plain sum of n floats."""
-    return "t{0}, ", f"    return (lambda: {pairwise('t{0}', n)}),\n"
 
 
 def od_source(n: int, cap: int):

@@ -38,13 +38,9 @@ from .errors import DomainError, FitConvergenceError, UndefinedContrastError
 from .models import (
     BOOTSTRAP,
     DEFAULT_P_STORE,
-    DETECTION_REF,
-    FIT_BOOTSTRAP,
     POISSON_LAM_MAX,
-    POISSONNESS_NULL,
     RETENTION_TAU_BRACKET,
     SCAN_POINT,
-    SWEEP_POINT,
     TRANSFER_GATE,
     TRANSFER_REF,
     DataSet,

@@ -653,6 +653,57 @@ def test_builtin_configs_load():
     assert m90.resolved["saturation"] == {"a": 46.0, "b": 70.0}
 
 
+def test_empty_config_resolves_every_key_to_its_default_and_type(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("", encoding="utf-8")
+    _, resolved = cli.load_config(str(cfg))
+    expected = {
+        "transistor": {"od_sp": 0.75, "od_st": 2.2, "cap": 3, "a_ge": 0.15, "eta_det": 0.31},
+        "saturation": {"a": 46.0, "b": 70.0},
+        "simulation": {"n_gate_in": 0.75, "p_store": 0.61 / (0.85 * 0.75), "source_rate": 0.69,
+                       "t_int": 30.0, "retention_tau": math.inf, "self_blockade": False,
+                       "runs": 250, "seed": 20140721},
+        "scan": {"gate_values": [0.25 * k for k in range(1, 15)],
+                 "source_values": [25.0 * k for k in range(1, 11)]},
+        "detection": {"n_stored": 0.61, "od_st_model": 0.94, "od_st_instant": 2.2,
+                      "mu0_values": [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]},
+    }
+    assert resolved == expected
+    assert {s: list(keys) for s, keys in resolved.items()} == \
+        {s: list(keys) for s, keys in cli.CONFIG_SCHEMA.items()}
+    types = {s: {k: type(v) for k, v in keys.items()} for s, keys in resolved.items()}
+    ints = {("transistor", "cap"), ("simulation", "runs"), ("simulation", "seed")}
+    lists = {("scan", "gate_values"), ("scan", "source_values"), ("detection", "mu0_values")}
+    for section, keys in types.items():
+        for key, kind in keys.items():
+            want = (int if (section, key) in ints else list if (section, key) in lists
+                    else bool if key == "self_blockade" else float)
+            assert kind is want, (section, key)
+    for section, key in lists:
+        assert all(type(v) is float for v in resolved[section][key]), (section, key)
+
+
+@pytest.mark.parametrize("text, value, violation", [
+    ("[simulation]\nself_blockade = yes\n", ("simulation", "self_blockade", True), None),
+    ("[simulation]\nself_blockade = off\n", ("simulation", "self_blockade", False), None),
+    ("[simulation]\nself_blockade = x\n", None, "simulation.self_blockade: not a boolean: 'x'"),
+    ("[transistor]\ncap = 3.0\n", None,
+     "transistor.cap: invalid literal for int() with base 10: '3.0'"),
+    ("[scan]\ngate_values = 1, 2 3\n", ("scan", "gate_values", [1.0, 2.0, 3.0]), None),
+])
+def test_config_values_parse_by_their_defaults_type(text, value, violation, tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    if violation is None:
+        section, key, expected = value
+        got = cli.load_config(str(cfg))[1][section][key]
+        assert got == expected and type(got) is type(expected)
+    else:
+        with pytest.raises(ConfigError) as err:
+            cli.load_config(str(cfg))
+        assert err.value.violations == [violation]
+
+
 # ---------------------------------------------------------------------------
 # simulate + determinism + provenance
 

@@ -1,13 +1,14 @@
 """Fitting tests: zero-noise round trips, boundary flags, bootstrap behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_transistor import cli, fitting, kernels, models, montecarlo
+from rydberg_transistor import cli, fitting, kernels, models
 from rydberg_transistor.errors import (
     ConfigError,
     DomainError,
@@ -35,7 +36,7 @@ def exact_contrast_data(od, cap=3, sigma=0.04):
 
 def _fit_point(rows, data):
     """The row fitter ``rows`` on the point row (0, ..., n-1) alone."""
-    params, (error,) = rows(data, [tuple(range(len(data)))])
+    params, _, (error,) = rows(data, [tuple(range(len(data)))])
     assert error is None
     return {name: values[0] for name, values in params.items()}
 
@@ -51,6 +52,12 @@ def _fit_saturation_point(data):
 
 def _od_rows_cap3(data, rows):
     return _od_rows(data, rows, 3)
+
+
+def _no_bootstrap(fit, data, **kwargs):
+    """bootstrap_ci's (intervals, resamples used), as zero-width intervals
+    without a search: for fits whose point estimate alone is checked."""
+    return {name: (0.0, 0.0) for name in ("a", "b", "od")}, 0
 
 
 def exact_saturation_data(a=46.0, b=70.0, n=10):
@@ -425,6 +432,11 @@ def test_od_objective_is_the_numpy_contrast_sum(cap):
             for od in [0.0, 1e-9, 0.75, 2.2, 37.0, fitting.OD_SEARCH_MAX]:
                 contrast = np.array([models.contrast_from_weights(weights[i], od) for i in idx])
                 assert objective(od) == float(np.sum(((y - contrast) / sigma) ** 2, axis=-1)), n
+        # the reported sse is the objective at the reported estimate, bit for bit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "bootstrap_ci", _no_bootstrap)
+            fitted = fit_od(data, cap=cap)
+        assert fitted.sse == sse(tuple(range(n)))(fitted.params["od_sp"]), n
 
 
 @pytest.mark.parametrize("n", [3, 7, 8, 10, 14, 128, 129, 300])
@@ -437,17 +449,28 @@ def test_saturation_objective_is_the_numpy_profile(n):
     data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n),
                    sigma=rng.uniform(0.1, 1.0, n))
     searched = []  # per row: {log b: objective there}, at probes and at the argmin
+    argmins = []
 
     def record(objective, lo, hi):
         found = _minimize_1d(objective, lo, hi)
         searched.append({v: objective(v) for v in (found[0], 0.0, 3.7, 4.25, 6.0, lo, hi)})
+        argmins.append(found[0])
         return found
 
     rows = [tuple(range(n)), tuple(rng.integers(0, n, n))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_minimize_1d", record)
-        params, errors = _saturation_rows(data, rows)
+        mp.setattr(fitting, "bootstrap_ci", _no_bootstrap)
+        params, sses, errors = _saturation_rows(data, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a linear-regime fit warns
+            fitted = fit_saturation(data)  # its point row's search, once more
     assert errors == [None, None]
+    # the reported sse is the objective at the reported estimate, bit for bit
+    assert fitted.params == {"a": params["a"][0], "b": params["b"][0]}
+    assert fitted.sse == searched[-1][argmins[-1]]
+    del searched[-1]
+    assert sses == [values[log_b] for values, log_b in zip(searched, argmins)]
     for row, values, a_hat, b_hat in zip(rows, searched, params["a"], params["b"]):
         idx = list(row)
         y, sigma = np.asarray(data.y)[idx], np.asarray(data.sigma)[idx]
@@ -493,12 +516,13 @@ def test_minimize_1d_rows_converging_at_different_iterations(monkeypatch):
     for data, fitter in ((contrast, _od_rows_cap3), (transfer, _saturation_rows)):
         rows = [tuple(range(len(data)))[::-1]] + [
             tuple(rng.integers(0, len(data), len(data))) for _ in range(30)]
-        params, errors = fitter(data, rows)
+        params, sses, errors = fitter(data, rows)
         assert errors == [None] * len(rows)
         for i, row in enumerate(rows):
-            alone, _ = fitter(data, [row])
+            alone, (sse,), _ = fitter(data, [row])
             assert {name: values[i] for name, values in params.items()} == \
                 {name: values[0] for name, values in alone.items()}
+            assert sses[i] == sse
 
 
 def test_minimize_1d_nan_row_beside_normal_rows():
@@ -509,13 +533,13 @@ def test_minimize_1d_nan_row_beside_normal_rows():
     sigma = [1.0] * 5 + [1e200] * 3
     data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0), sigma=sigma)
     rows = [(0, 1, 2, 3, 4), (5, 6, 7, 5, 6), (0, 2, 4, 4, 1)]
-    params, errors = _saturation_rows(data, rows)
+    params, sses, errors = _saturation_rows(data, rows)
     assert errors[0] is None and errors[2] is None
     assert errors[1].diagnostics["message"] == "NaN result encountered."
     assert math.isnan(params["a"][1])
     for i in (0, 2):
-        alone, _ = _saturation_rows(data, [rows[i]])
-        assert (params["a"][i], params["b"][i]) == (alone["a"][0], alone["b"][0])
+        alone, (sse,), _ = _saturation_rows(data, [rows[i]])
+        assert (params["a"][i], params["b"][i], sses[i]) == (alone["a"][0], alone["b"][0], sse)
     assert abs(params["b"][0] - 70.0) < 1e-3
 
 
@@ -530,7 +554,7 @@ def test_minimize_1d_maxfun_row_beside_normal_rows(monkeypatch):
     lengths = [len(_port_bounded(sse(row), 0.0, fitting.OD_SEARCH_MAX)[0]) for row in rows]
     cap = max(lengths)  # 19-21 evaluations: the longest searches hit it
     monkeypatch.setattr(fitting, "MAXFUN", cap)
-    _, errors = _od_rows(contrast, rows, 3)
+    _, _, errors = _od_rows(contrast, rows, 3)
     for row, length, error in zip(rows, lengths, errors):
         _, res = _scipy_bounded(sse(row), 0.0, fitting.OD_SEARCH_MAX, maxiter=cap)
         assert (error is None) == res.success == (length < cap)
@@ -575,8 +599,8 @@ def test_bootstrap_index_matrix_stream():
         return _od_rows_cap3(d, idx)
 
     bootstrap_ci(rows, data, n_boot=150, seed=7)
-    assert montecarlo.FIT_BOOTSTRAP == montecarlo.POISSONNESS_NULL + 1
-    stream = np.random.SeedSequence((montecarlo.child_seed(7, montecarlo.FIT_BOOTSTRAP, 0),))
+    assert models.FIT_BOOTSTRAP == models.POISSONNESS_NULL + 1
+    stream = np.random.SeedSequence((models.child_seed(7, models.FIT_BOOTSTRAP, 0),))
     expected = np.random.Generator(np.random.Philox(stream)).integers(0, 14, (150, 14))
     assert seen == [[tuple(row) for row in expected.tolist()]]
 
@@ -595,18 +619,21 @@ def test_philox_draws_match_numpy():
 
 def test_pairwise_sum_matches_numpy():
     # np.sum(a, axis=-1) on (m, n) rows, and on one row, bit for bit;
-    # the builtin sum compensates from Python 3.12 and would not.  _sum runs
-    # the expression kernels.pairwise writes for up to 128 terms, and halves
-    # longer sums over such blocks
+    # the builtin sum compensates from Python 3.12 and would not.  The
+    # expression kernels.pairwise writes sums up to 128 terms; a longer sum
+    # is the sum of its halves, split at a multiple of 8, as row_kernel splits
+    def pairwise_sum(v):
+        if len(v) > 128:
+            half = len(v) // 2 - len(v) // 2 % 8
+            return pairwise_sum(v[:half]) + pairwise_sum(v[half:])
+        return eval(kernels.pairwise("v[{0}]", len(v)), {"v": v})
+
     rng = np.random.default_rng(18)
     for n in range(1, 301):
         a = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, (4, n))
         expected = np.sum(a, axis=-1).tolist()
-        assert [fitting._sum(row) for row in a.tolist()] == expected, n
-        assert fitting._sum(a[0].tolist()) == float(np.sum(a[0]))
-        if n <= 128:
-            expression = kernels.pairwise("v[{0}]", n)
-            assert [eval(expression, {"v": row}) for row in a.tolist()] == expected, n
+        assert [pairwise_sum(row) for row in a.tolist()] == expected, n
+        assert pairwise_sum(a[0].tolist()) == float(np.sum(a[0]))
 
 
 def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
@@ -621,14 +648,13 @@ def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
         data = DataSet(x=x, y=y, sigma=np.full(n, 0.5))
         fitting._od_sse(DataSet(x=x / 100.0, y=y / 100.0, sigma=np.full(n, 0.5)), 3)(range(n))
         _saturation_rows(data, [tuple(range(n)), tuple(rng.integers(0, n, n))])
-        fitting._sum(list(y))
     keys = list(kernels._KERNELS)
     assert all(type(v) is int for key in keys for v in key[1:])
     assert max(key[1] for key in keys) == 128
-    # ten points: one kernel each for fit_od (cap 3), fit_saturation (two rows
-    # of different points) and the plain sum
+    # ten points: one kernel each for fit_od (cap 3) and fit_saturation (two
+    # rows of different points)
     assert sorted((key[0].__name__, key[1:]) for key in keys if key[1] == 10) == [
-        ("od_source", (10, 3)), ("saturation_source", (10,)), ("sum_source", (10,))]
+        ("od_source", (10, 3)), ("saturation_source", (10,))]
 
 
 def test_bootstrap_skips_degenerate_resamples():
@@ -715,10 +741,10 @@ def test_failed_point_row_raises_before_bootstrap_errors(monkeypatch):
 
     def failing_point(data, idx):
         searched.append(len(idx))
-        params, errors = real_rows(data, idx)
+        params, sses, errors = real_rows(data, idx)
         if idx == [tuple(range(len(data)))]:
             errors = [FitConvergenceError("point failed", diagnostics={"sse": 2.0})]
-        return params, errors
+        return params, sses, errors
 
     monkeypatch.setattr(fitting, "_saturation_rows", failing_point)
     three = DataSet(x=[25.0, 100.0, 250.0], y=saturation_curve([25.0, 100.0, 250.0], 46.0, 70.0),
@@ -748,10 +774,10 @@ def test_point_warnings_come_before_bootstrap_errors(monkeypatch):
     real_rows = fitting._saturation_rows
 
     def failing_resamples(data, idx):
-        params, errors = real_rows(data, idx)
+        params, sses, errors = real_rows(data, idx)
         if idx == [tuple(range(len(data)))]:
-            return params, errors
-        return params, [FitConvergenceError("resample failed")] * len(idx)
+            return params, sses, errors
+        return params, sses, [FitConvergenceError("resample failed")] * len(idx)
 
     monkeypatch.setattr(fitting, "_saturation_rows", failing_resamples)
     x = np.linspace(2.0, 20.0, 10)

@@ -52,9 +52,13 @@ def test_unknown_name_raises_attribute_error():
 
 def test_shared_constants_have_one_definition():
     for name in ("POISSON_LAM_MAX", "RETENTION_TAU_BRACKET", "DEFAULT_P_STORE", "child_seed",
-                 "SCAN_POINT", "BOOTSTRAP", "TRANSFER_REF", "TRANSFER_GATE", "DETECTION_REF",
-                 "SWEEP_POINT", "POISSONNESS_NULL", "FIT_BOOTSTRAP"):
+                 "SCAN_POINT", "BOOTSTRAP", "TRANSFER_REF", "TRANSFER_GATE"):
         assert getattr(montecarlo, name) is getattr(models, name), name
+    # the tags of streams montecarlo does not draw are read where they are
+    for module, name in ((experiments, "DETECTION_REF"), (experiments, "SWEEP_POINT"),
+                         (experiments, "POISSONNESS_NULL"), (fitting, "FIT_BOOTSTRAP")):
+        assert getattr(module, name) is getattr(models, name), name
+        assert not hasattr(montecarlo, name), name
     assert detection.MU0_MAX is models.MU0_MAX
     assert fitting.child_seed is models.child_seed
     assert experiments.child_seed is models.child_seed

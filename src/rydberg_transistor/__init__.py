@@ -18,7 +18,7 @@ and `experiments`.
 
 import importlib
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

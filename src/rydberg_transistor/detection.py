@@ -91,32 +91,20 @@ def _poisson_terms(n: int, mu: float, start: int = 0) -> tuple[int, np.ndarray]:
     return lo, _log_space_terms(np.arange(lo, min(n, hi) + 1.0), mu)
 
 
-def _poisson_pmf(n: int, mu: float) -> np.ndarray:
-    """P(N = j), j = 0..n, for N ~ Poisson(mu); zero outside ``_poisson_window``."""
-    lo, terms = _poisson_terms(n, mu)
-    pmf = np.zeros(n + 1)
-    pmf[lo:lo + len(terms)] = terms
-    return pmf
-
-
-def _poisson_sf(n: int, mu: float) -> np.ndarray:
-    """P(N > j), j = 0..n, each a direct sum of the pmf above j (never 1 - cdf).
+def _poisson_sf(n: int, mu: float, start: int = 0) -> np.ndarray:
+    """P(N > j), j = start..n: direct sums of the pmf above j, never 1 - cdf.
 
     Each sum runs from the top down and starts at ``_tail_end(n, mu)`` or at
-    the window's top, if lower: the terms between are 0.0.
+    the window's top, if lower: the terms between are 0.0.  Below the window
+    every entry is the whole window's sum.
     """
-    pmf = _poisson_pmf(min(_tail_end(n, mu), _poisson_window(mu)[1]), mu)
-    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[j] = P(N > j), j < len(tail)
-    sf = np.zeros(n + 1)
-    sf[:len(tail)] = tail[:n + 1]
+    lo, terms = _poisson_terms(_tail_end(n, mu), mu, start + 1)
+    tail = np.cumsum(terms[::-1])[::-1]  # tail[i] = P(N > lo - 1 + i)
+    sf = np.zeros(n + 1 - start)
+    below = min(lo - 1 - start, len(sf))  # entries j = start..lo - 2
+    sf[:below] = tail[:1]
+    sf[below:below + len(tail)] = tail[:len(sf) - below]
     return sf
-
-
-def _poisson_sf_at(n: int, mu: float) -> float:
-    """P(N > n), as ``_poisson_sf(n, mu)[n]``: the same terms, summed from the
-    top down, without the table below n."""
-    _, terms = _poisson_terms(_tail_end(n, mu), mu, n + 1)
-    return float(np.cumsum(terms[::-1])[-1]) if len(terms) else 0.0
 
 
 def _tail_end(n: int, mu: float) -> int:
@@ -283,7 +271,7 @@ def decompose(observed: CountHistogram, model: MixtureModel) -> DecompositionRes
         scale = total * w_k
         lo, terms = _poisson_terms(n_max, mu_k)
         part = scale * terms
-        last = scale * _poisson_sf_at(n_max, mu_k)
+        last = scale * _poisson_sf(n_max, mu_k, n_max)[0]
         if len(part) and lo + len(part) == n_max + 1:  # the window reaches the last bin
             last = part[-1] + last
             part = part[:-1]

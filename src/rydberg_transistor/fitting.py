@@ -30,7 +30,6 @@ __all__ = [
     "fit_od",
     "fit_saturation",
     "bootstrap_ci",
-    "saturation_curve",
 ]
 
 OD_SEARCH_MAX = 50.0  # covers all physical optical depths with margin
@@ -44,11 +43,6 @@ B_SEARCH_RANGE = (1e-3, 1e3)
 FitResult = namedtuple("FitResult", "params sse ci_68 n_boot converged flags", defaults=((),))
 FitResult.__doc__ = """Point estimates with weighted SSE and bootstrap 68% intervals.
 ``converged`` is always True: a fit that fails raises FitConvergenceError."""
-
-
-def saturation_curve(x, a: float, b: float) -> list[float]:
-    """Transfer model a * (1 - exp(-x / b)) at each of a sequence of inputs."""
-    return [a * -math.expm1(-v / b) for v in x]
 
 
 def _inverse_square(sigma: float) -> float:

@@ -14,7 +14,7 @@ from rydberg_transistor import detection, models
 from rydberg_transistor.cli import main
 from rydberg_transistor.detection import mixture_from_params, optimal_threshold
 from rydberg_transistor.experiments import fidelity_sweep
-from rydberg_transistor.fitting import fit_od, fit_saturation, saturation_curve
+from rydberg_transistor.fitting import fit_od, fit_saturation
 from rydberg_transistor.models import DataSet
 from rydberg_transistor.montecarlo import SimConfig, simulate_ensemble, transfer_scan
 
@@ -92,7 +92,8 @@ def test_criterion_5_fit_round_trips():
         od_ok = od_ok and abs(got - od_true) < 1e-6
 
     xs = np.linspace(25.0, 250.0, 10)
-    sat_ds = DataSet(x=xs, y=saturation_curve(xs, 46.0, 70.0), sigma=np.ones_like(xs))
+    truth = models.SaturationParams(46.0, 70.0)
+    sat_ds = DataSet(x=xs, y=[models.transfer(x, truth) for x in xs], sigma=np.ones_like(xs))
     sat = fit_saturation(sat_ds).params
     sat_ok = abs(sat["a"] - 46.0) / 46.0 < 1e-4 and abs(sat["b"] - 70.0) / 70.0 < 1e-4
     check(

@@ -61,6 +61,14 @@ def _assert_rel(mine, ref, rtol):
     assert np.all(mine[~big] <= 1e-290)
 
 
+def _pmf_table(n, mu):
+    """P(N = j), j = 0..n: ``_poisson_terms``' window, zero outside it."""
+    lo, terms = detection._poisson_terms(n, mu)
+    pmf = np.zeros(n + 1)
+    pmf[lo:lo + len(terms)] = terms
+    return pmf
+
+
 @pytest.mark.oracle
 @pytest.mark.parametrize("mu, rtol", [
     (0.0, 1e-12), (1e-12, 1e-12), (0.5, 1e-12), (10.0, 1e-12), (40.0, 1e-12),
@@ -72,10 +80,16 @@ def test_poisson_kernel_against_scipy(mu, rtol):
     # out to where the sf falls below 1e-300 (k ~ 290 at mu = 10, ~660 at 100)
     n = max(800, math.ceil(mu + 60 * math.sqrt(mu)))
     k = np.arange(n + 1)
-    _assert_rel(detection._poisson_pmf(n, mu), poisson.pmf(k, mu), rtol)
-    _assert_rel(np.cumsum(detection._poisson_pmf(n, mu)), poisson.cdf(k, mu), rtol)
+    _assert_rel(_pmf_table(n, mu), poisson.pmf(k, mu), rtol)
+    _assert_rel(np.cumsum(_pmf_table(n, mu)), poisson.cdf(k, mu), rtol)
     sf = detection._poisson_sf(n, mu)
     _assert_rel(sf, poisson.sf(k, mu), rtol)
+    # the one entry decompose reads: the tail past its last bin, summed from
+    # that bin's own tail end; at n and at counts where the tail is not tiny
+    _assert_rel(detection._poisson_sf(n, mu, n)[0], poisson.sf(n, mu), rtol)
+    last_bins = np.unique(np.linspace(0, mu + 20 * math.sqrt(mu) + 20, 40).astype(int))
+    _assert_rel([detection._poisson_sf(j, mu, j)[0] for j in last_bins],
+                poisson.sf(last_bins, mu), rtol)
     if mu > 0:  # a direct tail sum, so it reaches down to 1e-300
         assert 0 < sf[poisson.sf(k, mu) > 1e-300].min() < 1e-250
 
@@ -148,10 +162,14 @@ def test_windowed_kernel_is_bit_identical_to_every_count():
         assert detection._poisson_ppf(q, mu) == int(np.searchsorted(ref_cdf, q))
         for n in sorted({max(lo - 1, 0), (lo + end) // 2, end, hi + 5}):
             ref = _unwindowed_pmf(detection._tail_end(n, mu), mu, lgamma_table)
-            same_bits(detection._poisson_pmf(n, mu), ref[: n + 1])
+            same_bits(_pmf_table(n, mu), ref[: n + 1])
             # the even-dof chi-square tail is the Poisson cdf at n
             same_bits(detection._chi2_sf(2 * mu, 2 * (n + 1)), np.cumsum(ref[: n + 1])[-1])
-            same_bits(detection._poisson_sf(n, mu), np.cumsum(ref[:0:-1])[::-1][: n + 1])
+            ref_sf = np.cumsum(ref[:0:-1])[::-1][: n + 1]
+            same_bits(detection._poisson_sf(n, mu), ref_sf)
+            # a table from `start` is the same table's end, down to one entry
+            for start in sorted({max(lo - 2, 0), lo, n // 2, n}):
+                same_bits(detection._poisson_sf(n, mu, start), ref_sf[start:])
         # every term outside the window is 0.0: its Chernoff exponents reach 800
         full = _unwindowed_pmf(hi + 5, mu, lgamma_table)
         assert not full[:lo].any() and not full[hi + 1:].any()
@@ -185,26 +203,27 @@ def test_running_sums_stop_at_each_component_window(monkeypatch):
     # at mu0 = 1e6 and cap 100 the count range is about 1e6 wide, while most
     # of the 101 component means lie far below 1: each cdf and tail sum runs
     # over its own component's window, never past its top, and no component
-    # gets a pmf table over the whole count range
+    # gets a tail table over the whole count range
     model = mixture_from_params(0.61, 100, 0.94, 1e6)
     hist = CountHistogram(np.bincount(np.random.default_rng(2).poisson(1e6, 300)))
     means, sums, tables = [], [], []
-    real_terms, real_pmf, real_cumsum = detection._poisson_terms, detection._poisson_pmf, np.cumsum
+    real_terms, real_sf, real_cumsum = detection._poisson_terms, detection._poisson_sf, np.cumsum
 
     def recording_terms(n, mu, start=0):
         means.append(mu)
         return real_terms(n, mu, start)
 
-    def recording_pmf(n, mu):
-        tables.append(mu)
-        return real_pmf(n, mu)
+    def recording_sf(n, mu, start=0):
+        if n > start:
+            tables.append(mu)
+        return real_sf(n, mu, start)
 
     def recording_cumsum(a):  # every running sum is over the terms made last
         sums.append((len(a), detection._poisson_window(means[-1])[1] + 1))
         return real_cumsum(a)
 
     monkeypatch.setattr(detection, "_poisson_terms", recording_terms)
-    monkeypatch.setattr(detection, "_poisson_pmf", recording_pmf)
+    monkeypatch.setattr(detection, "_poisson_sf", recording_sf)
     monkeypatch.setattr(np, "cumsum", recording_cumsum)
     decompose(hist, model)
     optimal_threshold(model)
@@ -711,8 +730,7 @@ def test_poissonness_chunked_histogram_null_matches_one_shot_matrix(chunk_counts
 
 def _one_shot_null_indices(mean, total, n_null, rng):
     """The null as one n_null-row matrix, in the unchunked formulas of 0.15.0."""
-    lo, _ = detection._poisson_window(mean)
-    pmf = detection._poisson_pmf(detection._tail_end(0, mean), mean)[lo:]
+    lo, pmf = detection._poisson_terms(detection._tail_end(0, mean), mean)
     values = np.arange(lo, lo + len(pmf), dtype=float)
     by_counts = len(values) < total
     if by_counts:

@@ -20,7 +20,6 @@ from rydberg_transistor.fitting import (
     bootstrap_ci,
     fit_od,
     fit_saturation,
-    saturation_curve,
     _minimize_1d,
     _od_rows,
     _saturation_rows,
@@ -60,9 +59,15 @@ def _no_bootstrap(fit, data, **kwargs):
     return {name: (0.0, 0.0) for name in ("a", "b", "od")}, 0
 
 
+def transfer_curve(x, a, b):
+    """``models.transfer`` at each input: the curve ``fit_saturation`` fits."""
+    sat = models.SaturationParams(a, b)
+    return [models.transfer(v, sat) for v in x]
+
+
 def exact_saturation_data(a=46.0, b=70.0, n=10):
     x = np.linspace(25.0, 250.0, n)
-    return DataSet(x=x, y=saturation_curve(x, a, b), sigma=np.ones(n))
+    return DataSet(x=x, y=transfer_curve(x, a, b), sigma=np.ones(n))
 
 
 def _sse(data, model):
@@ -267,7 +272,7 @@ def test_fit_saturation_noisy_repeated_study():
 @settings(max_examples=20, deadline=None)
 def test_fit_saturation_round_trip_property(a, b):
     x = np.linspace(0.5 * b, 5.0 * b, 12)
-    data = DataSet(x=x, y=saturation_curve(x, a, b), sigma=np.ones_like(x))
+    data = DataSet(x=x, y=transfer_curve(x, a, b), sigma=np.ones_like(x))
     a_hat, b_hat = _fit_saturation_point(data)
     assert abs(a_hat - a) / a < 1e-4
     assert abs(b_hat - b) / b < 1e-4
@@ -281,7 +286,7 @@ def test_fit_saturation_optimality_against_probes_and_grid():
                     sigma=sigma)
 
     def sse(a, b):
-        return _sse(noisy, saturation_curve(noisy.x, a, b))
+        return _sse(noisy, transfer_curve(noisy.x, a, b))
 
     a_hat, b_hat = _fit_saturation_point(noisy)
     best = sse(a_hat, b_hat)
@@ -386,7 +391,7 @@ def _fit_objective_searches(monkeypatch):
         y = models.contrast_curve(GATE_GRID, 0.75, 3) + 0.015 * rng.standard_normal(14)
         datasets.append(("od", DataSet(x=GATE_GRID, y=y, sigma=np.full(14, 0.015))))
         for x in (np.linspace(25.0, 250.0, 10), np.linspace(2.0, 20.0, 10)):
-            y = saturation_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10)
+            y = transfer_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10)
             datasets.append(("sat", DataSet(x=x, y=y, sigma=np.full(10, 0.1))))
     searches = []
     real_minimize = fitting._minimize_1d
@@ -446,7 +451,7 @@ def test_saturation_objective_is_the_numpy_profile(n):
     # is that profile at the argmin
     rng = np.random.default_rng(n)
     x = rng.uniform(1.0, 250.0, n)
-    data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n),
+    data = DataSet(x=x, y=transfer_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n),
                    sigma=rng.uniform(0.1, 1.0, n))
     searched = []  # per row: {log b: objective there}, at probes and at the argmin
     argmins = []
@@ -531,7 +536,7 @@ def test_minimize_1d_nan_row_beside_normal_rows():
     # while the rows beside it fit as they do alone
     x = [25.0, 50.0, 100.0, 150.0, 250.0, 25.0, 75.0, 200.0]
     sigma = [1.0] * 5 + [1e200] * 3
-    data = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0), sigma=sigma)
+    data = DataSet(x=x, y=transfer_curve(x, 46.0, 70.0), sigma=sigma)
     rows = [(0, 1, 2, 3, 4), (5, 6, 7, 5, 6), (0, 2, 4, 4, 1)]
     params, sses, errors = _saturation_rows(data, rows)
     assert errors[0] is None and errors[2] is None
@@ -644,7 +649,7 @@ def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
     rng = np.random.default_rng(23)
     for n in (10, 129, 300, 1000):
         x = rng.uniform(1.0, 250.0, n)
-        y = saturation_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n)
+        y = transfer_curve(x, 46.0, 70.0) + rng.normal(0.0, 0.5, n)
         data = DataSet(x=x, y=y, sigma=np.full(n, 0.5))
         fitting._od_sse(DataSet(x=x / 100.0, y=y / 100.0, sigma=np.full(n, 0.5)), 3)(range(n))
         _saturation_rows(data, [tuple(range(n)), tuple(rng.integers(0, n, n))])
@@ -698,7 +703,7 @@ def _noisy_fit_data(seed):
     y = models.contrast_curve(GATE_GRID, 0.75, 3) + 0.015 * rng.standard_normal(14)
     contrast = DataSet(x=GATE_GRID, y=y, sigma=np.full(14, 0.015))
     x = np.linspace(25.0, 250.0, 10)
-    transfer = DataSet(x=x, y=saturation_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10),
+    transfer = DataSet(x=x, y=transfer_curve(x, 46.0, 70.0) + 0.1 * rng.standard_normal(10),
                        sigma=np.full(10, 0.1))
     return contrast, transfer
 
@@ -747,7 +752,7 @@ def test_failed_point_row_raises_before_bootstrap_errors(monkeypatch):
         return params, sses, errors
 
     monkeypatch.setattr(fitting, "_saturation_rows", failing_point)
-    three = DataSet(x=[25.0, 100.0, 250.0], y=saturation_curve([25.0, 100.0, 250.0], 46.0, 70.0),
+    three = DataSet(x=[25.0, 100.0, 250.0], y=transfer_curve([25.0, 100.0, 250.0], 46.0, 70.0),
                     sigma=np.ones(3))
     # the bootstrap runs; it has too few points; it has too few resamples
     for data, n_boot in ((exact_saturation_data(), 200), (three, 200),

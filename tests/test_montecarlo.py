@@ -592,6 +592,38 @@ def test_flyaway_matches_per_photon_reference():
     assert chi2_dist.sf(stat, dof) > 0.01
 
 
+def flyaway_mean_ratio(k, od, t_int, tau):
+    """E[detected | k stored] / mu0 on the fly-away path, exactly.
+
+    Each of the k excitations is still stored at time t with probability
+    p = e^{-t/tau}, so the transmission averages to (1 - p(1 - e^{-od}))^k;
+    expanded binomially, the j-th term integrates e^{-jt/tau} over the window.
+    """
+    integrals = [t_int, *((tau / j) * -math.expm1(-j * t_int / tau) for j in range(1, k + 1))]
+    return sum(math.comb(k, j) * math.expm1(-od) ** j * integrals[j]
+               for j in range(k + 1)) / t_int
+
+
+def test_flyaway_row_means_match_the_closed_form():
+    # detection settings at paper90us: od_st 2.2 decaying to an effective
+    # 0.94 over 90 us; every stored number 0..cap gets tens of thousands of runs
+    od, t_int, mu0 = 2.2, 90.0, 20.0
+    tau = calibrate_retention_tau(od, 0.94, t_int)
+    cfg = SimConfig(n_gate_in=1.5, p_store=1.0, params=lossless_params(od, cap=3), sat=None,
+                    source_rate=mu0 / t_int, t_int=t_int, retention_tau=tau, seed=7)
+    res = simulate_ensemble(cfg, 200_000)
+    ratios = [flyaway_mean_ratio(k, od, t_int, tau) for k in range(4)]
+    assert [round(r, 3) for r in ratios] == [1.0, 0.620, 0.431, 0.318]
+    counts = np.arange(res.joint.shape[1])
+    assert res.joint.shape[0] == 4
+    for k, row in enumerate(res.joint):
+        runs = row.sum()
+        mean = row @ counts / runs
+        se = math.sqrt(row @ (counts - mean) ** 2 / (runs - 1) / runs)
+        assert runs > 30_000
+        assert abs(mean - mu0 * ratios[k]) < 4 * se, (k, (mean - mu0 * ratios[k]) / se)
+
+
 @pytest.mark.oracle
 def test_constant_attenuation_matches_exact_capped_mixture():
     from scipy.stats import chi2 as chi2_dist

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +83,14 @@ def test_importing_cli_executes_no_layer_module():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["rydberg_transistor", "rydberg_transistor.cli",
                                        "rydberg_transistor.errors", "rydberg_transistor.models"]
+
+
+def test_readme_layout_table_names_every_module():
+    # each row `rydberg_transistor.<module>` of README's Layout table, against
+    # the modules of the package directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `rydberg_transistor\.(\w+)` \|", layout, flags=re.MULTILINE)
+    package = Path(rydberg_transistor.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(named) == sorted(modules)

@@ -3,22 +3,21 @@
 The package splits into layers: closed-form formulas and the validated
 records (`models`), the seeded Monte Carlo engine with its histograms and
 the contrast and transfer scans (`montecarlo`), least-squares parameter
-recovery (`fitting`, whose objectives `kernels` writes out), single-shot
-detection statistics (`detection`), the detection pipeline
-(`experiments`) and the CLI (`cli`).
+recovery (`fitting`), single-shot detection statistics (`detection`), the
+detection pipeline (`experiments`) and the CLI (`cli`).
 
 The public names below are loaded lazily (PEP 562): importing the package,
 or `rydberg_transistor.cli`, executes no layer module, and the first access
 to a name imports the submodule that defines it.  So each CLI command loads
 only the layers it runs: `gain-scan` `models` alone, `fit-od` and
-`fit-saturation` `fitting` and `kernels` too, `simulate`, `contrast-scan`
-and `transfer-scan` `montecarlo`, and `detect` `montecarlo`, `detection`
-and `experiments`.
+`fit-saturation` `fitting` too, `simulate`, `contrast-scan` and
+`transfer-scan` `montecarlo`, and `detect` `montecarlo`, `detection` and
+`experiments`.
 """
 
 import importlib
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

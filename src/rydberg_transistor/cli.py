@@ -438,7 +438,8 @@ class OutputWriter:
 
 
 def read_table(path) -> tuple[list[str], list[list[float]]]:
-    """Read a CSV table written by this tool: header row + float cells."""
+    """Read a CSV table written by this tool: header row + float cells, every
+    row as wide as the header."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -456,6 +457,9 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) == 1:  # every table this tool writes has 2 or more columns
                 raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
+            if len(row) != len(header):
+                raise ConfigError([f"{path}: line {reader.line_num}: {len(row)} cells, "
+                                   f"the header has {len(header)}"])
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
@@ -490,8 +494,8 @@ def _load_dataset(path: str):
         header, rows = read_table(path)
         if len(header) < 2:
             raise ConfigError([f"{path}: need at least 2 columns, got {header}"])
-        points = [row[:3] if len(row) >= 3 else [row[0], row[1], 1.0] for row in rows]
-        return models.DataSet.from_points(points)
+        sigma = [1.0] if len(header) == 2 else []  # every row is as wide as the header
+        return models.DataSet.from_points([row[:3] + sigma for row in rows])
     except ConfigError:
         raise
     except (OSError, ValueError, TransistorError) as exc:

@@ -6,10 +6,16 @@ self-blockade transfer curve, solving a in closed form (variable projection).
 Both are bounded Brent searches in one variable, written as row fitters over
 rows of indices into the data: the point fit is the row (0, ..., n-1), then a
 case-resampling bootstrap (percentile 68% intervals, deterministic under a
-seed) fits its resamples.  In plain Python, with numpy's bits: sums in its
-pairwise order, written out in the straight-line kernels of ``kernels`` (the
-builtin sum compensates from Python 3.12), and resamples from ports of its
-Philox and bounded-integer draws.
+seed) fits its resamples.  In plain Python, with numpy's bits; resamples come
+from ports of numpy's Philox and bounded-integer draws.
+
+Each objective is a straight-line kernel: Python source for one block of at
+most 128 points, numpy's pairwise block, written from the integers n (and
+cap) alone, compiled once per shape on first use, and bound to the points'
+values, one local each.  Its sums spell out numpy's pairwise order as one
+expression (the builtin sum compensates from Python 3.12), so a kernel does
+numpy's IEEE operations in numpy's order, bit for bit; a row of more than 128
+points is summed through numpy's halving over such blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import warnings
 from collections import namedtuple
 
 from .errors import DomainError, FitConvergenceError, InsufficientDataError
-from .kernels import divide, od_source, row_kernel, saturation_source
 from .models import (FIT_BOOTSTRAP, DataSet, _seed_sequence_words, capped_poisson_weights,
                      child_seed)
 
@@ -125,11 +130,87 @@ def _minimize_1d(objective, lo: float, hi: float):
                                        diagnostics={"message": message, "x": xf, "sse": fx})
 
 
+_KERNELS = {}  # (source, n, *shape) -> the compiled kernel
+
+
+def _divide(num: float, den: float) -> float:
+    """num / den as numpy divides: by zero to +-inf, or NaN for 0 / 0."""
+    if den:
+        return num / den
+    if num != num or num == 0:
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _pairwise(term: str, n: int) -> str:
+    """The sum of term.format(i) over i < n <= 128 as one expression, in
+    np.sum's order: below 8 terms one by one onto 0.0, else eight running
+    sums combined as a tree and then the rest one by one."""
+    terms = list(map(term.format, range(n)))
+    end = 0 if n < 8 else n - n % 8
+    r = [f"({' + '.join(terms[j:end:8])})" for j in range(8)]
+    tree = "((({} + {}) + ({} + {})) + (({} + {}) + ({} + {})))".format(*r) if end else "0.0"
+    return " + ".join([tree, *terms[end:]])
+
+
+def _lines(line: str, indices) -> str:
+    """A kernel statement, ``line`` formatted with each of ``indices``."""
+    return "".join(f"        {line.format(i)}\n" for i in indices)
+
+
+def _row_kernel(source, points, row, *shape: int) -> tuple:
+    """The functions of ``source`` on the points ``row`` of ``points``.  Up to
+    128 points, those of the kernel ``source(len(row), *shape)`` writes,
+    called with the points; above, as numpy sums, the sums of the two
+    halves' (split at a multiple of 8, each built so in turn)."""
+    n = len(row)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        halves = (_row_kernel(source, points, part, *shape) for part in (row[:half], row[half:]))
+        return tuple(lambda *args, f=f, g=g: f(*args) + g(*args) for f, g in zip(*halves))
+    key = (source, n, *shape)
+    if key not in _KERNELS:
+        point, body = source(n, *shape)  # the names of point {0}, and the kernel's body
+        namespace = {"exp": math.exp, "expm1": math.expm1, "divide": _divide}
+        names = "".join(map(point.format, range(n)))
+        exec(f"def kernel(points):\n    [{names}] = points\n{body}", namespace)
+        _KERNELS[key] = namespace["kernel"]
+    return _KERNELS[key]([points[i] for i in row])
+
+
+def _od_source(n: int, cap: int):
+    """sse(od) of n points (w_0..w_cap, y, sigma), each contrast summed as
+    models.contrast_from_weights sums it."""
+    attenuation = "w0_{0}" + "".join(f" + w{j}_{{0}} * e{j}" for j in range(1, cap + 1))
+    return "(" + "".join(f"w{j}_{{0}}, " for j in range(cap + 1)) + "y{0}, s{0}), ", (
+        "    def sse(od):\n" + _lines("e{0} = exp(-{0} * od)", range(1, cap + 1))
+        + _lines(f"r{{0}} = (y{{0}} - (1.0 - ({attenuation}))) / s{{0}}", range(n))
+        + f"        return {_pairwise('r{0} * r{0}', n)}\n    return sse,\n")
+
+
+def _saturation_source(n: int):
+    """(num, den, sse) of n points (x, y, sigma, w, w y), as
+    _saturation_rows defines them; sse profiles a if a is None."""
+    return "(x{0}, y{0}, s{0}, w{0}, v{0}), ", """\
+    def num(log_b):
+{g}        return {num}
+    def den(log_b):
+{g}        return {den}
+    def sse(log_b, a=None):
+{g}        if a is None:
+            a = divide({num}, {den})
+{r}        return {sse}
+    return num, den, sse
+""".format(g="        b = exp(log_b)\n" + _lines("g{0} = -expm1(-x{0} / b)", range(n)),
+           num=_pairwise("v{0} * g{0}", n), den=_pairwise("w{0} * g{0} * g{0}", n),
+           r=_lines("r{0} = (y{0} - a * g{0}) / s{0}", range(n)), sse=_pairwise("r{0} * r{0}", n))
+
+
 def _od_sse(data: DataSet, cap: int):
     """row -> fit_od's weighted SSE on the points ``row`` as a function of od.
     The od-independent cap+1 weights of each point are computed once."""
     points = [(*capped_poisson_weights(x, cap), y, s) for x, y, s in data.points]
-    return lambda row: row_kernel(od_source, points, row, len(points[0]) - 3)[0]
+    return lambda row: _row_kernel(_od_source, points, row, len(points[0]) - 3)[0]
 
 
 def _columns(names, found):
@@ -164,11 +245,11 @@ def _saturation_rows(data: DataSet, rows):
             found.append((math.nan, math.nan, math.nan, FitConvergenceError(
                 f"b search range {b_range} of max(x) = {x_max!r} underflows to 0")))
             continue
-        num, den, sse = row_kernel(saturation_source, points, row)
+        num, den, sse = _row_kernel(_saturation_source, points, row)
         objective = sse if len(row) <= 128 else lambda log_b, num=num, den=den, sse=sse: \
-            sse(log_b, divide(num(log_b), den(log_b)))  # the halves' SSE at the row's a
+            sse(log_b, _divide(num(log_b), den(log_b)))  # the halves' SSE at the row's a
         log_b, row_sse, error = _minimize_1d(objective, *map(math.log, b_range))
-        found.append((divide(num(log_b), den(log_b)), math.exp(log_b), row_sse, error))
+        found.append((_divide(num(log_b), den(log_b)), math.exp(log_b), row_sse, error))
     return _columns(["a", "b"], found)
 
 

@@ -1041,11 +1041,19 @@ def test_non_finite_input_is_config_error(command, tmp_path, capsys):
     ("x,y,sigma\n1.0,0.2,0.1\n\n2.0\n3.0,0.5,0.1\n", "line 4: need at least 2 cells"),
     ("x,y,sigma\n0.5,0.2,0.1\n1.0,abc,0.1\n2.0,0.5,0.1\n",
      "line 3: could not convert string to float: 'abc'"),
+    ("x,y,sigma\n0.5,0.2,0.01\n1.0,0.3\n2.0,0.5,0.01\n3.0,0.6,0.01\n4.0,0.7,0.01\n",
+     "line 3: 2 cells, the header has 3"),
+    ("x,y,sigma\n0.5,0.2,0.01\n1.0,0.3,0.01,7\n2.0,0.5,0.01\n3.0,0.6,0.01\n4.0,0.7,0.01\n",
+     "line 3: 4 cells, the header has 3"),
+    ("x,y\n0.5,0.2\n1.0,0.3,0.01\n2.0,0.5\n3.0,0.6\n4.0,0.7\n",
+     "line 3: 3 cells, the header has 2"),
 ])
 def test_input_without_rows_or_with_a_short_row_is_config_error(command, text, violation,
                                                                 tmp_path, capsys):
-    # the first two ended in an IndexError traceback and the last named no
-    # line; one violation names the path, and the line of a bad row
+    # the first two ended in an IndexError traceback and the third named no
+    # line; the ragged rows were read with sigma = 1, with a cell dropped, or
+    # with a cell taken as sigma.  One violation names the path, and the line
+    # of a bad row
     bad = tmp_path / "bad.csv"
     bad.write_text(text, encoding="utf-8")
     assert main([command, "--input", str(bad), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -1423,11 +1431,11 @@ def test_gain_scan_loads_only_cli_errors_and_models(small_cfg, tmp_path):
 
 # The package modules each command loads, besides the package itself, `cli`,
 # `errors` and `models`: so no command that never fits loads `fitting` or
-# compiles `kernels`, and only `detect` loads the detection analysis.
+# compiles its kernels, and only `detect` loads the detection analysis.
 COMMAND_LAYERS = {
     "gain-scan": (),
-    "fit-od": ("fitting", "kernels"),
-    "fit-saturation": ("fitting", "kernels"),
+    "fit-od": ("fitting",),
+    "fit-saturation": ("fitting",),
     "simulate": ("montecarlo",),
     "contrast-scan": ("montecarlo",),
     "transfer-scan": ("montecarlo",),

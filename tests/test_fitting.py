@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_transistor import cli, fitting, kernels, models
+from rydberg_transistor import cli, fitting, models
 from rydberg_transistor.errors import (
     ConfigError,
     DomainError,
@@ -625,13 +625,13 @@ def test_philox_draws_match_numpy():
 def test_pairwise_sum_matches_numpy():
     # np.sum(a, axis=-1) on (m, n) rows, and on one row, bit for bit;
     # the builtin sum compensates from Python 3.12 and would not.  The
-    # expression kernels.pairwise writes sums up to 128 terms; a longer sum
-    # is the sum of its halves, split at a multiple of 8, as row_kernel splits
+    # expression fitting._pairwise writes sums up to 128 terms; a longer sum
+    # is the sum of its halves, split at a multiple of 8, as _row_kernel splits
     def pairwise_sum(v):
         if len(v) > 128:
             half = len(v) // 2 - len(v) // 2 % 8
             return pairwise_sum(v[:half]) + pairwise_sum(v[half:])
-        return eval(kernels.pairwise("v[{0}]", len(v)), {"v": v})
+        return eval(fitting._pairwise("v[{0}]", len(v)), {"v": v})
 
     rng = np.random.default_rng(18)
     for n in range(1, 301):
@@ -645,7 +645,7 @@ def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
     # kernels are compiled per block size (and cap) from those integers alone,
     # never for more than numpy's 128-term pairwise block; rows of the same
     # length share one kernel whatever their values
-    monkeypatch.setattr(kernels, "_KERNELS", {})
+    monkeypatch.setattr(fitting, "_KERNELS", {})
     rng = np.random.default_rng(23)
     for n in (10, 129, 300, 1000):
         x = rng.uniform(1.0, 250.0, n)
@@ -653,13 +653,13 @@ def test_no_generated_kernel_spans_more_than_128_points(monkeypatch):
         data = DataSet(x=x, y=y, sigma=np.full(n, 0.5))
         fitting._od_sse(DataSet(x=x / 100.0, y=y / 100.0, sigma=np.full(n, 0.5)), 3)(range(n))
         _saturation_rows(data, [tuple(range(n)), tuple(rng.integers(0, n, n))])
-    keys = list(kernels._KERNELS)
+    keys = list(fitting._KERNELS)
     assert all(type(v) is int for key in keys for v in key[1:])
     assert max(key[1] for key in keys) == 128
     # ten points: one kernel each for fit_od (cap 3) and fit_saturation (two
     # rows of different points)
     assert sorted((key[0].__name__, key[1:]) for key in keys if key[1] == 10) == [
-        ("od_source", (10, 3)), ("saturation_source", (10,))]
+        ("_od_source", (10, 3)), ("_saturation_source", (10,))]
 
 
 def test_bootstrap_skips_degenerate_resamples():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rydberg_transistor import models, montecarlo
-from rydberg_transistor.detection import mixture_from_params
+from rydberg_transistor.detection import _pooled_chi2, mixture_from_params
 from rydberg_transistor.errors import DomainError, FitConvergenceError, UndefinedContrastError
 from rydberg_transistor.montecarlo import (
     BLOCK_RUNS,
@@ -604,6 +604,36 @@ def flyaway_mean_ratio(k, od, t_int, tau):
                for j in range(k + 1)) / t_int
 
 
+def flyaway_count_pmf(k, od, t_int, tau, mu0):
+    """P(N = n | k stored) for n = 0, 1, ... on the fly-away path, exactly.
+
+    The active number is a pure death process j -> j - 1 at rate j / tau,
+    started at k, and photons arrive at rate (mu0 / t_int) e^{-od j}: a
+    Markov-modulated Poisson process.  Uniformized at a rate lam no state's
+    total rate exceeds (Jensen 1953), the process takes Poisson(lam t_int)
+    steps, each a death, a photon or neither; v[j, n] is the chance that m
+    steps end with j active and n photons.  Steps are summed until their
+    Poisson tail is far below 1e-16, and m steps hold at most m photons.
+    """
+    deaths = np.arange(k + 1) / tau
+    photons = mu0 / t_int * np.array([math.exp(-od * j) for j in range(k + 1)])
+    lam = float(np.max(deaths + photons))
+    steps = lam * t_int
+    m_max = int(steps + 15 * math.sqrt(steps) + 30)
+    stay = 1.0 - (deaths + photons) / lam
+    v = np.zeros((k + 1, m_max + 1))
+    v[k, 0] = 1.0
+    pmf, weight = np.zeros(m_max + 1), math.exp(-steps)
+    for m in range(m_max + 1):
+        pmf += weight * v.sum(axis=0)
+        weight *= steps / (m + 1)
+        step = v * stay[:, None]
+        step[:-1] += v[1:] * (deaths[1:] / lam)[:, None]
+        step[:, 1:] += v[:, :-1] * (photons / lam)[:, None]
+        v = step
+    return pmf
+
+
 def test_flyaway_row_means_match_the_closed_form():
     # detection settings at paper90us: od_st 2.2 decaying to an effective
     # 0.94 over 90 us; every stored number 0..cap gets tens of thousands of runs
@@ -622,6 +652,15 @@ def test_flyaway_row_means_match_the_closed_form():
         se = math.sqrt(row @ (counts - mean) ** 2 / (runs - 1) / runs)
         assert runs > 30_000
         assert abs(mean - mu0 * ratios[k]) < 4 * se, (k, (mean - mu0 * ratios[k]) / se)
+        # each row's counts follow the exact law, whose mean is the closed form;
+        # the tail past the last bin is folded into it
+        pmf = flyaway_count_pmf(k, od, t_int, tau, mu0)
+        assert len(pmf) > len(row) and abs(pmf.sum() - 1.0) < 1e-12
+        assert abs(pmf @ np.arange(len(pmf)) / mu0 - ratios[k]) < 1e-12
+        expected = runs * pmf[:len(row)]
+        expected[-1] += runs * pmf[len(row):].sum()
+        _, dof, p = _pooled_chi2(row, expected)
+        assert dof > 20 and p > 0.01, (k, dof, p)
 
 
 @pytest.mark.oracle

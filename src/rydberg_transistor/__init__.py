@@ -17,7 +17,7 @@ only the layers it runs: `gain-scan` `models` alone, `fit-od` and
 
 import importlib
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {
@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "CountHistogram", "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig",
-        "calibrate_retention_tau", "contrast_scan", "scan_configs", "simulate_ensemble",
+        "calibrate_retention_tau", "contrast_scan", "simulate_ensemble",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -454,12 +454,7 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
         else:
             raise ConfigError([f"{path}: missing header row"])
         rows = []
-        for row in filter(None, reader):  # blank lines are skipped
-            if len(row) == 1:  # every table this tool writes has 2 or more columns
-                raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
-            if len(row) != len(header):
-                raise ConfigError([f"{path}: line {reader.line_num}: {len(row)} cells, "
-                                   f"the header has {len(header)}"])
+        for row in _rows(path, reader, header):
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
@@ -474,14 +469,20 @@ def read_record(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["key", "value"]:
+        if header is None or [h.strip() for h in header] != ["key", "value"]:
             raise ConfigError([f"{path}: expected header 'key,value'"])
-        record = {}
-        for row in filter(None, reader):  # blank lines are skipped
-            if len(row) == 1:
-                raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
-            record[row[0]] = row[1]
-        return record
+        return dict(_rows(path, reader, header))
+
+
+def _rows(path, reader, header):
+    """The nonblank rows after ``header``, each as wide as it."""
+    for row in filter(None, reader):  # blank lines are skipped
+        if len(row) == 1:  # every file this tool writes has 2 or more columns
+            raise ConfigError([f"{path}: line {reader.line_num}: need at least 2 cells"])
+        if len(row) != len(header):
+            raise ConfigError([f"{path}: line {reader.line_num}: {len(row)} cells, "
+                               f"the header has {len(header)}"])
+        yield row
 
 
 def _load_dataset(path: str):
@@ -519,13 +520,12 @@ def _sim_config(resolved: dict, command: str):
 
 
 def _cmd_contrast_scan(manifest: RunManifest) -> list:
-    from .montecarlo import contrast_scan, incoming_scan_config, scan_configs
+    from .montecarlo import contrast_scan, incoming_scan_config
 
     base = _sim_config(manifest.resolved, manifest.command)
     if manifest.options["mode"] == "incoming":
         base = incoming_scan_config(base)
-    ds = contrast_scan(scan_configs(base, manifest.resolved["scan"]["gate_values"]),
-                       manifest.runs)
+    ds = contrast_scan(base, manifest.resolved["scan"]["gate_values"], manifest.runs)
     return [(["n_gate_in", "contrast", "sigma"], [[x, y, s] for x, y, s in ds.points])]
 
 

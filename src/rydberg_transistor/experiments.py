@@ -31,7 +31,12 @@ class DetectionReport(namedtuple(
     ``fidelity`` is the ground-truth fraction of simulated runs classified
     correctly at the model threshold (the simulator knows the true stored
     number per run); ``threshold.fidelity`` is the idealized mixture-model
-    value, which ignores mid-window fly-away and is therefore optimistic.
+    value, which ignores mid-window fly-away.  The mixture gives a run with k
+    stored excitations the mean mu0 e^{-0.94 k}, 0.391 / 0.153 / 0.060 of mu0
+    for k = 1 / 2 / 3, where the engine's fly-away mean is 0.620 / 0.431 /
+    0.318 of it at paper90us (``test_flyaway_row_means_match_the_closed_form``).
+    Across the paper90us sweep the model fidelity is 0.897-0.993 and the
+    simulated one 0.744-0.791 (``--runs 3000``).
     """
 
     __slots__ = ()

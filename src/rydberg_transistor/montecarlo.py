@@ -11,11 +11,12 @@ integral is a sum over the at most cap+1 segments between sorted lifetimes.
 No per-photon arrivals are drawn.
 
 Every histogram of detected counts is a `CountHistogram`, built here.  The
-scans behind two of the figures run here too: `contrast_scan` (switch
-contrast against gate photons, with `scan_configs` and, per incoming photon,
-`incoming_scan_config`) and `transfer_scan` (source transfer with and
-without gate).  Neither needs the detection analysis or the fitters, so the
-commands that run them load `models` and this module alone.
+scans behind two of the figures run here too, each from a base config and
+the values it sweeps: `contrast_scan` (switch contrast against gate photons,
+per incoming photon with `incoming_scan_config`) and `transfer_scan` (source
+transfer with and without gate).  Neither needs the detection analysis or
+the fitters, so the commands that run them load `models` and this module
+alone.
 
 Reproducibility contract: runs are drawn in blocks of ``BLOCK_RUNS`` (the last
 block may be shorter), and block ``b`` of an ensemble draws from a Philox
@@ -67,7 +68,6 @@ __all__ = [
     "child_seed",
     "simulate_ensemble",
     "contrast_scan",
-    "scan_configs",
     "incoming_scan_config",
     "transfer_scan",
     "TransferPoint",
@@ -76,6 +76,9 @@ __all__ = [
 # Runs per random block.  Part of the reproducibility contract: changing it
 # changes the samples of every seed.
 BLOCK_RUNS = 8192
+
+# Case resamples behind each contrast_scan sigma.
+CONTRAST_BOOT = 200
 
 # Newton steps calibrate_retention_tau takes at most; it needs 35 at the
 # upper edge of RETENTION_TAU_BRACKET and 5 at the paper's settings.
@@ -301,19 +304,6 @@ def simulate_ensemble(config: SimConfig, n_runs: int) -> EnsembleResult:
                           histogram=CountHistogram(joint.sum(axis=0)))
 
 
-def scan_configs(base: SimConfig, gate_values) -> list[SimConfig]:
-    """Configs for a gate-photon scan: the zero-gate reference, then each value.
-
-    Config ``i`` gets the seed ``child_seed(base.seed, SCAN_POINT, i)`` so
-    points are statistically independent.
-    """
-    values = [0.0] + [float(v) for v in gate_values]
-    return [
-        base._replace(n_gate_in=v, seed=child_seed(base.seed, SCAN_POINT, i))
-        for i, v in enumerate(values)
-    ]
-
-
 def incoming_scan_config(base: SimConfig) -> SimConfig:
     """Variant of a config that attenuates per *incoming* gate photon.
 
@@ -325,47 +315,37 @@ def incoming_scan_config(base: SimConfig) -> SimConfig:
     return base._replace(params=params, p_store=1.0)
 
 
-def _resampled_means(runs: np.ndarray, rng: np.random.Generator, n_boot: int):
-    """Means of ``n_boot`` case resamples of a dense count row, one multinomial draw."""
+def _resampled_means(runs: np.ndarray, rng: np.random.Generator):
+    """Means of CONTRAST_BOOT case resamples of a dense count row, one multinomial draw."""
     events = np.flatnonzero(runs)
     total = int(runs.sum())
-    resampled = rng.multinomial(total, runs[events] / total, size=n_boot)
+    resampled = rng.multinomial(total, runs[events] / total, size=CONTRAST_BOOT)
     return (resampled @ events) / total
 
 
-def contrast_scan(
-    configs: list[SimConfig],
-    n_runs: int,
-    n_boot: int = 200,
-) -> DataSet:
-    """Measure switch contrast against the zero-gate reference for each config.
+def contrast_scan(base: SimConfig, gate_values, n_runs: int) -> DataSet:
+    """Measure switch contrast against a zero-gate reference at each gate value.
 
-    The first config with n_gate_in == 0 serves as reference; every other
-    config yields one (n_gate_in, contrast, sigma) point, with sigma from a
-    case-resampling bootstrap of both histograms (streams derived from the
-    reference seed, so the scan is fully deterministic).  Resamples whose
-    reference mean is zero are skipped.
+    Ensemble 0 runs ``base`` without gate photons, as the reference, and
+    ensemble i >= 1 at the i-th gate value; ensemble i is seeded
+    ``child_seed(base.seed, SCAN_POINT, i)`` so points are statistically
+    independent.  Each gate value yields one (n_gate_in, contrast, sigma)
+    point, with sigma from a case-resampling bootstrap of both histograms
+    (streams derived from the reference seed, so the scan is fully
+    deterministic).  Resamples whose reference mean is zero are skipped.
     """
-    ref_idx = next(
-        (i for i, c in enumerate(configs) if c.n_gate_in == 0), None
-    )
-    if ref_idx is None:
-        raise DomainError("contrast scan needs a zero-gate reference config")
-    results = [simulate_ensemble(c, n_runs) for c in configs]
-    ref = results[ref_idx]
+    configs = [base._replace(n_gate_in=v, seed=child_seed(base.seed, SCAN_POINT, i))
+               for i, v in enumerate([0.0, *map(float, gate_values)])]
+    ref, *gated = [simulate_ensemble(c, n_runs) for c in configs]
     if ref.mean_source_detected == 0:
         raise UndefinedContrastError("zero-gate reference transmitted nothing")
 
     xs, ys, sigmas = [], [], []
-    for i, (config, res) in enumerate(zip(configs, results)):
-        if i == ref_idx:
-            continue
+    for i, (config, res) in enumerate(zip(configs[1:], gated), 1):
         contrast = switch_contrast(res.mean_source_detected, ref.mean_source_detected)
-        rng = np.random.Generator(
-            np.random.Philox(child_seed(configs[ref_idx].seed, BOOTSTRAP, i))
-        )
-        m_ref = _resampled_means(ref.histogram.runs, rng, n_boot)
-        m_gate = _resampled_means(res.histogram.runs, rng, n_boot)
+        rng = np.random.Generator(np.random.Philox(child_seed(configs[0].seed, BOOTSTRAP, i)))
+        m_ref = _resampled_means(ref.histogram.runs, rng)
+        m_gate = _resampled_means(res.histogram.runs, rng)
         kept = m_ref > 0
         boot = 1.0 - m_gate[kept] / m_ref[kept]
         sigma = float(boot.std(ddof=1)) if len(boot) > 1 else 0.0

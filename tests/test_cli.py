@@ -292,7 +292,7 @@ def transfer_scan_builds(resolved) -> bool:
     return True
 
 
-def test_scan_source_values_bound_is_the_transfer_scan_configs_bound(tmp_path):
+def test_scan_source_values_bound_is_the_transfer_scan_config_bound(tmp_path):
     # the CLI accepts a scan iff transfer-scan can build its SimConfigs, so a
     # validated transfer-scan never exits 4 (t_int 30, eta_det 0.31 unless drawn)
     cfg = tmp_path / "edge.cfg"
@@ -1071,6 +1071,19 @@ def test_one_cell_row_is_config_error_naming_its_line(reader, text, tmp_path):
     with pytest.raises(ConfigError) as err:
         reader(path)
     assert err.value.violations == [f"{path}: line 4: need at least 2 cells"]
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("key,value,extra\nseed,7\n", "expected header 'key,value'"),
+    ("key,value\nmu0,2.5\n\nseed,7,9\n", "line 4: 3 cells, the header has 2"),
+], ids=["wide header", "wide row"])
+def test_record_is_exactly_key_value(text, violation, tmp_path):
+    # both were read, the row as seed -> 7 with its third cell dropped
+    path = tmp_path / "wide.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        read_record(path)
+    assert err.value.violations == [f"{path}: {violation}"]
 
 
 @pytest.mark.parametrize("cap, violation", [("0", "fit-od --cap >= 1"),

@@ -40,6 +40,8 @@ def cases():
             out.append((f"{config} {fmt} fit-saturation", ["fit-saturation", *common],
                         (f"{config} csv transfer-scan", "transfer_scan.csv")))
     common = ["--config", "paper30us", "--runs", RUNS]
+    out.append(("paper30us csv contrast-scan --mode stored",
+                ["contrast-scan", *common, "--mode", "stored"], None))
     out.append(("paper30us csv fit-od --mode stored --cap 4",
                 ["fit-od", *common, "--mode", "stored", "--cap", "4"],
                 ("paper30us csv contrast-scan", "contrast_scan.csv")))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from rydberg_transistor import detection, experiments, fitting, models, montecar
 # Every name rydberg_transistor exported in 0.4.0 and still exports, by the
 # module it came from (0.5.0 removed with_contrast_vs_reference; 0.6.0 removed
 # InconsistentMeasurementError, PhotonCounts, blockade_capacity,
-# hard_rod_capacity, predicted_gain and stored_mean).
+# hard_rod_capacity, predicted_gain and stored_mean; 0.28.0 removed
+# scan_configs).
 EXPORTS_0_4_0 = {
     "detection": ["CountHistogram", "MixtureModel", "ThresholdResult", "decompose",
                   "mixture_from_params", "optimal_threshold", "poissonness_test"],
@@ -27,8 +29,7 @@ EXPORTS_0_4_0 = {
                "expected_contrast_incoming", "expected_contrast_stored", "fock_contrast",
                "gain", "switch_contrast", "transfer"],
     "montecarlo": ["DEFAULT_P_STORE", "DEFAULT_RETENTION_TAU", "EnsembleResult", "SimConfig",
-                   "calibrate_retention_tau", "child_seed", "contrast_scan", "scan_configs",
-                   "simulate_ensemble"],
+                   "calibrate_retention_tau", "child_seed", "contrast_scan", "simulate_ensemble"],
 }
 
 
@@ -43,6 +44,15 @@ def test_exports_resolve_to_their_module_objects(module, name):
 def test_all_lists_no_other_names():
     assert sorted(rydberg_transistor.__all__) == sorted(
         n for names in EXPORTS_0_4_0.values() for n in names)
+
+
+@pytest.mark.parametrize("module", [detection, experiments, fitting, models, montecarlo],
+                         ids=lambda module: module.__name__.rsplit(".", 1)[1])
+def test_each_layer_all_lists_its_own_names_once(module):
+    # a name deleted from a module but left in its __all__ breaks only
+    # `from module import *`, which nothing else runs
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert [name for name, n in Counter(module.__all__).items() if n > 1] == []
 
 
 def test_unknown_name_raises_attribute_error():

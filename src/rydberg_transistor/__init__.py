@@ -17,7 +17,7 @@ only the layers it runs: `gain-scan` `models` alone, `fit-od` and
 
 import importlib
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 from . import __version__, models
@@ -148,7 +148,10 @@ def _resolve_config_source(name: str | None):
 def load_config(name: str | None) -> tuple[str, dict]:
     """Resolve and parse a config file against the schema, defaults filled in."""
     display, text = _resolve_config_source(name)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are taken as written, without %-interpolation, and [DEFAULT] is
+    # an ordinary section, so unknown: no section header can name "".
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                   default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -437,14 +440,26 @@ class OutputWriter:
         return name
 
 
-def read_table(path) -> tuple[list[str], list[list[float]]]:
-    """Read a CSV table written by this tool: header row + float cells, every
-    row as wide as the header."""
+@contextmanager
+def _csv_reader(path):
+    """(header, reader): the first row of the CSV file ``path``, None if it
+    is empty, and a csv.reader over the rows after it.  A csv.Error, such as
+    a cell over ``csv.field_size_limit()``, becomes a ConfigError naming its
+    line."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            yield next(reader, None), reader
+        except csv.Error as exc:
+            raise ConfigError([f"{path}: line {reader.line_num}: {exc}"]) from exc
+
+
+def read_table(path) -> tuple[list[str], list[list[float]]]:
+    """Read a CSV table written by this tool: header row + float cells, every
+    row as wide as the header."""
+    with _csv_reader(path) as (header, reader):
         if header is None:
             raise ConfigError([f"{path}: empty CSV"])
         try:
@@ -464,11 +479,7 @@ def read_table(path) -> tuple[list[str], list[list[float]]]:
 
 def read_record(path) -> dict[str, str]:
     """Read a key/value CSV record written by this tool; values stay strings."""
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _csv_reader(path) as (header, reader):
         if header is None or [h.strip() for h in header] != ["key", "value"]:
             raise ConfigError([f"{path}: expected header 'key,value'"])
         return dict(_rows(path, reader, header))
@@ -495,6 +506,8 @@ def _load_dataset(path: str):
         header, rows = read_table(path)
         if len(header) < 2:
             raise ConfigError([f"{path}: need at least 2 columns, got {header}"])
+        if len(rows) < 2:  # the least any fit takes; each fitter checks its own
+            raise ConfigError([f"{path}: need at least 2 points, got {len(rows)}"])
         sigma = [1.0] if len(header) == 2 else []  # every row is as wide as the header
         return models.DataSet.from_points([row[:3] + sigma for row in rows])
     except ConfigError:

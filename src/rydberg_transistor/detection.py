@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, InsufficientDataError
-from .models import MU0_MAX, capped_poisson_weights, mu0_in_range
+from .models import MU0_MAX, _Record, capped_poisson_weights, failed_checks, mu0_in_range
 # Before numpy: where the source is compiled on import (no bytecode cache),
 # montecarlo is then compiled before numpy's allocations rather than on top
 # of them, which keeps about 0.07 MB off detect's peak RSS.
@@ -141,36 +141,32 @@ def _chi2_sf(s: float, dof: int) -> float:
     return math.erfc(math.sqrt(x)) + float(np.sum(_log_space_terms(np.arange(m) + 0.5, x)))
 
 
-class MixtureModel(namedtuple("MixtureModel", "components")):
+class MixtureModel(_Record, namedtuple("MixtureModel", "components")):
     """Poisson mixture over stored-excitation number k = 0..cap.
 
     ``components[k]`` is the (weight, mean-detected-counts) pair for runs with
     exactly k stored excitations (k = cap collects the blockade-capped tail).
     Weights sum to one; means are non-increasing in k (attenuation ordering).
+    Components that violate ``violations`` raise one DomainError naming each.
     """
 
     __slots__ = ()
 
     def __new__(cls, components):
-        if len(components) < 1:
-            raise DomainError("mixture needs at least one component")
-        comps = tuple((float(w), float(m)) for w, m in components)
-        wsum = math.fsum(w for w, _ in comps)
-        # each check written so that NaN fails it
-        if not all(w >= 0 for w, _ in comps):
-            raise DomainError("mixture weights must be >= 0")
-        if not abs(wsum - 1.0) <= WEIGHT_SUM_TOL:
-            raise DomainError(f"mixture weights sum to {wsum}, expected 1")
-        if not all(m >= 0 for _, m in comps):
-            raise DomainError("mixture means must be >= 0")
-        means = [m for _, m in comps]
-        if any(means[i] < means[i + 1] - 1e-12 for i in range(len(means) - 1)):
-            raise DomainError("mixture means must be non-increasing in k")
-        return super().__new__(cls, comps)
+        return super().__new__(cls, tuple((float(w), float(m)) for w, m in components))
 
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's, used by _replace, skips __new__
-        return cls(*iterable)
+    @staticmethod
+    def violations(components) -> list[str]:
+        """Names of the invariants these components violate."""
+        weights, means = list(zip(*components)) or ((), ())
+        return failed_checks([
+            ("at least one component", len(components) >= 1),
+            ("weights >= 0", all(w >= 0 for w in weights)),
+            (f"weights sum to 1 within {WEIGHT_SUM_TOL:g}",  # fsum raises on inf + -inf
+             all(map(math.isfinite, weights)) and abs(math.fsum(weights) - 1.0) <= WEIGHT_SUM_TOL),
+            ("means >= 0", all(m >= 0 for m in means)),
+            ("means non-increasing in k", all(a >= b - 1e-12 for a, b in zip(means, means[1:]))),
+        ])
 
     @property
     def weights(self) -> np.ndarray:

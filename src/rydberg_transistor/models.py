@@ -18,7 +18,8 @@ runners.  `child_seed` hashes with a port of numpy's `SeedSequence`, which
 keys the fit bootstrap's Philox stream too.  The package's records are
 namedtuples or `__slots__` classes, whose definitions load no `inspect`,
 which costs a short command more than the rest of its start; the parameter
-records (SimConfig's too) validate in `__new__`, through `_Record`.
+records (SimConfig's and detection's MixtureModel too) validate in `__new__`,
+through `_Record`.
 
 The module also holds what the CLI validates against and what more than one
 layer derives seeds with: the Poisson-mean, mu0 and cap bounds, the fly-away
@@ -141,12 +142,6 @@ def failed_checks(checks) -> list[str]:
     return [name for name, ok in checks if not ok]
 
 
-def raise_violations(obj, names: list[str]) -> None:
-    """Raise one DomainError naming every violated invariant of ``obj``, if any."""
-    if names:
-        raise DomainError(f"{type(obj).__name__} violates " + "; ".join(names) + f": {obj!r}")
-
-
 def seed_violations(seed) -> list[str]:
     """The master-seed invariant of SimConfig and the CLI."""
     ok = 0 <= seed < 2**64 and seed % 1 == 0
@@ -241,7 +236,8 @@ class _Record:
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        raise_violations(self, self.violations(*self))
+        if names := self.violations(*self):
+            raise DomainError(f"{cls.__name__} violates " + "; ".join(names) + f": {self!r}")
         return self
 
     @classmethod
@@ -300,7 +296,8 @@ class SaturationParams(_Record, namedtuple("SaturationParams", "a b", defaults=(
 class DataSet:
     """(x, y, sigma) observations with strictly positive uncertainties, taken
     as arrays or sequences of reals and kept as tuples of floats: what
-    `montecarlo.contrast_scan` measures and the fitters fit."""
+    `montecarlo.contrast_scan` measures and the fitters fit.  It checks the
+    data alone, at least one point; each fitter states the points it needs."""
 
     __slots__ = ("x", "y", "sigma")
 
@@ -309,8 +306,8 @@ class DataSet:
         n = len(self.x)
         if len(self.y) != n or len(self.sigma) != n:
             raise DomainError("x, y, sigma must have equal length")
-        if n < 2:
-            raise DomainError(f"need at least 2 points, got {n}")
+        if n == 0:
+            raise DomainError("need at least 1 point, got 0")
         for row, point in enumerate(self.points, 1):
             if not all(map(math.isfinite, point)):
                 raise DomainError("non-finite value in data row {}: x={}, y={}, sigma={}"

@@ -242,7 +242,7 @@ class EnsembleResult(namedtuple("EnsembleResult", "n_runs joint mean_gate_detect
 
     @property
     def mean_stored(self) -> float:
-        return int(self.joint.sum(axis=1) @ np.arange(self.joint.shape[0])) / self.n_runs
+        return CountHistogram(self.joint.sum(axis=1)).mean()
 
 
 def _simulate_block(config: SimConfig, p_sat: float, n: int, rng: np.random.Generator):

@@ -1,6 +1,7 @@
 """CLI contract tests: parsing, exit codes, determinism, provenance."""
 
 import ast
+import csv
 import hashlib
 import json
 import math
@@ -690,6 +691,17 @@ def test_empty_config_resolves_every_key_to_its_default_and_type(tmp_path):
     ("[transistor]\ncap = 3.0\n", None,
      "transistor.cap: invalid literal for int() with base 10: '3.0'"),
     ("[scan]\ngate_values = 1, 2 3\n", ("scan", "gate_values", [1.0, 2.0, 3.0]), None),
+    # values are read as written: a % is no interpolation (both were tracebacks)
+    ("[simulation]\nn_gate_in = 1%\n", None,
+     "simulation.n_gate_in: could not convert string to float: '1%'"),
+    ("[scan]\ngate_values = %(x)s\n", None,
+     "scan.gate_values: could not convert string to float: '%(x)s'"),
+    # [DEFAULT] is no section of the schema; its keys reached every section
+    # present (cap 5 here), were named under another, or were ignored
+    ("[DEFAULT]\ncap = 5\n[transistor]\n", None, "unknown config section [DEFAULT]"),
+    ("[DEFAULT]\ncap = 5\n[transistor]\n[simulation]\n", None,
+     "unknown config section [DEFAULT]"),
+    ("[DEFAULT]\nfoo = 1\n", None, "unknown config section [DEFAULT]"),
 ])
 def test_config_values_parse_by_their_defaults_type(text, value, violation, tmp_path):
     cfg = tmp_path / "one.cfg"
@@ -1038,6 +1050,7 @@ def test_non_finite_input_is_config_error(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["fit-od", "fit-saturation"])
 @pytest.mark.parametrize("text, violation", [
     ("x,y,sigma\n", "need at least 2 points, got 0"),
+    ("x,y,sigma\n0.5,0.2,0.1\n", "need at least 2 points, got 1"),
     ("x,y,sigma\n1.0,0.2,0.1\n\n2.0\n3.0,0.5,0.1\n", "line 4: need at least 2 cells"),
     ("x,y,sigma\n0.5,0.2,0.1\n1.0,abc,0.1\n2.0,0.5,0.1\n",
      "line 3: could not convert string to float: 'abc'"),
@@ -1084,6 +1097,42 @@ def test_record_is_exactly_key_value(text, violation, tmp_path):
     with pytest.raises(ConfigError) as err:
         read_record(path)
     assert err.value.violations == [f"{path}: {violation}"]
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_table, "x,y,sigma\n1,2,0.1\n2,{long},0.1\n", 3),
+    (read_table, "x,{long}\n1,2\n", 1),
+    (read_record, "key,value\nseed,{long}\n", 2),
+], ids=["table row", "table header", "record"])
+def test_cell_over_the_csv_field_limit_is_config_error(reader, text, line, tmp_path):
+    # each ended in a _csv.Error traceback
+    path = tmp_path / "long.csv"
+    path.write_text(text.format(long="1" * 200_000), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        reader(path)
+    assert err.value.violations == [
+        f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"]
+
+
+def test_one_point_contrast_scan_runs_and_fit_od_refuses_it(tmp_path, capsys):
+    # the paper's headline point alone ran every ensemble, then exited 4 (need
+    # at least 2 points, got 1): the minimum is a fit's, checked as it reads
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("[scan]\ngate_values = 1.0\n", encoding="utf-8")
+    scan_out = tmp_path / "scan"
+    assert main(["contrast-scan", "--config", str(cfg), "--runs", "2000",
+                 "--output", str(scan_out)]) == EXIT_OK
+    assert sorted(os.listdir(scan_out)) == ["contrast-scan.provenance.json", "contrast_scan.csv"]
+    _, [(x, contrast, sigma)] = read_table(scan_out / "contrast_scan.csv")
+    params = models.TransistorParams()  # the schema's [transistor]
+    assert x == 1.0
+    expected = models.expected_contrast_incoming(1.0, params.od_sp, params.cap)
+    assert abs(contrast - expected) <= 4 * sigma
+    capsys.readouterr()
+    data = scan_out / "contrast_scan.csv"
+    assert main(["fit-od", "--input", str(data), "--output", str(tmp_path / "fit")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config validation failed:\n  - {data}: need at least 2 points, got 1\n")
 
 
 @pytest.mark.parametrize("cap, violation", [("0", "fit-od --cap >= 1"),
@@ -1648,6 +1697,7 @@ FUZZ_INPUTS = [
     "x,y,sigma\n1,abc,0.1\n2,3,0.1\n",
     "x,y,sigma\n1,nan,0.1\n2,3,0.1\n3,4,0.1\n",
     "x,y,sigma\n1e-322,1,0.1\n2e-322,2,0.1\n3e-322,3,0.1\n4e-322,4,0.1\n",
+    f"x,y,sigma\n1,{'1' * 200_000},0.1\n2,3,0.1\n",  # over csv.field_size_limit()
 ]
 # one CLI call in a fresh interpreter whose address space is capped, so that
 # a runaway allocation fails the case and not the machine

@@ -306,6 +306,20 @@ def test_mixture_validation():
         MixtureModel(components=((0.5, 3.0), (0.5, 10.0)))  # increasing means
     with pytest.raises(DomainError):
         MixtureModel(components=((1.5, 3.0), (-0.5, 1.0)))
+    # one error names every violated invariant
+    with pytest.raises(DomainError) as err:
+        MixtureModel(components=((0.5, 3.0), (0.4, 10.0)))
+    assert "weights sum to 1 within 1e-12; means non-increasing in k" in str(err.value)
+    with pytest.raises(DomainError, match="at least one component; weights sum to 1"):
+        MixtureModel(components=())
+    # an infinite weight of either sign fails the sum, which math.fsum raised
+    # a ValueError on for inf + -inf
+    with pytest.raises(DomainError, match="weights >= 0; weights sum to 1"):
+        MixtureModel(components=((math.inf, 3.0), (-math.inf, 1.0)))
+    # _replace validates too
+    model = MixtureModel(components=((0.5, 10.0), (0.5, 3.0)))
+    with pytest.raises(DomainError, match="means >= 0"):
+        model._replace(components=((0.5, 10.0), (0.5, -3.0)))
 
 
 def test_mixture_from_params_zero_stored():

@@ -80,8 +80,10 @@ def _sse(data, model):
 
 
 def test_dataset_validation():
-    with pytest.raises(DomainError):
-        DataSet(x=[1.0], y=[1.0], sigma=[1.0])  # fewer than 2 points
+    with pytest.raises(DomainError, match="need at least 1 point, got 0"):
+        DataSet(x=[], y=[], sigma=[])
+    with pytest.raises(DomainError, match="need at least 1 point, got 0"):
+        DataSet.from_points([])
     with pytest.raises(DomainError):
         DataSet(x=[1.0, 2.0], y=[1.0, 2.0], sigma=[1.0, 0.0])
     with pytest.raises(DomainError):
@@ -97,6 +99,18 @@ def test_dataset_validation():
     assert all(type(v) is float for v in (*from_array.x, *from_array.y, *from_array.sigma))
     assert len(from_array) == 3
     assert DataSet.from_points(from_array.points).points == from_array.points
+
+
+def test_fitters_refuse_one_point():
+    # a one-point DataSet is valid data (a one-point contrast scan returns
+    # one); each fitter names the points it needs
+    one = DataSet(x=[1.0], y=[0.4], sigma=[0.05])
+    with pytest.raises(InsufficientDataError):
+        fit_od(one)
+    with pytest.raises(InsufficientDataError):
+        fit_saturation(one)
+    with pytest.raises(InsufficientDataError):
+        bootstrap_ci(_od_rows_cap3, one)
 
 
 def test_dataset_csv_round_trip(tmp_path):

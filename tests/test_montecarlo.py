@@ -727,6 +727,14 @@ def test_contrast_scan_follows_capped_poisson_curve():
     assert abs(contrast - 0.39) <= 0.04 + 3 * sigma
 
 
+def test_contrast_scan_runs_one_gate_value():
+    # the paper's headline point alone: one gate value is one point
+    ds = contrast_scan(lossless_config(0.0, od_st=0.75, seed=21), [1.0], 4000)
+    [(x, contrast, sigma)] = ds.points
+    assert x == 1.0
+    assert abs(contrast - models.expected_contrast_incoming(1.0, 0.75, 3)) <= 4 * sigma
+
+
 def test_contrast_scan_deterministic():
     base = lossless_config(0.0, od_st=0.75, seed=20)
     d1 = contrast_scan(base, [0.5, 1.5], 300)
